@@ -28,8 +28,6 @@ from netprobe.dynamics import (
     observation_deviation,
 )
 from netprobe.detect import (
-    TestDesign,
-    HStepNoise,
     erf,
     erf_inv,
     deviation_noise_bound,
@@ -82,8 +80,6 @@ __all__ = [
     "simulate",
     "deviation_bound",
     "observation_deviation",
-    "TestDesign",
-    "HStepNoise",
     "erf",
     "erf_inv",
     "deviation_noise_bound",

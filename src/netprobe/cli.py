@@ -91,17 +91,34 @@ def _cmd_design(args) -> None:
     sigma = args.sigma if args.sigma is not None else detect.deviation_noise_bound(
         args.n, noise, row_stochastic=args.row_stochastic
     )
-    design = detect.TestDesign.design(args.weight_floor, args.error_target, sigma)
+    if not 0.0 < args.error_target < 1.0:
+        raise SystemExit(f"--error-target must lie in (0, 1), got {args.error_target}")
+    if sigma <= 0.0:
+        raise SystemExit(f"noise std bound must be > 0, got {sigma}")
     print(
         json.dumps(
             {
-                "weight_floor": design.weight_floor,
-                "error_budget": design.error_budget,
-                "sigma_bound": design.sigma_bound,
-                "excitation": design.excitation,
+                "weight_floor": args.weight_floor,
+                "error_budget": args.error_target,
+                "sigma_bound": sigma,
+                "excitation": detect.critical_excitation(
+                    sigma, args.weight_floor, args.error_target
+                ),
             }
         )
     )
+
+
+def _weight_floor(args, tm: topology.TopologyMatrix) -> float:
+    """--weight-floor, defaulting to the loaded matrix's smallest weight."""
+    if args.weight_floor is None:
+        return tm.weight_floor
+    if args.weight_floor > tm.weight_floor:
+        raise SystemExit(
+            f"--weight-floor {args.weight_floor} exceeds the smallest weight "
+            f"{tm.weight_floor} in {args.weights}"
+        )
+    return args.weight_floor
 
 
 def _decision_out(decision: infer.NeighborDecision, out: str | None) -> None:
@@ -115,22 +132,23 @@ def _decision_out(decision: infer.NeighborDecision, out: str | None) -> None:
 
 def _cmd_infer(args) -> None:
     tm = _load_network(args.weights)
+    floor = _weight_floor(args, tm)
     noise = _noise_from_args(args)
     sigma = detect.deviation_noise_bound(tm.n, noise, row_stochastic=True)
     e = args.excite_magnitude
     if e is None:
-        e = detect.critical_excitation(sigma, args.weight_floor, args.error_target)
+        e = detect.critical_excitation(sigma, floor, args.error_target)
     source = args.excite_node
     rng = np.random.default_rng(args.seed)
 
     if args.mode == "multi":
-        plan = ExcitationPlan(source, args.burn_in, e, repetitions=args.rounds)
+        plan = ExcitationPlan(source, args.burn_in, e)
         trials = []
-        for _ in range(plan.repetitions):
+        for _ in range(args.rounds):
             x0 = rng.uniform(args.init_low, args.init_high, tm.n)
             traj = simulate(tm, x0, plan.time + 1, noise, plan, seed=rng)
             trials.append((traj.observations[plan.time], traj.observations[plan.time + 1]))
-        decision = infer.infer_multi_excitation(trials, source, e, args.weight_floor, tm.stability)
+        decision = infer.infer_multi_excitation(trials, source, e, floor, tm.stability)
     else:
         hops = 1 if args.mode == "onehop" else args.max_hop
         x0 = rng.uniform(args.init_low, args.init_high, tm.n)
@@ -142,18 +160,18 @@ def _cmd_infer(args) -> None:
             decision = infer.infer_one_hop(
                 traj.observations[args.burn_in],
                 traj.observations[args.burn_in + 1],
-                source, e, args.weight_floor, tm.stability,
+                source, e, floor, tm.stability,
             )
         else:
             decision = infer.infer_within_hops(
-                traj, source, e, args.max_hop, tm.stability,
-                weight_floor=args.weight_floor,
+                traj, source, e, args.max_hop, tm.stability, floor
             )
     _decision_out(decision, args.out)
 
 
 def _cmd_estimate(args) -> None:
     tm = _load_network(args.weights)
+    floor = _weight_floor(args, tm)
     noise = _noise_from_args(args)
     rng = np.random.default_rng(args.seed)
     x0 = rng.uniform(args.init_low, args.init_high, tm.n)
@@ -163,14 +181,14 @@ def _cmd_estimate(args) -> None:
         sigma = detect.deviation_noise_bound(tm.n, noise, row_stochastic=True)
         e = args.excite_magnitude
         if e is None:
-            e = detect.critical_excitation(sigma, args.weight_floor, args.error_target)
+            e = detect.critical_excitation(sigma, floor, args.error_target)
         traj = simulate(
             tm, x0, horizon + 1, noise,
             ExcitationPlan(args.excite_node, horizon, e), seed=rng,
         )
         decision = infer.infer_one_hop(
             traj.observations[horizon], traj.observations[horizon + 1],
-            args.excite_node, e, args.weight_floor, tm.stability,
+            args.excite_node, e, floor, tm.stability,
         )
         constraints = estimate.constraints_from_decision(decision, tm.n)
         if args.constraints_out:
@@ -263,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--excite-node", type=int, required=True)
     p.add_argument("--excite-magnitude", type=float, default=None)
-    p.add_argument("--weight-floor", type=float, default=0.4)
+    p.add_argument("--weight-floor", type=float, default=None, help="default: smallest weight")
     p.add_argument("--error-target", type=float, default=0.05)
     p.add_argument("--max-hop", type=int, default=3)
     p.add_argument("--rounds", type=int, default=4, help="excitation count for multi")
@@ -284,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-high", type=float, default=100.0)
     p.add_argument("--excite-node", type=int, default=0)
     p.add_argument("--excite-magnitude", type=float, default=None)
-    p.add_argument("--weight-floor", type=float, default=0.4)
+    p.add_argument("--weight-floor", type=float, default=None, help="default: smallest weight")
     p.add_argument("--error-target", type=float, default=0.05)
     p.add_argument("--constraints-out", default=None)
     _add_noise_args(p)

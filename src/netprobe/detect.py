@@ -1,194 +1,56 @@
-"""Gaussian error function, noise-level bounds, and detection closed forms.
+"""Noise-level bounds and detection closed forms built on the Gaussian tail.
 
-Everything the excitation designer and the decision rules need: erf and its
-inverse, the worst-case and exact standard deviations of the h-step
-observation deviation noise, critical excitation magnitudes, misjudgement
-probabilities, the false-alarm/detection tail integrals, and the bounds for
-multi-hop and repeated-excitation tests.
+Everything the excitation designer and the decision rules need: erf (the
+standard library's) and its inverse, the worst-case and exact standard
+deviations of the h-step observation deviation noise, critical excitation
+magnitudes, misjudgement probabilities, the false-alarm/detection tail
+integrals, and the bounds for multi-hop and repeated-excitation tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from math import erf
+from statistics import NormalDist
 
 import numpy as np
 
-from netprobe.topology import StabilityClass, TopologyMatrix
+from netprobe.topology import TopologyMatrix
 from netprobe.dynamics import NoiseModel
 
 SQRT2 = math.sqrt(2.0)
-
-# Rational minimax coefficients for erf/erfc, from FreeBSD's msun s_erf.c
-# (Sun Microsystems, freely redistributable).  Absolute error is below
-# 1e-15 on every branch used here.
-_ERX = 8.45062911510467529297e-01
-_EFX = 1.28379167095512586316e-01
-
-_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
-       -2.84817495755985104766e-02, -5.77027029648944159157e-03,
-       -2.37630166566501626084e-05)
-_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
-       5.08130628187576562776e-03, 1.32494738004321644526e-04,
-       -3.96022827877536812320e-06)
-
-_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
-       -3.72207876035701323847e-01, 3.18346619901161753674e-01,
-       -1.10894694282396677476e-01, 3.54783043256182359371e-02,
-       -2.16637559486879084300e-03)
-_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
-       7.18286544141962662868e-02, 1.26171219808761642112e-01,
-       1.36370839120290507362e-02, 1.19844998467991074170e-02)
-
-_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
-       -1.05586262253232909814e+01, -6.23753324503260060396e+01,
-       -1.62396669462573470355e+02, -1.84605092906711035994e+02,
-       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
-_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
-       4.34565877475229228821e+02, 6.45387271733267880336e+02,
-       4.29008140027567833386e+02, 1.08635005541779435134e+02,
-       6.57024977031928170135e+00, -6.04244152148580987438e-02)
-
-_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
-       -1.77579549177547519889e+01, -1.60636384855821916062e+02,
-       -6.37566443368389627722e+02, -1.02509513161107724954e+03,
-       -4.83519191608651397019e+02)
-_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
-       1.53672958608443695994e+03, 3.19985821950859553908e+03,
-       2.55305040643316442583e+03, 4.74528541206955367215e+02,
-       -2.24409524465858183362e+01)
+_ERF_SLOPE_AT_ZERO = 2.0 / math.sqrt(math.pi)
+_STANDARD_NORMAL = NormalDist()
 
 
-def _polyval(coeffs: tuple[float, ...], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def erf_inv(p: float) -> float:
+    """Inverse of erf on (-1, 1), accurate to a few ulps across the domain.
 
-
-def erf(z: float) -> float:
-    """Gaussian error function, accurate to well below 1e-12 everywhere."""
-    z = float(z)
-    if math.isnan(z):
-        return math.nan
-    a = abs(z)
-    sign = 1.0 if z >= 0 else -1.0
-    if a < 2.0 ** -28:
-        return z + _EFX * z
-    if a < 0.84375:
-        s = z * z
-        return z + z * (_polyval(_PP, s) / _polyval(_QQ, s))
-    if a < 1.25:
-        s = a - 1.0
-        return sign * (_ERX + _polyval(_PA, s) / _polyval(_QA, s))
-    if a >= 6.0:
-        return sign
-    s = 1.0 / (a * a)
-    if a < 1.0 / 0.35:
-        ratio = _polyval(_RA, s) / _polyval(_SA, s)
-    else:
-        ratio = _polyval(_RB, s) / _polyval(_SB, s)
-    erfc_tail = math.exp(-a * a - 0.5625 + ratio) / a
-    return sign * (1.0 - erfc_tail)
-
-
-def _erf_derivative(x: float) -> float:
-    return 2.0 / math.sqrt(math.pi) * math.exp(-x * x)
-
-
-def erf_inv(p: float, tol: float = 5e-16, max_iter: int = 200) -> float:
-    """Inverse of erf on (-1, 1) by safeguarded Newton iteration.
-
-    Newton steps on erf are taken inside a maintained bracket; any step that
-    would leave the bracket is replaced by its midpoint, so convergence is
-    guaranteed for every argument strictly inside the domain.
+    Starts from the standard normal quantile (Wichura's AS241, as in
+    ``statistics.NormalDist.inv_cdf``) and takes one Newton step: on erf for
+    |p| <= 0.5, and on erfc for |p| > 0.5, where 1 - |p| is exact, so tiny
+    arguments and arguments near one keep their relative accuracy.
     """
     p = float(p)
     if not -1.0 < p < 1.0:
         raise ValueError(f"erf_inv argument must lie strictly in (-1, 1), got {p}")
-    if p == 0.0:
-        return 0.0
-    if p < 0.0:
-        return -erf_inv(-p, tol, max_iter)
-
-    lo, hi = 0.0, 1.0
-    while erf(hi) < p:
-        lo = hi
-        hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        f = erf(x) - p
-        if abs(f) <= tol:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        d = _erf_derivative(x)
-        nxt = x - f / d if d > 0.0 else math.inf
-        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + hi):
-            return x
-    return x
+    a = abs(p)
+    if a <= 0.5:
+        x = _STANDARD_NORMAL.inv_cdf((1.0 + a) / 2.0) / SQRT2
+        residual = erf(x) - a
+    else:
+        q = 1.0 - a
+        x = -_STANDARD_NORMAL.inv_cdf(q / 2.0) / SQRT2
+        residual = q - math.erfc(x)
+    x -= residual / (_ERF_SLOPE_AT_ZERO * math.exp(-x * x))
+    return math.copysign(x, p)
 
 
-def _gaussian_upper_tail(threshold: float, sigma: float) -> float:
-    """P(N(0, sigma^2) >= threshold)."""
-    return 0.5 * (1.0 - erf(threshold / (SQRT2 * sigma)))
-
-
-@dataclass(frozen=True)
-class TestDesign:
-    """A designed edge-existence test and its critical excitation magnitude."""
-
-    __test__ = False  # domain object, not a pytest collection target
-
-    weight_floor: float
-    error_budget: float
-    sigma_bound: float
-    excitation: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.error_budget < 1.0:
-            raise ValueError("error budget must lie in (0, 1)")
-        if self.sigma_bound <= 0.0:
-            raise ValueError("sigma bound must be > 0")
-        if self.excitation <= 0.0:
-            raise ValueError("designed excitation must be > 0")
-
-    @classmethod
-    def design(cls, weight_floor: float, error_budget: float, sigma_bound: float) -> "TestDesign":
-        e = critical_excitation(sigma_bound, weight_floor, error_budget)
-        return cls(weight_floor, error_budget, sigma_bound, e)
-
-
-@dataclass(frozen=True)
-class HStepNoise:
-    """Exact per-node standard deviations of the h-step deviation noise."""
-
-    per_node: np.ndarray
-    horizon: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_node", np.asarray(self.per_node, dtype=float))
-
-    @classmethod
-    def from_matrix(cls, tm: TopologyMatrix, horizon: int, noise: NoiseModel) -> "HStepNoise":
-        w = tm.matrix
-        n = w.shape[0]
-        power = np.eye(n)
-        theta_sum = np.zeros(n)
-        for _ in range(horizon):
-            theta_sum += (power ** 2).sum(axis=1)
-            power = power @ w
-        var = (1.0 + (power ** 2).sum(axis=1)) * noise.sigma_upsilon ** 2
-        var += theta_sum * noise.sigma_theta ** 2
-        values = np.sqrt(var)
-        if tm.stability is not StabilityClass.UNSTABLE:
-            cap = 2.0 * noise.sigma_upsilon ** 2 + horizon * noise.sigma_theta ** 2
-            if (values ** 2 > cap + 1e-9).any():
-                raise AssertionError("h-step noise exceeds its stable-dynamics cap")
-        return cls(values, horizon)
+def _upper_tail(gain: float, excitation: float, sigma: float) -> float:
+    """P(N(0, sigma^2) >= gain*e/2) = (1 - erf(gain*e / (2*sqrt(2)*sigma))) / 2."""
+    if sigma <= 0.0:
+        raise ValueError("sigma must be > 0")
+    return 0.5 * (1.0 - erf(gain * excitation / (2.0 * SQRT2 * sigma)))
 
 
 def deviation_noise_bound(n: int, noise: NoiseModel, row_stochastic: bool = False) -> float:
@@ -250,14 +112,12 @@ def misjudgement_probability(sigma: float, weight: float, excitation: float) -> 
     False alarm plus missed detection for the equal-prior binary test between
     N(0, sigma^2) and N(w*e, sigma^2); inverse of ``critical_excitation``.
     """
-    return 1.0 - erf(weight * excitation / (2.0 * SQRT2 * sigma))
+    return 2.0 * _upper_tail(weight, excitation, sigma)
 
 
 def false_alarm_probability(gain: float, excitation: float, sigma: float) -> float:
     """P(deviation >= gain*e/2) when the node is not influenced (pure noise)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    return _gaussian_upper_tail(gain * excitation / 2.0, sigma)
+    return _upper_tail(gain, excitation, sigma)
 
 
 def detection_probability(gain: float, excitation: float, sigma: float) -> float:
@@ -265,9 +125,7 @@ def detection_probability(gain: float, excitation: float, sigma: float) -> float
 
     Complements ``false_alarm_probability``: the two sum to one exactly.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    return 0.5 * (1.0 + erf(gain * excitation / (2.0 * SQRT2 * sigma)))
+    return _upper_tail(-gain, excitation, sigma)
 
 
 def hop_inference_lower_bound(
@@ -305,4 +163,4 @@ def multi_excitation_bound(excitation: float, weight_floor: float, sigma: float,
         raise ValueError("rounds must be >= 1")
     if weight_floor <= 0.0:
         raise ValueError("weight floor must be > 0")
-    return 1.0 - erf(weight_floor * excitation * math.sqrt(rounds) / (2.0 * SQRT2 * sigma))
+    return 2.0 * _upper_tail(weight_floor, excitation * math.sqrt(rounds), sigma)

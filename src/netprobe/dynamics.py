@@ -35,22 +35,15 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ExcitationPlan:
-    """One excitation: which node, at which step, how large, how many trials.
-
-    ``repetitions`` only matters to multi-excitation drivers, which run that
-    many independent trajectories; a single simulation applies the input once.
-    """
+    """One excitation: which node, at which step, how large."""
 
     node: int
     time: int
     magnitude: float
-    repetitions: int = 1
 
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("excitation time must be >= 0")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -63,16 +63,11 @@ class LsProblem:
 
 @dataclass(frozen=True)
 class LsSolution:
-    """Estimated matrix plus rank diagnostics of the stacked regressors.
-
-    ``clipped_positive`` lists constrained-positive entries that came out
-    exactly zero, where the estimate sits on the constraint boundary.
-    """
+    """Estimated matrix plus rank diagnostics of the stacked regressors."""
 
     matrix: np.ndarray
     rank: int
     rank_deficient: bool
-    clipped_positive: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,6 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
     n = problem.n
     base, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     w = np.zeros((n, n))
-    clipped: list[tuple[int, int]] = []
     for i in range(n):
         kinds = [problem.constraint(i, j) for j in range(n)]
         if all(k is EntryConstraint.FREE for k in kinds):
@@ -175,10 +169,8 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
         if not keep:
             continue
         positive = np.array([kinds[j] is EntryConstraint.POSITIVE for j in keep], dtype=bool)
-        row = _nonneg_row_lstsq(x[:, keep], y[:, i], positive)
-        w[i, keep] = row
-        clipped.extend((i, j) for j, v in zip(keep, row) if kinds[j] is EntryConstraint.POSITIVE and v == 0.0)
-    return LsSolution(w, int(rank), int(rank) < n, tuple(clipped))
+        w[i, keep] = _nonneg_row_lstsq(x[:, keep], y[:, i], positive)
+    return LsSolution(w, int(rank), int(rank) < n)
 
 
 def _thresholded_sign(m: np.ndarray, tol: float) -> np.ndarray:

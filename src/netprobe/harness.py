@@ -187,6 +187,21 @@ def pick_source_node(graph: WeightedDigraph, max_hop: int = 1) -> int:
     raise ValueError(f"no node reaches depth {max_hop}; use a denser graph")
 
 
+def _network(config: ExperimentConfig) -> tuple[WeightedDigraph, TopologyMatrix]:
+    """Build the config's network and refuse a floor above its smallest weight.
+
+    The designed excitations only guarantee detection of weights at or above
+    the floor, so a higher floor breaks every theory column's premise.
+    """
+    graph, tm = config.build_network()
+    if config.weight_floor > tm.weight_floor:
+        raise ValueError(
+            f"weight_floor {config.weight_floor!r} exceeds the network's smallest "
+            f"weight {tm.weight_floor!r}"
+        )
+    return graph, tm
+
+
 def _trial_seeds(config: ExperimentConfig) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(config.seed).spawn(config.trial_count)
 
@@ -206,7 +221,7 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     reported next to one minus the designed misjudgement probability.  The
     guarantee presumes every positive weight reaches the configured floor.
     """
-    graph, tm = config.build_network()
+    graph, tm = _network(config)
     source = config.excited_node if config.excited_node is not None else pick_source_node(graph)
     truth = true_hop_sets(graph, source, 1).at_hop(1)
     noise = config.noise()
@@ -290,7 +305,7 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     largest per-target critical magnitude, and the reported bound is the
     placement lower bound evaluated at each target's own critical magnitude.
     """
-    graph, tm = config.build_network()
+    graph, tm = _network(config)
     source = (
         config.excited_node
         if config.excited_node is not None
@@ -320,7 +335,6 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     if e is None:
         e = _positive_magnitude(config.excitation_scale * max(critical.values()))
 
-    floors = [config.weight_floor ** h for h in range(1, config.max_hop + 1)]
     hits = {h: 0 for h in hops}
     for ss in _trial_seeds(config):
         rng = np.random.default_rng(ss)
@@ -328,7 +342,7 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
         plan = ExcitationPlan(source, config.burn_in, e)
         traj = simulate(tm, x0, config.burn_in + config.max_hop, noise, plan, seed=rng)
         decision = infer_within_hops(
-            traj, source, e, config.max_hop, tm.stability, gain_floors=floors
+            traj, source, e, config.max_hop, tm.stability, config.weight_floor
         )
         for h in hops:
             hits[h] += targets[h] in decision.at_hop(h)
@@ -378,7 +392,7 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     plain least squares, then injects one designed excitation, converts the
     resulting one-hop decision into column constraints, and re-estimates.
     """
-    graph, tm = config.build_network()
+    graph, tm = _network(config)
     source = config.excited_node if config.excited_node is not None else pick_source_node(graph)
     noise = config.noise()
     sigma_bar = config.sigma_bound()

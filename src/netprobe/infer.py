@@ -106,26 +106,20 @@ def infer_one_hop(
     return NeighborDecision(source, {1: members}, raw, {1: threshold})
 
 
-def default_gain_floors(weight_floor: float, max_hop: int) -> list[float]:
-    """Worst-case h-step influence floors: the h-fold product of the floor."""
-    return [weight_floor ** h for h in range(1, max_hop + 1)]
-
-
 def infer_within_hops(
     traj: Trajectory,
     source: int,
     excitation: float,
     max_hop: int,
     stability: StabilityClass,
-    gain_floors=None,
-    weight_floor: float | None = None,
+    weight_floor: float,
 ) -> NeighborDecision:
     """Assign nodes to hops 1..max_hop after a single recorded excitation.
 
     For each h the deviation y_{t+h} - y_t is tested against the drift bound
-    at injection time t plus gain_floors[h-1]*|e|/2; a node joins the hop-h
-    estimate at the smallest h where the test first accepts.  ``gain_floors``
-    defaults to the worst-case products weight_floor**h.
+    at injection time t plus weight_floor**h * |e|/2, the worst-case h-step
+    influence floor; a node joins the hop-h estimate at the smallest h where
+    the test first accepts.
     """
     if excitation == 0.0:
         raise ValueError("excitation must be nonzero")
@@ -136,12 +130,6 @@ def infer_within_hops(
         raise ValueError(f"trajectory excites node {node}, not {source}")
     if t0 + max_hop > traj.horizon:
         raise ValueError("max_hop exceeds the observations after the excitation")
-    if gain_floors is None:
-        if weight_floor is None:
-            raise ValueError("need gain_floors or weight_floor")
-        gain_floors = default_gain_floors(weight_floor, max_hop)
-    if len(gain_floors) < max_hop:
-        raise ValueError("need one gain floor per hop")
 
     y0 = traj.observations[t0]
     drift = deviation_bound(y0, stability)
@@ -150,7 +138,7 @@ def infer_within_hops(
     raw: dict[tuple[int, int], float] = {}
     thresholds: dict[int, float] = {}
     for h in range(1, max_hop + 1):
-        threshold = drift + gain_floors[h - 1] * abs(excitation) / 2.0
+        threshold = drift + weight_floor ** h * abs(excitation) / 2.0
         thresholds[h] = threshold
         deviations = traj.observations[t0 + h] - y0
         for i in range(n):

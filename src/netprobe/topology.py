@@ -97,16 +97,15 @@ class TopologyMatrix:
 
 @dataclass(frozen=True)
 class HopSets:
-    """Exact-hop and cumulative reachable node sets from a source node.
+    """Exact-hop node sets from a source node.
 
     ``per_hop[h-1]`` holds the nodes whose shortest information-flow path
-    from the source has exactly ``h`` edges; ``reachable[h-1]`` holds every
-    node reachable within ``h`` hops.  Sets at different hops are disjoint.
+    from the source has exactly ``h`` edges.  Sets at different hops are
+    disjoint.
     """
 
     source: int
     per_hop: tuple[frozenset[int], ...]
-    reachable: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -123,18 +122,6 @@ class HopSets:
         if not 1 <= h <= self.max_hop:
             raise IndexError(f"hop {h} outside 1..{self.max_hop}")
         return self.per_hop[h - 1]
-
-    def within(self, h: int) -> frozenset[int]:
-        if not 1 <= h <= self.max_hop:
-            raise IndexError(f"hop {h} outside 1..{self.max_hop}")
-        return self.reachable[h - 1]
-
-    def hop_of(self, node: int) -> int | None:
-        """Exact hop count of ``node`` from the source, or None if unreached."""
-        for h, level in enumerate(self.per_hop, start=1):
-            if node in level:
-                return h
-        return None
 
 
 def generate_random_digraph(n: int, edge_probability: float, seed=None) -> WeightedDigraph:
@@ -257,8 +244,6 @@ def true_hop_sets(graph: WeightedDigraph, source: int, max_hop: int) -> HopSets:
     visited = {source}
     frontier = {source}
     per_hop: list[frozenset[int]] = []
-    reachable: list[frozenset[int]] = []
-    cumulative: set[int] = set()
     for _ in range(max_hop):
         nxt: set[int] = set()
         for j in frontier:
@@ -267,9 +252,7 @@ def true_hop_sets(graph: WeightedDigraph, source: int, max_hop: int) -> HopSets:
         visited |= level
         frontier = level
         per_hop.append(frozenset(level))
-        cumulative |= level
-        reachable.append(frozenset(cumulative))
-    return HopSets(source, tuple(per_hop), tuple(reachable))
+    return HopSets(source, tuple(per_hop))
 
 
 def save_matrix(path, matrix: np.ndarray, integer: bool = False) -> None:

@@ -7,8 +7,6 @@ import pytest
 
 from netprobe import detect
 from netprobe.detect import (
-    HStepNoise,
-    TestDesign,
     critical_excitation,
     detection_probability,
     deviation_noise_bound,
@@ -110,6 +108,13 @@ class TestErfInv:
     def test_extreme_but_valid(self):
         for p in (0.999999999, -0.999999999):
             assert abs(erf(erf_inv(p)) - p) <= 1e-10
+        # erf(x) ~ 2x/sqrt(pi) near zero: relative, not absolute, accuracy
+        for t in (1e-20, 1e-300):
+            assert erf_inv(t) == pytest.approx(t * math.sqrt(math.pi) / 2, rel=1e-15, abs=0.0)
+        # near one the tail mass 1 - p, not p, must be reproduced
+        for k in range(1, 16):
+            p = 1.0 - 10.0**-k
+            assert math.erfc(erf_inv(p)) == pytest.approx(1.0 - p, rel=1e-12, abs=0.0)
 
 
 class TestNoiseBounds:
@@ -156,12 +161,18 @@ class TestDeviationNoiseStd:
                 assert deviation_noise_std(tm, i, h, noise) ** 2 <= cap + 1e-12
 
     def test_hstep_noise_matches_per_node(self):
+        # all nodes at once from full matrix powers G(l) = W^l
         g = generate_random_digraph(8, 0.3, 21)
         tm = laplacian_weights(g, 1.0)
         noise = NoiseModel(1.0, 1.0)
-        bundle = HStepNoise.from_matrix(tm, 4, noise)
+        power = np.eye(8)
+        theta_sum = np.zeros(8)
+        for _ in range(4):
+            theta_sum += (power**2).sum(axis=1)
+            power = power @ tm.matrix
+        var = (1.0 + (power**2).sum(axis=1)) * noise.sigma_upsilon**2 + theta_sum * noise.sigma_theta**2
         for i in range(8):
-            assert bundle.per_node[i] == pytest.approx(deviation_noise_std(tm, i, 4, noise), abs=1e-12)
+            assert math.sqrt(var[i]) == pytest.approx(deviation_noise_std(tm, i, 4, noise), abs=1e-12)
 
 
 class TestCriticalExcitation:
@@ -297,16 +308,3 @@ class TestMultiExcitationBound:
         with pytest.raises(ValueError):
             multi_excitation_bound(3.0, 0.4, 1.5, 0)
 
-
-class TestTestDesign:
-    def test_design_round_trip(self):
-        d = TestDesign.design(0.4, 0.05, math.sqrt(3))
-        assert misjudgement_probability(d.sigma_bound, d.weight_floor, d.excitation) == pytest.approx(0.05, abs=1e-10)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TestDesign(0.4, 0.0, 1.0, 5.0)
-        with pytest.raises(ValueError):
-            TestDesign(0.4, 0.1, -1.0, 5.0)
-        with pytest.raises(ValueError):
-            TestDesign(0.4, 0.1, 1.0, 0.0)

@@ -156,8 +156,6 @@ class TestTypesAndExport:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             ExcitationPlan(0, -1, 1.0)
-        with pytest.raises(ValueError):
-            ExcitationPlan(0, 0, 1.0, repetitions=0)
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from netprobe.harness import (
     run_multihop_accuracy,
     run_onehop_accuracy,
 )
-from netprobe.topology import generate_random_digraph
+from netprobe.topology import generate_random_digraph, load_weights
 
 
 SMALL = ExperimentConfig(trial_count=20)
@@ -165,6 +165,14 @@ class TestRunners:
         assert all(row["rank"] == 20 and row["rank_deficient"] == 0 for row in dicts)
         assert all(row["ols_structure_error"] <= 1.0 for row in dicts)
 
+    def test_runners_reject_floor_above_weights(self):
+        # the default network's weights are all 0.5
+        config = replace(SMALL, trial_count=1, weight_floor=0.6)
+        config.build_network()  # building alone stays permissive
+        for runner in (run_onehop_accuracy, run_multihop_accuracy, run_ls_improvement):
+            with pytest.raises(ValueError, match="weight_floor"):
+                runner(config)
+
     def test_default_config_trial_counts(self):
         assert default_config("fig1a").trial_count == 1000
         assert default_config("fig1c").trial_count == 50
@@ -215,6 +223,28 @@ class TestCli:
         )
         out = json.loads(capsys.readouterr().out)
         assert out["excitation"] == pytest.approx(16.973786011142575, abs=1e-9)
+
+    def test_design_excitation_rejects_bad_inputs(self):
+        for extra in (("--error-target", "1.0"), ("--error-target", "0.05", "--sigma", "-1")):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["design-excitation", "--weight-floor", "0.4", *extra])
+            assert info.value.code not in (None, 0)
+
+    def test_weight_floor_comes_from_matrix(self, tmp_path, capsys):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "12", "--p", "0.2", "--seed", "5", "--weights-out", str(w))
+        capsys.readouterr()
+        floor = load_weights(w).weight_floor
+        assert floor != 0.4
+        infer = ("infer", "onehop", "--weights", str(w), "--excite-node", "0", "--seed", "3")
+        self.run(*infer)
+        omitted = capsys.readouterr().out
+        self.run(*infer, "--weight-floor", repr(floor))
+        assert capsys.readouterr().out == omitted
+        for command in (infer, ("estimate", "constrained", "--weights", str(w))):
+            with pytest.raises(SystemExit) as info:
+                cli.main([*command, "--weight-floor", repr(floor + 0.1)])
+            assert info.value.code not in (None, 0)
 
     def test_estimate_constrained(self, tmp_path, capsys):
         w = tmp_path / "w.txt"

@@ -9,7 +9,6 @@ import pytest
 from netprobe.detect import critical_excitation, multi_excitation_bound
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
 from netprobe.infer import (
-    default_gain_floors,
     infer_multi_excitation,
     infer_one_hop,
     infer_within_hops,
@@ -147,8 +146,12 @@ class TestInferWithinHops:
             assert d_multi.at_hop(1) == d_one.one_hop()
             assert d_multi.thresholds[1] == pytest.approx(d_one.thresholds[1])
 
-    def test_default_gain_floors(self):
-        assert default_gain_floors(0.5, 3) == [0.5, 0.25, 0.125]
+    def test_gain_floors_are_floor_powers(self):
+        # at consensus the drift bound is zero, leaving weight_floor**h * |e| / 2
+        g, tm = self.chain()
+        traj = consensus_excite(tm, 0, -8.0, hops=3)
+        decision = infer_within_hops(traj, 0, -8.0, 3, MARGINAL, weight_floor=0.5)
+        assert decision.thresholds == {1: 2.0, 2: 1.0, 3: 0.5}
 
 
 class TestInferMultiExcitation:

@@ -180,7 +180,6 @@ class TestTrueHopSets:
         hs = true_hop_sets(WeightedDigraph(a), 0, 2)
         assert hs.at_hop(1) == {1}
         assert hs.at_hop(2) == {2}
-        assert hs.within(2) == {1, 2}
 
     def test_sink_node(self):
         a = np.zeros((3, 3), dtype=int)
@@ -218,15 +217,14 @@ class TestTrueHopSets:
                     power = power @ a
                     acc += power
                     expected = {i for i in range(7) if acc[i, j] > 0 and i != j}
-                    assert hs.within(h) == expected
+                    assert set().union(*(hs.at_hop(k) for k in range(1, h + 1))) == expected
 
     def test_hop_of(self):
         g = ring_with_chords(8)
         hs = true_hop_sets(g, 0, 4)
         assert hs.at_hop(1) == {5, 7}
-        assert hs.hop_of(5) == 1
-        assert hs.hop_of(3) == 3
-        assert hs.hop_of(0) is None
+        assert 3 in hs.at_hop(3)
+        assert all(0 not in hs.at_hop(h) for h in range(1, 5))
 
 
 class TestStochasticMatrixProperties:
@@ -253,14 +251,14 @@ class TestStochasticMatrixProperties:
 class TestHopSetsType:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
-            HopSets(0, (frozenset({1}), frozenset({1})), (frozenset({1}), frozenset({1})))
+            HopSets(0, (frozenset({1}), frozenset({1})))
 
     def test_index_bounds(self):
-        hs = HopSets(0, (frozenset({1}),), (frozenset({1}),))
+        hs = HopSets(0, (frozenset({1}),))
         with pytest.raises(IndexError):
             hs.at_hop(2)
         with pytest.raises(IndexError):
-            hs.within(0)
+            hs.at_hop(0)
 
 
 class TestSerialization:
