@@ -25,7 +25,6 @@ from netprobe.dynamics import (
     Trajectory,
     simulate,
     deviation_bound,
-    observation_deviation,
 )
 from netprobe.detect import (
     erf,
@@ -43,7 +42,6 @@ from netprobe.infer import (
     NeighborDecision,
     infer_one_hop,
     infer_within_hops,
-    infer_multi_excitation,
 )
 from netprobe.estimate import (
     EntryConstraint,
@@ -79,7 +77,6 @@ __all__ = [
     "Trajectory",
     "simulate",
     "deviation_bound",
-    "observation_deviation",
     "erf",
     "erf_inv",
     "deviation_noise_bound",
@@ -93,7 +90,6 @@ __all__ = [
     "NeighborDecision",
     "infer_one_hop",
     "infer_within_hops",
-    "infer_multi_excitation",
     "EntryConstraint",
     "LsProblem",
     "LsSolution",

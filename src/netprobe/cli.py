@@ -39,8 +39,18 @@ def _add_noise_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-upsilon", type=float, default=1.0, help="measurement noise std")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_network(path: str) -> topology.TopologyMatrix:
-    tm = topology.load_weights(path)
+    try:
+        tm = topology.load_weights(path)
+    except ValueError as exc:
+        raise SystemExit(f"weight matrix in {path} rejected: {exc}") from None
     if tm.stability is topology.StabilityClass.UNSTABLE:
         raise SystemExit(f"weight matrix in {path} is spectrally unstable")
     return tm
@@ -141,31 +151,21 @@ def _cmd_infer(args) -> None:
     source = args.excite_node
     rng = np.random.default_rng(args.seed)
 
-    if args.mode == "multi":
-        plan = ExcitationPlan(source, args.burn_in, e)
-        trials = []
-        for _ in range(args.rounds):
-            x0 = rng.uniform(args.init_low, args.init_high, tm.n)
-            traj = simulate(tm, x0, plan.time + 1, noise, plan, seed=rng)
-            trials.append((traj.observations[plan.time], traj.observations[plan.time + 1]))
-        decision = infer.infer_multi_excitation(trials, source, e, floor, tm.stability)
-    else:
-        hops = 1 if args.mode == "onehop" else args.max_hop
+    hops = args.max_hop if args.mode == "multihop" else 1
+    rounds = args.rounds if args.mode == "multi" else 1
+    plan = ExcitationPlan(source, args.burn_in, e)
+    windows = []
+    for _ in range(rounds):
         x0 = rng.uniform(args.init_low, args.init_high, tm.n)
-        traj = simulate(
-            tm, x0, args.burn_in + hops, noise,
-            ExcitationPlan(source, args.burn_in, e), seed=rng,
+        traj = simulate(tm, x0, args.burn_in + hops, noise, plan, seed=rng)
+        windows.append(traj.observations[args.burn_in:])
+    windows = np.array(windows)
+    if args.mode == "multihop":
+        decision = infer.infer_within_hops(windows[0], source, e, floor, tm.stability)
+    else:
+        decision = infer.infer_one_hop(
+            windows[:, 0], windows[:, 1], source, e, floor, tm.stability
         )
-        if args.mode == "onehop":
-            decision = infer.infer_one_hop(
-                traj.observations[args.burn_in],
-                traj.observations[args.burn_in + 1],
-                source, e, floor, tm.stability,
-            )
-        else:
-            decision = infer.infer_within_hops(
-                traj, source, e, args.max_hop, tm.stability, floor
-            )
     _decision_out(decision, args.out)
 
 
@@ -195,10 +195,8 @@ def _cmd_estimate(args) -> None:
             estimate.save_constraints(args.constraints_out, constraints)
     else:
         traj = simulate(tm, x0, horizon, noise, seed=rng)
-    pairs = tuple(
-        (traj.observations[t], traj.observations[t + 1]) for t in range(horizon)
-    )
-    problem = estimate.LsProblem(pairs, constraints)
+    y = traj.observations
+    problem = estimate.LsProblem(y[:horizon], y[1:horizon + 1], constraints)
     sol = (
         estimate.constrained_estimate(problem)
         if args.mode == "constrained"
@@ -283,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excite-magnitude", type=float, default=None)
     p.add_argument("--weight-floor", type=float, default=None, help="default: smallest weight")
     p.add_argument("--error-target", type=float, default=0.05)
-    p.add_argument("--max-hop", type=int, default=3)
-    p.add_argument("--rounds", type=int, default=4, help="excitation count for multi")
+    p.add_argument("--max-hop", type=_positive_int, default=3)
+    p.add_argument("--rounds", type=_positive_int, default=4, help="excitation count for multi")
     p.add_argument("--burn-in", type=int, default=50)
     p.add_argument("--init-low", type=float, default=-100.0)
     p.add_argument("--init-high", type=float, default=100.0)
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="least-squares topology estimation")
     p.add_argument("mode", choices=("ols", "constrained"))
     p.add_argument("--weights", required=True)
-    p.add_argument("--pairs", type=int, default=25, help="observation pair count")
+    p.add_argument("--pairs", type=_positive_int, default=25, help="observation pair count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-low", type=float, default=-100.0)
     p.add_argument("--init-high", type=float, default=100.0)

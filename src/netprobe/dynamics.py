@@ -117,33 +117,25 @@ def simulate(
     return Trajectory(states, states + upsilon, applied)
 
 
-def deviation_bound(y, stability: StabilityClass) -> float:
+def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:
     """Bound on the excitation-free drift |(W^h y)_i - y_i| from one snapshot.
 
     Marginally stable dynamics keep every propagated value inside the convex
     hull of the current entries, so the max pairwise spread bounds the drift;
     asymptotically stable dynamics contract toward zero, so the max absolute
-    entry does.
+    entry does.  A vector gives a float; an (m, n) array of m snapshots gives
+    one bound per row.
     """
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("observation vector must be finite")
     if stability is StabilityClass.MARGINALLY_STABLE:
-        return float(y.max() - y.min())
-    if stability is StabilityClass.ASYMPTOTICALLY_STABLE:
-        return float(np.abs(y).max())
-    raise ValueError("deviation bound undefined for unstable dynamics")
-
-
-def observation_deviation(traj: Trajectory, node: int, t: int, steps: int) -> float:
-    """Observed h-step deviation y_{t+h}^i - y_t^i read from a trajectory."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 0 <= node < traj.n:
-        raise IndexError(f"node {node} outside 0..{traj.n - 1}")
-    if t < 0 or t + steps > traj.horizon:
-        raise IndexError(f"window [{t}, {t + steps}] outside trajectory 0..{traj.horizon}")
-    return float(traj.observations[t + steps, node] - traj.observations[t, node])
+        bound = y.max(axis=-1) - y.min(axis=-1)
+    elif stability is StabilityClass.ASYMPTOTICALLY_STABLE:
+        bound = np.abs(y).max(axis=-1)
+    else:
+        raise ValueError("deviation bound undefined for unstable dynamics")
+    return float(bound) if y.ndim == 1 else bound
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

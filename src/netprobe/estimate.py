@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from netprobe.infer import NeighborDecision
+from netprobe.topology import _frozen
 
 
 class EntryConstraint(enum.Enum):
@@ -26,36 +27,27 @@ class EntryConstraint(enum.Enum):
 
 @dataclass(frozen=True)
 class LsProblem:
-    """Observation pairs (y_{t-1}, y_t) plus optional per-entry constraints."""
+    """Stacked (T, n) rows y_{t-1} and y_t plus optional per-entry constraints."""
 
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    regressors: np.ndarray
+    targets: np.ndarray
     constraints: dict[tuple[int, int], EntryConstraint] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.pairs:
-            raise ValueError("need at least one observation pair")
-        pairs = tuple(
-            (np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-            for a, b in self.pairs
-        )
-        n = pairs[0][0].shape[0]
-        for a, b in pairs:
-            if a.shape != (n,) or b.shape != (n,):
-                raise ValueError("all observation pairs must be length-n vectors")
+        x = np.asarray(self.regressors, dtype=float)
+        y = np.asarray(self.targets, dtype=float)
+        if x.ndim != 2 or x.shape != y.shape or x.shape[0] == 0:
+            raise ValueError("regressors and targets must be equal-shape (T, n) arrays, T >= 1")
+        n = x.shape[1]
         for i, j in self.constraints:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"constraint index ({i}, {j}) outside the matrix")
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "regressors", _frozen(x))
+        object.__setattr__(self, "targets", _frozen(y))
 
     @property
     def n(self) -> int:
-        return self.pairs[0][0].shape[0]
-
-    def regressors(self) -> np.ndarray:
-        return np.array([a for a, _ in self.pairs])
-
-    def targets(self) -> np.ndarray:
-        return np.array([b for _, b in self.pairs])
+        return self.regressors.shape[1]
 
     def constraint(self, i: int, j: int) -> EntryConstraint:
         return self.constraints.get((i, j), EntryConstraint.FREE)
@@ -90,8 +82,8 @@ def ols_estimate(problem: LsProblem) -> LsSolution:
     Rank-deficient regressors yield the minimum-norm solution, flagged via
     ``rank_deficient``; constraints on the problem are ignored here.
     """
-    x = problem.regressors()
-    y = problem.targets()
+    x = problem.regressors
+    y = problem.targets
     sol, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     return LsSolution(sol.T, int(rank), int(rank) < problem.n)
 
@@ -155,8 +147,8 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
     positive-constrained entries are solved under nonnegativity, and fully
     unconstrained rows reproduce the plain least-squares rows bit for bit.
     """
-    x = problem.regressors()
-    y = problem.targets()
+    x = problem.regressors
+    y = problem.targets
     n = problem.n
     base, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     w = np.zeros((n, n))

@@ -342,7 +342,7 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
         plan = ExcitationPlan(source, config.burn_in, e)
         traj = simulate(tm, x0, config.burn_in + config.max_hop, noise, plan, seed=rng)
         decision = infer_within_hops(
-            traj, source, e, config.max_hop, tm.stability, config.weight_floor
+            traj.observations[config.burn_in:], source, e, config.weight_floor, tm.stability
         )
         for h in hops:
             hits[h] += targets[h] in decision.at_hop(h)
@@ -411,20 +411,14 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
         x0 = rng.uniform(config.init_low, config.init_high, n)
         plan = ExcitationPlan(source, horizon, e)
         traj = simulate(tm, x0, horizon + 1, noise, plan, seed=rng)
-        pairs = tuple(
-            (traj.observations[t], traj.observations[t + 1]) for t in range(horizon)
-        )
-        ols = ols_estimate(LsProblem(pairs))
+        y = traj.observations
+        problem = LsProblem(y[:horizon], y[1:horizon + 1])
+        ols = ols_estimate(problem)
         decision = infer_one_hop(
-            traj.observations[horizon],
-            traj.observations[horizon + 1],
-            source,
-            e,
-            config.weight_floor,
-            tm.stability,
+            y[horizon], y[horizon + 1], source, e, config.weight_floor, tm.stability
         )
         constraints = constraints_from_decision(decision, n)
-        constrained = constrained_estimate(LsProblem(pairs, constraints))
+        constrained = constrained_estimate(replace(problem, constraints=constraints))
         m_ols = error_metrics(ols.matrix, tm.matrix)
         m_con = error_metrics(constrained.matrix, tm.matrix)
         rows.append(

@@ -1,9 +1,11 @@
 """Threshold decisions that turn observed deviations into neighbor sets.
 
-All rules share one shape: a node is declared influenced when the absolute
-observed deviation reaches the natural-drift bound plus half the least
-discriminable influence, gain_floor * |e| / 2.  Equality decides inclusion.
-The excited node itself is never a candidate.
+One rule decides everything: a node is declared influenced at hop h when
+its absolute observed deviation reaches the natural-drift bound plus half
+the least discriminable h-step influence, weight_floor**h * |e| / 2.
+Equality decides inclusion.  The one-hop test is the case h = 1, and
+repeated excitations average deviations and drift bounds over rounds.  The
+excited node itself is never a candidate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from netprobe.topology import StabilityClass
-from netprobe.dynamics import Trajectory, deviation_bound
+from netprobe.dynamics import deviation_bound
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,41 @@ class NeighborDecision:
         return json.dumps(self.to_records(), indent=indent)
 
 
-def _validate_pair(y_before, y_after) -> tuple[np.ndarray, np.ndarray]:
-    yb = np.asarray(y_before, dtype=float)
-    ya = np.asarray(y_after, dtype=float)
-    if yb.ndim != 1 or yb.shape != ya.shape:
-        raise ValueError("before/after observations must be equal-length vectors")
-    return yb, ya
+def _decide(
+    windows: np.ndarray,
+    source: int,
+    excitation: float,
+    weight_floor: float,
+    stability: StabilityClass,
+) -> NeighborDecision:
+    """The threshold rule over (rounds, h+1, n) observation windows.
+
+    Row 0 of each round is the snapshot at the injection step.  Drift bounds
+    and deviations are averaged over rounds; node i joins the hop-h estimate
+    at the smallest h where |mean deviation| reaches the mean drift bound
+    plus weight_floor**h * |e| / 2.
+    """
+    if excitation == 0.0:
+        raise ValueError("excitation must be nonzero")
+    rounds, steps, n = windows.shape
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside 0..{n - 1}")
+    # sum / rounds is np.mean's arithmetic without its call overhead
+    drift = float(deviation_bound(windows[:, 0], stability).sum() / rounds)
+    deviations = (windows[:, 1:] - windows[:, :1]).sum(axis=0) / rounds
+    thresholds = {h: drift + weight_floor ** h * abs(excitation) / 2.0 for h in range(1, steps)}
+    per_hop: dict[int, frozenset[int]] = {}
+    seen = {source}
+    for h, magnitudes in zip(thresholds, np.abs(deviations)):
+        per_hop[h] = frozenset(np.flatnonzero(magnitudes >= thresholds[h]).tolist()) - seen
+        seen |= per_hop[h]
+    raw = {
+        (i, h): value
+        for h, row in zip(thresholds, deviations.tolist())
+        for i, value in enumerate(row)
+        if i != source
+    }
+    return NeighborDecision(source, per_hop, raw, thresholds)
 
 
 def infer_one_hop(
@@ -84,104 +115,39 @@ def infer_one_hop(
     weight_floor: float,
     stability: StabilityClass,
 ) -> NeighborDecision:
-    """Decide the one-hop out-neighbors of ``source`` from one excitation.
+    """Decide the one-hop out-neighbors of ``source``.
 
     ``y_before`` is the observation at the injection step (taken before the
     injection), ``y_after`` the one at the next step.  Node i is accepted
     when |y_after_i - y_before_i| >= drift bound + weight_floor*|e|/2.
+    Equal-shape (m, n) arrays hold m repeated excitations, one per row; the
+    rule then compares the mean deviation with the mean drift bound.
     """
-    if excitation == 0.0:
-        raise ValueError("excitation must be nonzero")
-    yb, ya = _validate_pair(y_before, y_after)
-    if not 0 <= source < yb.shape[0]:
-        raise ValueError(f"source {source} outside 0..{yb.shape[0] - 1}")
-    threshold = deviation_bound(yb, stability) + weight_floor * abs(excitation) / 2.0
-    deviations = ya - yb
-    members = frozenset(
-        i
-        for i in range(yb.shape[0])
-        if i != source and abs(deviations[i]) >= threshold
-    )
-    raw = {(i, 1): float(deviations[i]) for i in range(yb.shape[0]) if i != source}
-    return NeighborDecision(source, {1: members}, raw, {1: threshold})
+    yb = np.asarray(y_before, dtype=float)
+    ya = np.asarray(y_after, dtype=float)
+    if yb.shape != ya.shape or yb.ndim not in (1, 2) or yb.size == 0:
+        raise ValueError("before/after observations must be equal-shape n or (m, n) arrays")
+    # (rounds, 2, n): each round's before and after rows
+    windows = np.array([yb, ya]).reshape(2, -1, yb.shape[-1]).swapaxes(0, 1)
+    return _decide(windows, source, excitation, weight_floor, stability)
 
 
 def infer_within_hops(
-    traj: Trajectory,
-    source: int,
-    excitation: float,
-    max_hop: int,
-    stability: StabilityClass,
-    weight_floor: float,
-) -> NeighborDecision:
-    """Assign nodes to hops 1..max_hop after a single recorded excitation.
-
-    For each h the deviation y_{t+h} - y_t is tested against the drift bound
-    at injection time t plus weight_floor**h * |e|/2, the worst-case h-step
-    influence floor; a node joins the hop-h estimate at the smallest h where
-    the test first accepts.
-    """
-    if excitation == 0.0:
-        raise ValueError("excitation must be nonzero")
-    if len(traj.excitations_applied) != 1:
-        raise ValueError("trajectory must contain exactly one excitation")
-    node, t0, _ = traj.excitations_applied[0]
-    if node != source:
-        raise ValueError(f"trajectory excites node {node}, not {source}")
-    if t0 + max_hop > traj.horizon:
-        raise ValueError("max_hop exceeds the observations after the excitation")
-
-    y0 = traj.observations[t0]
-    drift = deviation_bound(y0, stability)
-    n = traj.n
-    assigned: dict[int, int] = {}
-    raw: dict[tuple[int, int], float] = {}
-    thresholds: dict[int, float] = {}
-    for h in range(1, max_hop + 1):
-        threshold = drift + weight_floor ** h * abs(excitation) / 2.0
-        thresholds[h] = threshold
-        deviations = traj.observations[t0 + h] - y0
-        for i in range(n):
-            if i == source:
-                continue
-            raw[(i, h)] = float(deviations[i])
-            if i not in assigned and abs(deviations[i]) >= threshold:
-                assigned[i] = h
-    per_hop = {
-        h: frozenset(i for i, hh in assigned.items() if hh == h)
-        for h in range(1, max_hop + 1)
-    }
-    return NeighborDecision(source, per_hop, raw, thresholds)
-
-
-def infer_multi_excitation(
-    trials: list[tuple[np.ndarray, np.ndarray]],
+    observations,
     source: int,
     excitation: float,
     weight_floor: float,
     stability: StabilityClass,
 ) -> NeighborDecision:
-    """One-hop decision from m repeated excitations of the same node.
+    """Assign nodes to hops 1..h after a single excitation.
 
-    Deviations are averaged across trials and compared against the average
-    of the per-trial drift bounds plus weight_floor*|e|/2.  With one trial
-    this reduces exactly to ``infer_one_hop``.
+    ``observations`` is the (h+1, n) window of observations starting at the
+    injection step.  For each h the deviation y_{t+h} - y_t is tested against
+    the drift bound at injection time t plus weight_floor**h * |e|/2, the
+    worst-case h-step influence floor; a node joins the hop-h estimate at the
+    smallest h where the test first accepts.
     """
-    if excitation == 0.0:
-        raise ValueError("excitation must be nonzero")
-    if not trials:
-        raise ValueError("need at least one trial")
-    pairs = [_validate_pair(yb, ya) for yb, ya in trials]
-    n = pairs[0][0].shape[0]
-    if any(yb.shape[0] != n for yb, _ in pairs):
-        raise ValueError("trials must share one network size")
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} outside 0..{n - 1}")
-    mean_drift = float(np.mean([deviation_bound(yb, stability) for yb, _ in pairs]))
-    mean_dev = np.mean([ya - yb for yb, ya in pairs], axis=0)
-    threshold = mean_drift + weight_floor * abs(excitation) / 2.0
-    members = frozenset(
-        i for i in range(n) if i != source and abs(mean_dev[i]) >= threshold
-    )
-    raw = {(i, 1): float(mean_dev[i]) for i in range(n) if i != source}
-    return NeighborDecision(source, {1: members}, raw, {1: threshold})
+    y = np.asarray(observations, dtype=float)
+    if y.ndim != 2 or y.shape[0] < 2:
+        raise ValueError("observations must be an (h+1, n) window with h >= 1")
+    return _decide(y[None], source, excitation, weight_floor, stability)

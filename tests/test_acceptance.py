@@ -12,7 +12,7 @@ import numpy as np
 from netprobe import detect
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
 from netprobe.harness import default_config, run_ls_improvement, run_multihop_accuracy, run_onehop_accuracy
-from netprobe.infer import infer_multi_excitation, infer_one_hop
+from netprobe.infer import infer_one_hop
 from netprobe.topology import (
     StabilityClass,
     classify_stability,
@@ -115,16 +115,15 @@ def test_criterion_5_multi_excitation():
     rng = np.random.default_rng(55555)
     reps = 10**4
     n, source, edge, nonedge = 4, 0, 1, 2
-    y_before = np.zeros(n)
     rates = {}
     for rounds in (1, 4, 16, 64):
         wrong = 0
+        y_before = np.zeros((rounds, n))
         for _ in range(reps):
             devs = rng.normal(0.0, sigma, size=(rounds, n))
             devs[:, edge] += 1.0 * e
-            trials = [(y_before, y_before + devs[k]) for k in range(rounds)]
-            est = infer_multi_excitation(
-                trials, source, e, floor, StabilityClass.MARGINALLY_STABLE
+            est = infer_one_hop(
+                y_before, y_before + devs, source, e, floor, StabilityClass.MARGINALLY_STABLE
             ).one_hop()
             wrong += (edge not in est) + (nonedge in est)
         rates[rounds] = wrong / reps

@@ -12,7 +12,6 @@ from netprobe.dynamics import (
     NoiseModel,
     Trajectory,
     deviation_bound,
-    observation_deviation,
     simulate,
     write_trajectory_csv,
 )
@@ -106,6 +105,13 @@ class TestDeviationBound:
     def test_consensus_vector(self):
         assert deviation_bound(np.full(6, 1.7), StabilityClass.MARGINALLY_STABLE) == 0.0
 
+    def test_rows_give_one_bound_each(self):
+        y = np.array([[3.0, 1.0, 2.0], [-4.0, 1.0, 0.0]])
+        marginal = deviation_bound(y, StabilityClass.MARGINALLY_STABLE)
+        assert marginal.tolist() == [2.0, 5.0]
+        asymptotic = deviation_bound(y, StabilityClass.ASYMPTOTICALLY_STABLE)
+        assert asymptotic.tolist() == [3.0, 4.0]
+
     def test_unstable_rejected(self):
         with pytest.raises(ValueError):
             deviation_bound([1.0, 2.0], StabilityClass.UNSTABLE)
@@ -118,14 +124,16 @@ class TestObservationDeviation:
         y0 = traj.observations[0]
         for i in range(10):
             expected = (tm.matrix @ y0)[i] - y0[i]
-            assert observation_deviation(traj, i, 0, 1) == pytest.approx(expected, abs=1e-12)
+            deviation = traj.observations[1, i] - y0[i]
+            assert deviation == pytest.approx(expected, abs=1e-12)
 
     def test_consensus_excitation_reads_weight(self, tm):
         x0 = np.full(10, 3.0)
         e, j = 7.0, 1
         traj = simulate(tm, x0, 2, NoiseModel.noiseless(), ExcitationPlan(j, 0, e), seed=0)
+        deviations = traj.observations[1] - traj.observations[0]
         for i in range(10):
-            assert observation_deviation(traj, i, 0, 1) == pytest.approx(e * tm.matrix[i, j], abs=1e-12)
+            assert deviations[i] == pytest.approx(e * tm.matrix[i, j], abs=1e-12)
 
     def test_noise_variance_matches_closed_form(self):
         # deviation minus the propagated-snapshot drift is the h-step noise
@@ -139,17 +147,8 @@ class TestObservationDeviation:
         for s in range(10**5):
             traj = simulate(tm_small, x0, h, noise, seed=s)
             y0 = traj.observations[0]
-            samples[s] = observation_deviation(traj, i, 0, h) - ((gh @ y0)[i] - y0[i])
+            samples[s] = (traj.observations[h, i] - y0[i]) - ((gh @ y0)[i] - y0[i])
         assert abs(samples.var(ddof=1) - target) / target <= 0.05
-
-    def test_index_errors(self, tm):
-        traj = simulate(tm, np.zeros(10), 3, NoiseModel.noiseless(), seed=0)
-        with pytest.raises(IndexError):
-            observation_deviation(traj, 0, 2, 2)
-        with pytest.raises(IndexError):
-            observation_deviation(traj, 11, 0, 1)
-        with pytest.raises(ValueError):
-            observation_deviation(traj, 0, 0, 0)
 
 
 class TestTypesAndExport:

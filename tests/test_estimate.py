@@ -26,15 +26,16 @@ POS = EntryConstraint.POSITIVE
 ZERO = EntryConstraint.ZERO
 
 
-def basis_pairs(w):
-    n = w.shape[0]
-    eye = np.eye(n)
-    return tuple((eye[k], w @ eye[k]) for k in range(n))
+def basis_rows(w):
+    """Regressor rows e_k and target rows W e_k."""
+    eye = np.eye(w.shape[0])
+    return eye, eye @ w.T
 
 
-def noisy_pairs(tm, count, seed, sigma=1.0):
+def noisy_rows(tm, count, seed, sigma=1.0):
     traj = simulate(tm, np.zeros(tm.n), count, NoiseModel(sigma, sigma), seed=seed)
-    return tuple((traj.observations[t], traj.observations[t + 1]) for t in range(count))
+    y = traj.observations
+    return y[:count], y[1:count + 1]
 
 
 def row_objective(x_mat, y_col, row):
@@ -66,30 +67,30 @@ def brute_force_constrained_row(x_mat, y_col, kinds):
 class TestOls:
     def test_exact_identification_from_basis(self):
         tm = laplacian_weights(generate_random_digraph(8, 0.3, 5), 0.9)
-        sol = ols_estimate(LsProblem(basis_pairs(tm.matrix)))
+        sol = ols_estimate(LsProblem(*basis_rows(tm.matrix)))
         assert np.abs(sol.matrix - tm.matrix).max() <= 1e-10
         assert not sol.rank_deficient
 
     def test_single_pair_min_norm_flagged(self):
         a = np.array([1.0, 2.0, 0.5])
         b = np.array([0.3, -0.1, 0.9])
-        sol = ols_estimate(LsProblem(((a, b),)))
+        sol = ols_estimate(LsProblem(a[None], b[None]))
         assert sol.rank_deficient and sol.rank == 1
         expected = np.outer(b, a) / (a @ a)  # pseudo-inverse solution
         assert np.abs(sol.matrix - expected).max() <= 1e-12
 
     def test_residual_orthogonality(self):
         tm = laplacian_weights(generate_random_digraph(10, 0.3, 8), 1.0)
-        problem = LsProblem(noisy_pairs(tm, 25, seed=1))
+        problem = LsProblem(*noisy_rows(tm, 25, seed=1))
         sol = ols_estimate(problem)
-        x, y = problem.regressors(), problem.targets()
+        x, y = problem.regressors, problem.targets
         gram = x.T @ (y - x @ sol.matrix.T)
         assert np.abs(gram).max() <= 1e-8
 
     def test_row_separability(self):
         tm = laplacian_weights(generate_random_digraph(9, 0.3, 2), 1.0)
-        problem = LsProblem(noisy_pairs(tm, 20, seed=4))
-        x, y = problem.regressors(), problem.targets()
+        problem = LsProblem(*noisy_rows(tm, 20, seed=4))
+        x, y = problem.regressors, problem.targets
         joint = ols_estimate(problem).matrix
         for i in range(9):
             row = np.linalg.lstsq(x, y[:, i], rcond=None)[0]
@@ -101,8 +102,8 @@ class TestOls:
         tm = laplacian_weights(generate_random_digraph(20, 0.2, 44), 1.0)
         short, long = [], []
         for s in range(20):
-            m_short = error_metrics(ols_estimate(LsProblem(noisy_pairs(tm, 25, seed=s))).matrix, tm.matrix)
-            m_long = error_metrics(ols_estimate(LsProblem(noisy_pairs(tm, 50, seed=1000 + s))).matrix, tm.matrix)
+            m_short = error_metrics(ols_estimate(LsProblem(*noisy_rows(tm, 25, seed=s))).matrix, tm.matrix)
+            m_long = error_metrics(ols_estimate(LsProblem(*noisy_rows(tm, 50, seed=1000 + s))).matrix, tm.matrix)
             short.append(m_short.magnitude_error)
             long.append(m_long.magnitude_error)
         assert np.median(long) < np.median(short)
@@ -111,7 +112,7 @@ class TestOls:
 class TestConstrained:
     def test_all_free_equals_ols_bitwise(self):
         tm = laplacian_weights(generate_random_digraph(8, 0.3, 5), 1.0)
-        problem = LsProblem(noisy_pairs(tm, 15, seed=2))
+        problem = LsProblem(*noisy_rows(tm, 15, seed=2))
         assert np.array_equal(constrained_estimate(problem).matrix, ols_estimate(problem).matrix)
 
     def test_true_pattern_noiseless_exact(self):
@@ -122,13 +123,13 @@ class TestConstrained:
             for i in range(7)
             for j in range(7)
         }
-        sol = constrained_estimate(LsProblem(basis_pairs(w), constraints))
+        sol = constrained_estimate(LsProblem(*basis_rows(w), constraints))
         assert np.abs(sol.matrix - w).max() <= 1e-10
 
     def test_constraint_soundness(self):
         tm = laplacian_weights(generate_random_digraph(10, 0.3, 9), 1.0)
         rng = np.random.default_rng(12)
-        problem_pairs = noisy_pairs(tm, 16, seed=3)
+        problem_rows = noisy_rows(tm, 16, seed=3)
         constraints = {}
         for i in range(10):
             for j in range(10):
@@ -137,7 +138,7 @@ class TestConstrained:
                     constraints[(i, j)] = ZERO
                 elif r < 0.3:
                     constraints[(i, j)] = POS
-        sol = constrained_estimate(LsProblem(problem_pairs, constraints))
+        sol = constrained_estimate(LsProblem(*problem_rows, constraints))
         for (i, j), kind in constraints.items():
             if kind is ZERO:
                 assert sol.matrix[i, j] == 0.0
@@ -146,10 +147,10 @@ class TestConstrained:
 
     def test_objective_beats_projected_ols(self):
         tm = laplacian_weights(generate_random_digraph(8, 0.3, 19), 1.0)
-        problem_pairs = noisy_pairs(tm, 14, seed=5)
+        problem_rows = noisy_rows(tm, 14, seed=5)
         constraints = {(i, 2): (POS if tm.matrix[i, 2] > 0 else ZERO) for i in range(8) if i != 2}
-        problem = LsProblem(problem_pairs, constraints)
-        x, y = problem.regressors(), problem.targets()
+        problem = LsProblem(*problem_rows, constraints)
+        x, y = problem.regressors, problem.targets
         con = constrained_estimate(problem).matrix
         proj = ols_estimate(problem).matrix.copy()
         for (i, j), kind in constraints.items():
@@ -168,8 +169,8 @@ class TestConstrained:
             y = rng.normal(size=m)
             kinds = [rng.choice([FREE, POS, ZERO], p=[0.4, 0.4, 0.2]) for _ in range(n)]
             constraints = {(0, j): kinds[j] for j in range(n)}
-            pairs = tuple((x[t], np.repeat(y[t], n)) for t in range(m))
-            sol = constrained_estimate(LsProblem(pairs, constraints))
+            targets = np.repeat(y[:, None], n, axis=1)
+            sol = constrained_estimate(LsProblem(x, targets, constraints))
             _, best_obj = brute_force_constrained_row(x, y, kinds)
             got_obj = row_objective(x, y, sol.matrix[0])
             assert got_obj <= best_obj + 1e-9
@@ -177,7 +178,7 @@ class TestConstrained:
     def test_fully_zeroed_row(self):
         tm = laplacian_weights(generate_random_digraph(5, 0.4, 2), 1.0)
         constraints = {(0, j): ZERO for j in range(5)}
-        sol = constrained_estimate(LsProblem(noisy_pairs(tm, 8, seed=1), constraints))
+        sol = constrained_estimate(LsProblem(*noisy_rows(tm, 8, seed=1), constraints))
         assert np.array_equal(sol.matrix[0], np.zeros(5))
 
     def test_dominance_with_correct_constraints(self):
@@ -187,12 +188,12 @@ class TestConstrained:
             (i, j): (POS if w[i, j] > 0 else ZERO) for i in range(10) for j in range(10) if i != j
         }
         for seed, sigma in ((1, 0.0), (2, 0.05), (3, 0.05)):
-            pairs = (
-                basis_pairs(w)
+            rows = (
+                basis_rows(w)
                 if sigma == 0.0
-                else noisy_pairs(tm, 30, seed=seed, sigma=sigma)
+                else noisy_rows(tm, 30, seed=seed, sigma=sigma)
             )
-            problem = LsProblem(pairs, constraints)
+            problem = LsProblem(*rows, constraints)
             err_con = np.linalg.norm(constrained_estimate(problem).matrix - w)
             err_ols = np.linalg.norm(ols_estimate(problem).matrix - w)
             assert err_con <= err_ols + 1e-9
@@ -251,8 +252,10 @@ class TestConstraintPlumbing:
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
-            LsProblem(())
+            LsProblem(np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            LsProblem(((np.zeros(3), np.zeros(2)),))
+            LsProblem(np.zeros((1, 3)), np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            LsProblem(((np.zeros(3), np.zeros(3)),), {(5, 0): ZERO})
+            LsProblem(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            LsProblem(np.zeros((1, 3)), np.zeros((1, 3)), {(5, 0): ZERO})

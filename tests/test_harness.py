@@ -246,6 +246,34 @@ class TestCli:
                 cli.main([*command, "--weight-floor", repr(floor + 0.1)])
             assert info.value.code not in (None, 0)
 
+    def test_non_stochastic_marginal_matrix_rejected(self, tmp_path):
+        # node 2 has no out-neighbours, yet the spread drift bound, applied
+        # without its row-stochastic premise, accepted node 0 noiselessly
+        w = tmp_path / "w.txt"
+        w.write_text("3\n0 2 0\n0.5 0 0\n0 0.5 0.5\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main([
+                "infer", "onehop", "--weights", str(w), "--excite-node", "2",
+                "--excite-magnitude", "1", "--sigma-theta", "0", "--sigma-upsilon", "0",
+                "--burn-in", "1",
+            ])
+        assert info.value.code not in (None, 0)
+
+    def test_counts_below_one_rejected(self, tmp_path, capsys):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        capsys.readouterr()
+        infer = ("infer", "multi", "--weights", str(w), "--excite-node", "0")
+        for argv in (
+            (*infer, "--rounds", "0"),
+            (*infer, "--max-hop", "0"),
+            ("estimate", "ols", "--weights", str(w), "--pairs", "0"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                cli.main(list(argv))
+            assert info.value.code not in (None, 0)
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_estimate_constrained(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
         self.run("generate", "--n", "10", "--p", "0.2", "--seed", "7", "--weights-out", str(w))

@@ -8,11 +8,7 @@ import pytest
 
 from netprobe.detect import critical_excitation, multi_excitation_bound
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
-from netprobe.infer import (
-    infer_multi_excitation,
-    infer_one_hop,
-    infer_within_hops,
-)
+from netprobe.infer import infer_one_hop, infer_within_hops
 from netprobe.topology import (
     StabilityClass,
     WeightedDigraph,
@@ -97,40 +93,36 @@ class TestInferWithinHops:
         g, tm = self.chain()
         e = 8.0
         traj = consensus_excite(tm, 0, e, hops=2)
-        decision = infer_within_hops(traj, 0, e, 2, MARGINAL, weight_floor=tm.weight_floor)
+        decision = infer_within_hops(traj.observations, 0, e, tm.weight_floor, MARGINAL)
         assert decision.at_hop(1) == {1}
         assert decision.at_hop(2) == {2}
 
     def test_unaccepted_node_absent(self):
         g, tm = self.chain()
         traj = consensus_excite(tm, 2, 8.0, hops=2)  # node 2 has no out-edges
-        decision = infer_within_hops(traj, 2, 8.0, 2, MARGINAL, weight_floor=tm.weight_floor)
+        decision = infer_within_hops(traj.observations, 2, 8.0, tm.weight_floor, MARGINAL)
         assert not decision.at_hop(1) and not decision.at_hop(2)
 
     def test_exclusive_assignment(self):
         g = generate_random_digraph(15, 0.2, 3)
         tm = laplacian_weights(g, 1.0)
         traj = consensus_excite(tm, 0, 30.0, hops=4)
-        decision = infer_within_hops(traj, 0, 30.0, 4, MARGINAL, weight_floor=tm.weight_floor)
+        decision = infer_within_hops(traj.observations, 0, 30.0, tm.weight_floor, MARGINAL)
         seen = set()
         for h in (1, 2, 3, 4):
             assert not (decision.at_hop(h) & seen)
             seen |= decision.at_hop(h)
 
-    def test_hop_budget_checked(self):
-        g, tm = self.chain()
-        traj = consensus_excite(tm, 0, 8.0, hops=2)
-        with pytest.raises(ValueError):
-            infer_within_hops(traj, 0, 8.0, 3, MARGINAL, weight_floor=0.5)
-
-    def test_requires_matching_excitation_record(self):
-        g, tm = self.chain()
-        traj = consensus_excite(tm, 0, 8.0, hops=2)
-        with pytest.raises(ValueError):
-            infer_within_hops(traj, 1, 8.0, 2, MARGINAL, weight_floor=0.5)
-        bare = simulate(tm, np.full(3, 2.0), 2, NoiseModel.noiseless(), seed=0)
-        with pytest.raises(ValueError):
-            infer_within_hops(bare, 0, 8.0, 2, MARGINAL, weight_floor=0.5)
+    def test_window_shape_checked(self):
+        # h is the window length minus one, so a window needs two rows
+        for window in (np.zeros(3), np.zeros((1, 3)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError):
+                infer_within_hops(window, 0, 8.0, 0.5, MARGINAL)
+        for source in (-1, 3):
+            with pytest.raises(ValueError):
+                infer_within_hops(np.zeros((3, 3)), source, 8.0, 0.5, MARGINAL)
+        decision = infer_within_hops(np.zeros((3, 3)), 0, 8.0, 0.5, MARGINAL)
+        assert sorted(decision.thresholds) == [1, 2]
 
     def test_hop_one_matches_one_hop_rule(self):
         # same trajectory, same floor: the h=1 assignments agree
@@ -141,7 +133,7 @@ class TestInferWithinHops:
             rng = np.random.default_rng(s)
             x0 = rng.uniform(-100, 100, 10)
             traj = simulate(tm, x0, 11, noise, ExcitationPlan(2, 10, 9.0), seed=rng)
-            d_multi = infer_within_hops(traj, 2, 9.0, 1, MARGINAL, weight_floor=0.4)
+            d_multi = infer_within_hops(traj.observations[10:], 2, 9.0, 0.4, MARGINAL)
             d_one = infer_one_hop(traj.observations[10], traj.observations[11], 2, 9.0, 0.4, MARGINAL)
             assert d_multi.at_hop(1) == d_one.one_hop()
             assert d_multi.thresholds[1] == pytest.approx(d_one.thresholds[1])
@@ -150,26 +142,38 @@ class TestInferWithinHops:
         # at consensus the drift bound is zero, leaving weight_floor**h * |e| / 2
         g, tm = self.chain()
         traj = consensus_excite(tm, 0, -8.0, hops=3)
-        decision = infer_within_hops(traj, 0, -8.0, 3, MARGINAL, weight_floor=0.5)
+        decision = infer_within_hops(traj.observations, 0, -8.0, 0.5, MARGINAL)
         assert decision.thresholds == {1: 2.0, 2: 1.0, 3: 0.5}
 
 
 class TestInferMultiExcitation:
+    """Repeated excitations: (m, n) rows through ``infer_one_hop``."""
+
     def test_single_trial_reduces_to_one_hop(self):
         rng = np.random.default_rng(2)
         yb, ya = rng.normal(size=6), rng.normal(size=6)
-        multi = infer_multi_excitation([(yb, ya)], 1, 5.0, 0.4, MARGINAL)
+        multi = infer_one_hop(yb[None], ya[None], 1, 5.0, 0.4, MARGINAL)
         single = infer_one_hop(yb, ya, 1, 5.0, 0.4, MARGINAL)
-        assert multi.one_hop() == single.one_hop()
-        assert multi.thresholds[1] == pytest.approx(single.thresholds[1])
+        assert multi == single
+
+    def test_rows_average_deviations_and_drift(self):
+        # drift bounds 0 and 2 average to 1; threshold = 1 + 0.5 * 4 / 2 = 2
+        before = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        after = np.array([[0.0, 3.0, 1.0], [0.0, 3.0, 0.0]])
+        decision = infer_one_hop(before, after, 0, 4.0, 0.5, MARGINAL)
+        assert decision.thresholds == {1: 2.0}
+        assert decision.raw_deviations == {(1, 1): 2.0, (2, 1): 0.5}
+        assert decision.one_hop() == {1}
 
     def test_noiseless_trials_match_single(self):
         g = generate_random_digraph(8, 0.3, 14)
         tm = laplacian_weights(g, 1.0)
         traj = consensus_excite(tm, 0, 9.0)
-        pair = (traj.observations[0], traj.observations[1])
-        one = infer_multi_excitation([pair], 0, 9.0, tm.weight_floor, MARGINAL)
-        four = infer_multi_excitation([pair] * 4, 0, 9.0, tm.weight_floor, MARGINAL)
+        before, after = traj.observations[0], traj.observations[1]
+        one = infer_one_hop(before[None], after[None], 0, 9.0, tm.weight_floor, MARGINAL)
+        four = infer_one_hop(
+            np.tile(before, (4, 1)), np.tile(after, (4, 1)), 0, 9.0, tm.weight_floor, MARGINAL
+        )
         assert one.one_hop() == four.one_hop()
 
     def test_misjudgement_tracks_bound(self):
@@ -183,12 +187,11 @@ class TestInferMultiExcitation:
         rates = {}
         for m in (1, 4, 16, 64):
             wrong = 0
-            yb = np.zeros(4)
+            before = np.zeros((m, 4))
             for _ in range(reps):
                 devs = rng.normal(0.0, sigma, size=(m, 4))
                 devs[:, 1] += 1.0 * e
-                trials = [(yb, yb + devs[k]) for k in range(m)]
-                est = infer_multi_excitation(trials, 0, e, floor, MARGINAL).one_hop()
+                est = infer_one_hop(before, before + devs, 0, e, floor, MARGINAL).one_hop()
                 wrong += (1 not in est) + (2 in est)
             rates[m] = wrong / reps
         for m, rate in rates.items():
@@ -199,13 +202,13 @@ class TestInferMultiExcitation:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            infer_multi_excitation([], 0, 5.0, 0.4, MARGINAL)
+            infer_one_hop(np.zeros((0, 3)), np.zeros((0, 3)), 0, 5.0, 0.4, MARGINAL)
         with pytest.raises(ValueError):
-            infer_multi_excitation([(np.zeros(3), np.zeros(4))], 0, 5.0, 0.4, MARGINAL)
+            infer_one_hop(np.zeros((1, 3)), np.zeros((1, 4)), 0, 5.0, 0.4, MARGINAL)
         with pytest.raises(ValueError):
-            infer_multi_excitation(
-                [(np.zeros(3), np.zeros(3)), (np.zeros(2), np.zeros(2))], 0, 5.0, 0.4, MARGINAL
-            )
+            infer_one_hop(np.zeros((2, 3)), np.zeros((1, 3)), 0, 5.0, 0.4, MARGINAL)
+        with pytest.raises(ValueError):
+            infer_one_hop(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), 0, 5.0, 0.4, MARGINAL)
 
 
 class TestDecisionRecords:

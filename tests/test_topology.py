@@ -17,6 +17,7 @@ from netprobe.topology import (
     load_weights,
     metropolis_weights,
     save_adjacency,
+    save_matrix,
     save_weights,
     scale_to_asymptotic,
     true_hop_sets,
@@ -126,6 +127,7 @@ class TestMetropolisWeights:
         g = generate_random_digraph(20, 0.2, seed=8)
         tm = metropolis_weights(g)
         assert np.abs(tm.matrix.sum(axis=1) - 1).max() <= 1e-12
+        assert abs(np.abs(np.linalg.eigvals(tm.matrix)).max() - 1) <= 1e-9
 
 
 class TestScaleToAsymptotic:
@@ -164,6 +166,17 @@ class TestClassifyStability:
 
     def test_expanding(self):
         assert classify_stability(1.5 * np.eye(2)) is StabilityClass.UNSTABLE
+
+    def test_marginal_matrix_must_be_row_stochastic(self, tmp_path):
+        # radius one with a simple unit eigenvalue, but rows sum to 2, 0.5, 1
+        w = np.array([[0.0, 2.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.5]])
+        assert classify_stability(w) is StabilityClass.MARGINALLY_STABLE
+        with pytest.raises(ValueError):
+            TopologyMatrix(w, StabilityClass.MARGINALLY_STABLE)
+        path = tmp_path / "w.txt"
+        save_matrix(path, w)
+        with pytest.raises(ValueError):
+            load_weights(path)
 
     def test_weight_floor_field(self):
         tm = laplacian_weights(ring_with_chords(6), 0.8)
