@@ -15,6 +15,7 @@ from netprobe.topology import (
     generate_random_digraph,
     laplacian_weights,
     metropolis_weights,
+    rule_weights,
     scale_to_asymptotic,
     classify_stability,
     true_hop_sets,
@@ -24,6 +25,7 @@ from netprobe.dynamics import (
     ExcitationPlan,
     Trajectory,
     simulate,
+    simulate_trial,
     deviation_bound,
 )
 from netprobe.detect import (
@@ -32,6 +34,7 @@ from netprobe.detect import (
     deviation_noise_bound,
     deviation_noise_std,
     critical_excitation,
+    applied_excitation,
     misjudgement_probability,
     false_alarm_probability,
     detection_probability,
@@ -69,6 +72,7 @@ __all__ = [
     "generate_random_digraph",
     "laplacian_weights",
     "metropolis_weights",
+    "rule_weights",
     "scale_to_asymptotic",
     "classify_stability",
     "true_hop_sets",
@@ -76,12 +80,14 @@ __all__ = [
     "ExcitationPlan",
     "Trajectory",
     "simulate",
+    "simulate_trial",
     "deviation_bound",
     "erf",
     "erf_inv",
     "deviation_noise_bound",
     "deviation_noise_std",
     "critical_excitation",
+    "applied_excitation",
     "misjudgement_probability",
     "false_alarm_probability",
     "detection_probability",

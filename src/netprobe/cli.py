@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from netprobe import detect, estimate, harness, infer, topology
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate, write_trajectory_csv
+from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate_trial, write_trajectory_csv
 
 
 def _write_table(table: harness.ResultTable, out: str | None) -> None:
@@ -28,10 +28,6 @@ def _write_table(table: harness.ResultTable, out: str | None) -> None:
         table.write_csv(out)
     else:
         raise SystemExit(f"--out must end in .csv or .json, got {out!r}")
-
-
-def _noise_from_args(args) -> NoiseModel:
-    return NoiseModel(args.sigma_theta, args.sigma_upsilon)
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
@@ -47,10 +43,7 @@ def _positive_int(text: str) -> int:
 
 
 def _load_network(path: str) -> topology.TopologyMatrix:
-    try:
-        tm = topology.load_weights(path)
-    except ValueError as exc:
-        raise SystemExit(f"weight matrix in {path} rejected: {exc}") from None
+    tm = topology.load_weights(path)
     if tm.stability is topology.StabilityClass.UNSTABLE:
         raise SystemExit(f"weight matrix in {path} is spectrally unstable")
     return tm
@@ -61,12 +54,7 @@ def _cmd_generate(args) -> None:
     if args.adjacency_out:
         topology.save_adjacency(args.adjacency_out, graph)
     if args.weights_out:
-        if args.rule == "laplacian":
-            tm = topology.laplacian_weights(graph, args.gamma)
-        else:
-            tm = topology.metropolis_weights(graph)
-        if args.alpha is not None:
-            tm = topology.scale_to_asymptotic(tm, args.alpha)
+        tm = topology.rule_weights(graph, args.rule, args.gamma, args.alpha)
         topology.save_weights(args.weights_out, tm)
     print(
         json.dumps(
@@ -79,19 +67,14 @@ def _cmd_generate(args) -> None:
     )
 
 
-def _simulate_from_args(args, tm: topology.TopologyMatrix):
-    rng = np.random.default_rng(args.seed)
-    x0 = rng.uniform(args.init_low, args.init_high, tm.n)
+def _cmd_simulate(args) -> None:
+    tm = _load_network(args.weights)
     plan = None
     if args.excite_node is not None:
         time = args.excite_time if args.excite_time is not None else args.steps - 1
         plan = ExcitationPlan(args.excite_node, time, args.excite_magnitude)
-    return simulate(tm, x0, args.steps, _noise_from_args(args), plan, seed=rng), plan
-
-
-def _cmd_simulate(args) -> None:
-    tm = _load_network(args.weights)
-    traj, _ = _simulate_from_args(args, tm)
+    noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
+    traj = simulate_trial(tm, (args.init_low, args.init_high), args.steps, noise, plan, args.seed)
     write_trajectory_csv(args.out, traj)
     print(json.dumps({"steps": traj.horizon, "nodes": traj.n, "out": args.out}))
 
@@ -140,26 +123,33 @@ def _decision_out(decision: infer.NeighborDecision, out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _cmd_infer(args) -> None:
+def _trial_setup(args):
+    """Network, weight floor, noise and applied magnitude for infer and estimate."""
     tm = _load_network(args.weights)
     floor = _weight_floor(args, tm)
-    noise = _noise_from_args(args)
-    sigma = detect.deviation_noise_bound(tm.n, noise, row_stochastic=True)
+    noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
     e = args.excite_magnitude
     if e is None:
-        e = detect.critical_excitation(sigma, floor, args.error_target)
-    source = args.excite_node
-    rng = np.random.default_rng(args.seed)
+        sigma = detect.deviation_noise_bound(tm.n, noise, row_stochastic=True)
+        e = detect.applied_excitation(detect.critical_excitation(sigma, floor, args.error_target))
+    return tm, floor, noise, e
 
+
+def _cmd_infer(args) -> None:
+    tm, floor, noise, e = _trial_setup(args)
+    source = args.excite_node
     hops = args.max_hop if args.mode == "multihop" else 1
     rounds = args.rounds if args.mode == "multi" else 1
     plan = ExcitationPlan(source, args.burn_in, e)
-    windows = []
-    for _ in range(rounds):
-        x0 = rng.uniform(args.init_low, args.init_high, tm.n)
-        traj = simulate(tm, x0, args.burn_in + hops, noise, plan, seed=rng)
-        windows.append(traj.observations[args.burn_in:])
-    windows = np.array(windows)
+    rng = np.random.default_rng(args.seed)
+    init = (args.init_low, args.init_high)
+    windows = np.array(
+        [
+            simulate_trial(tm, init, args.burn_in + hops, noise, plan, rng)
+            .observations[args.burn_in:]
+            for _ in range(rounds)
+        ]
+    )
     if args.mode == "multihop":
         decision = infer.infer_within_hops(windows[0], source, e, floor, tm.stability)
     else:
@@ -170,38 +160,25 @@ def _cmd_infer(args) -> None:
 
 
 def _cmd_estimate(args) -> None:
-    tm = _load_network(args.weights)
-    floor = _weight_floor(args, tm)
-    noise = _noise_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    x0 = rng.uniform(args.init_low, args.init_high, tm.n)
+    tm, floor, noise, e = _trial_setup(args)
     horizon = args.pairs
+    constrained = args.mode == "constrained"
+    plan = ExcitationPlan(args.excite_node, horizon, e) if constrained else None
+    # the constrained run also observes the step after its injection
+    steps = horizon + 1 if constrained else horizon
+    y = simulate_trial(
+        tm, (args.init_low, args.init_high), steps, noise, plan, args.seed
+    ).observations
     constraints = {}
-    if args.mode == "constrained":
-        sigma = detect.deviation_noise_bound(tm.n, noise, row_stochastic=True)
-        e = args.excite_magnitude
-        if e is None:
-            e = detect.critical_excitation(sigma, floor, args.error_target)
-        traj = simulate(
-            tm, x0, horizon + 1, noise,
-            ExcitationPlan(args.excite_node, horizon, e), seed=rng,
-        )
+    if constrained:
         decision = infer.infer_one_hop(
-            traj.observations[horizon], traj.observations[horizon + 1],
-            args.excite_node, e, floor, tm.stability,
+            y[horizon], y[horizon + 1], args.excite_node, e, floor, tm.stability
         )
         constraints = estimate.constraints_from_decision(decision, tm.n)
         if args.constraints_out:
             estimate.save_constraints(args.constraints_out, constraints)
-    else:
-        traj = simulate(tm, x0, horizon, noise, seed=rng)
-    y = traj.observations
     problem = estimate.LsProblem(y[:horizon], y[1:horizon + 1], constraints)
-    sol = (
-        estimate.constrained_estimate(problem)
-        if args.mode == "constrained"
-        else estimate.ols_estimate(problem)
-    )
+    sol = (estimate.constrained_estimate if constrained else estimate.ols_estimate)(problem)
     if args.out:
         topology.save_matrix(args.out, sol.matrix)
     metrics = estimate.error_metrics(sol.matrix, tm.matrix)
@@ -245,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--p", type=float, default=0.2, help="edge probability")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rule", choices=("laplacian", "metropolis"), default="laplacian")
+    p.add_argument("--rule", choices=topology.WEIGHT_RULES, default="laplacian")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=None, help="rescale into the stable regime")
     p.add_argument("--adjacency-out", default=None)
@@ -319,8 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input exits with a message naming the command."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"netprobe {args.command}: {exc}") from None
     return 0
 
 

@@ -106,6 +106,15 @@ def critical_excitation(sigma: float, weight: float, error_budget: float) -> flo
     return 2.0 * SQRT2 * sigma * erf_inv(1.0 - error_budget) / weight
 
 
+def applied_excitation(designed: float) -> float:
+    """The magnitude to inject for a designed one: itself, or 1 when it is zero.
+
+    A noiseless design yields a zero critical input; any positive magnitude
+    then discriminates perfectly, so one stands in for it.
+    """
+    return designed if designed > 0.0 else 1.0
+
+
 def misjudgement_probability(sigma: float, weight: float, excitation: float) -> float:
     """Total error probability of the one-step edge test at threshold w*e/2.
 

@@ -117,6 +117,23 @@ def simulate(
     return Trajectory(states, states + upsilon, applied)
 
 
+def simulate_trial(
+    tm: TopologyMatrix,
+    init: tuple[float, float],
+    horizon: int,
+    noise: NoiseModel,
+    plan: ExcitationPlan | None = None,
+    seed=None,
+) -> Trajectory:
+    """One seeded trial: draw x0 ~ U(init) first, then ``simulate`` on the same generator.
+
+    Passing one ``Generator`` to several calls runs the trials in turn on its
+    stream.
+    """
+    rng = np.random.default_rng(seed)
+    return simulate(tm, rng.uniform(*init, tm.n), horizon, noise, plan, seed=rng)
+
+
 def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:
     """Bound on the excitation-free drift |(W^h y)_i - y_i| from one snapshot.
 

@@ -1,11 +1,12 @@
 """Experiment runners: designed-excitation accuracy sweeps and LS refinement.
 
 Each runner builds the network from an ``ExperimentConfig``, runs seeded
-independent trials, and returns a ``ResultTable`` whose theoretical columns
-come straight from the formulas in :mod:`netprobe.detect`.  Trials draw
-their randomness from seeds spawned deterministically off the master seed in
-trial order, so results are bit-reproducible and trials could execute in any
-order or in parallel.
+independent trials through ``dynamics.simulate_trial``, and returns a
+``ResultTable`` of named rows whose theoretical columns come straight from
+the formulas in :mod:`netprobe.detect`.  Trials draw their randomness from
+seeds spawned deterministically off the master seed in trial order, so
+results are bit-reproducible and trials could execute in any order or in
+parallel.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ import numpy as np
 
 from netprobe import detect
 from netprobe.topology import (
+    WEIGHT_RULES,
     TopologyMatrix,
     WeightedDigraph,
     generate_random_digraph,
-    laplacian_weights,
-    metropolis_weights,
-    scale_to_asymptotic,
+    rule_weights,
     true_hop_sets,
 )
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
+from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate_trial
 from netprobe.estimate import (
     LsProblem,
     constrained_estimate,
@@ -75,8 +75,10 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1")
         if not 0.0 < self.edge_probability <= 1.0:
             raise ValueError("edge probability must lie in (0, 1]")
-        if self.weight_rule not in ("laplacian", "metropolis"):
-            raise ValueError("weight rule must be 'laplacian' or 'metropolis'")
+        if self.weight_rule not in WEIGHT_RULES:
+            raise ValueError(f"weight rule must be one of {WEIGHT_RULES}")
+        if not self.error_targets:
+            raise ValueError("error targets must not be empty")
         for p in (*self.error_targets, self.false_alarm):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"probability parameter {p} outside (0, 1)")
@@ -86,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("burn-in must be >= 1")
         if self.max_hop < 1:
             raise ValueError("max hop must be >= 1")
+        if not self.excitation_scale > 0.0:
+            raise ValueError("excitation scale must be > 0")
         if self.init_low >= self.init_high:
             raise ValueError("initial-state interval is empty")
         object.__setattr__(self, "error_targets", tuple(float(p) for p in self.error_targets))
@@ -95,13 +99,7 @@ class ExperimentConfig:
 
     def build_network(self) -> tuple[WeightedDigraph, TopologyMatrix]:
         graph = generate_random_digraph(self.n, self.edge_probability, self.graph_seed)
-        if self.weight_rule == "laplacian":
-            tm = laplacian_weights(graph, self.gamma)
-        else:
-            tm = metropolis_weights(graph)
-        if self.alpha_scale is not None:
-            tm = scale_to_asymptotic(tm, self.alpha_scale)
-        return graph, tm
+        return graph, rule_weights(graph, self.weight_rule, self.gamma, self.alpha_scale)
 
     def sigma_bound(self) -> float:
         # Rule-built matrices keep squared row sums at most one even after
@@ -111,28 +109,35 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Column-named result rows with CSV/JSON export."""
+    """Named result rows, one dict each, with CSV/JSON export.
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    The columns are the first row's keys; every row names the same columns
+    in the same order.
+    """
+
+    rows: tuple[dict, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
         for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match column count")
+            if tuple(row) != self.columns:
+                raise ValueError("every row must name the first row's columns in order")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return tuple(self.rows[0]) if self.rows else ()
 
     def column(self, name: str) -> list:
-        k = self.columns.index(name)
-        return [row[k] for row in self.rows]
+        return [row[name] for row in self.rows]
 
     def as_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
+        return [dict(row) for row in self.rows]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            writer.writerows(self.rows)
+            writer.writerows(row.values() for row in self.rows)
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -145,7 +150,7 @@ class ResultTable:
         lines = [head]
         for row in self.rows:
             cells = []
-            for v, w in zip(row, widths):
+            for v, w in zip(row.values(), widths):
                 text = f"{v:.6g}" if isinstance(v, float) else str(v)
                 cells.append(text.rjust(w))
             lines.append("  ".join(cells))
@@ -187,11 +192,14 @@ def pick_source_node(graph: WeightedDigraph, max_hop: int = 1) -> int:
     raise ValueError(f"no node reaches depth {max_hop}; use a denser graph")
 
 
-def _network(config: ExperimentConfig) -> tuple[WeightedDigraph, TopologyMatrix]:
-    """Build the config's network and refuse a floor above its smallest weight.
+def _network(
+    config: ExperimentConfig, depth: int = 1
+) -> tuple[WeightedDigraph, TopologyMatrix, int]:
+    """Build the config's network and pick its excited node.
 
-    The designed excitations only guarantee detection of weights at or above
-    the floor, so a higher floor breaks every theory column's premise.
+    Refuses a floor above the network's smallest weight: the designed
+    excitations only guarantee detection of weights at or above the floor,
+    so a higher floor breaks every theory column's premise.
     """
     graph, tm = config.build_network()
     if config.weight_floor > tm.weight_floor:
@@ -199,17 +207,25 @@ def _network(config: ExperimentConfig) -> tuple[WeightedDigraph, TopologyMatrix]
             f"weight_floor {config.weight_floor!r} exceeds the network's smallest "
             f"weight {tm.weight_floor!r}"
         )
-    return graph, tm
+    if config.excited_node is not None:
+        return graph, tm, config.excited_node
+    return graph, tm, pick_source_node(graph, depth)
 
 
-def _trial_seeds(config: ExperimentConfig) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(config.seed).spawn(config.trial_count)
+def _trials(config: ExperimentConfig, tm: TopologyMatrix, horizon: int, plan: ExcitationPlan):
+    """Observations of each seeded trial, in trial order."""
+    init, noise = (config.init_low, config.init_high), config.noise()
+    for ss in np.random.SeedSequence(config.seed).spawn(config.trial_count):
+        yield simulate_trial(tm, init, horizon, noise, plan, ss).observations
 
 
-def _positive_magnitude(e: float) -> float:
-    # a noiseless design yields a zero critical input; any positive magnitude
-    # then discriminates perfectly, so fall back to one
-    return e if e > 0.0 else 1.0
+def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:
+    """The configured magnitude, else the one-hop design for the error target."""
+    if config.excitation_magnitude is not None:
+        return config.excitation_magnitude
+    return detect.applied_excitation(
+        detect.critical_excitation(sigma_bar, config.weight_floor, target)
+    )
 
 
 def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
@@ -221,38 +237,20 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     reported next to one minus the designed misjudgement probability.  The
     guarantee presumes every positive weight reaches the configured floor.
     """
-    graph, tm = _network(config)
-    source = config.excited_node if config.excited_node is not None else pick_source_node(graph)
+    graph, tm, source = _network(config)
     truth = true_hop_sets(graph, source, 1).at_hop(1)
-    noise = config.noise()
     sigma_bar = config.sigma_bound()
-    seeds = _trial_seeds(config)
-    n = config.n
+    n, t = config.n, config.burn_in
 
     rows = []
     for target in config.error_targets:
-        e = config.excitation_magnitude
-        if e is None:
-            e = _positive_magnitude(
-                detect.critical_excitation(sigma_bar, config.weight_floor, target)
-            )
-        theory = 1.0 - detect.misjudgement_probability(sigma_bar, config.weight_floor, e)
+        e = _onehop_excitation(config, sigma_bar, target)
         pair_ok = 0
         set_ok = 0
-        for ss in seeds:
-            rng = np.random.default_rng(ss)
-            x0 = rng.uniform(config.init_low, config.init_high, n)
-            plan = ExcitationPlan(source, config.burn_in, e)
-            traj = simulate(tm, x0, config.burn_in + 1, noise, plan, seed=rng)
-            decision = infer_one_hop(
-                traj.observations[config.burn_in],
-                traj.observations[config.burn_in + 1],
-                source,
-                e,
-                config.weight_floor,
-                tm.stability,
-            )
-            estimated = decision.one_hop()
+        for y in _trials(config, tm, t + 1, ExcitationPlan(source, t, e)):
+            estimated = infer_one_hop(
+                y[t], y[t + 1], source, e, config.weight_floor, tm.stability
+            ).one_hop()
             pair_ok += sum(
                 (i in estimated) == (i in truth) for i in range(n) if i != source
             )
@@ -260,28 +258,18 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
         decisions = config.trial_count * (n - 1)
         pair_acc = pair_ok / decisions
         rows.append(
-            (
-                target,
-                e,
-                theory,
-                pair_acc,
-                set_ok / config.trial_count,
-                decisions,
-                binomial_half_width(pair_acc, decisions),
-            )
+            {
+                "error_target": target,
+                "excitation": e,
+                "theory_accuracy": 1.0
+                - detect.misjudgement_probability(sigma_bar, config.weight_floor, e),
+                "pair_accuracy": pair_acc,
+                "set_accuracy": set_ok / config.trial_count,
+                "decision_count": decisions,
+                "ci_half_width": binomial_half_width(pair_acc, decisions),
+            }
         )
-    return ResultTable(
-        (
-            "error_target",
-            "excitation",
-            "theory_accuracy",
-            "pair_accuracy",
-            "set_accuracy",
-            "decision_count",
-            "ci_half_width",
-        ),
-        tuple(rows),
-    )
+    return ResultTable(rows)
 
 
 def _positive_gain_range(w: np.ndarray, target: int, source: int, max_hop: int) -> tuple[float, float]:
@@ -305,12 +293,7 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     largest per-target critical magnitude, and the reported bound is the
     placement lower bound evaluated at each target's own critical magnitude.
     """
-    graph, tm = _network(config)
-    source = (
-        config.excited_node
-        if config.excited_node is not None
-        else pick_source_node(graph, config.max_hop)
-    )
+    graph, tm, source = _network(config, config.max_hop)
     hop_truth = true_hop_sets(graph, source, config.max_hop)
     noise = config.noise()
     w = tm.matrix
@@ -333,56 +316,36 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     }
     e = config.excitation_magnitude
     if e is None:
-        e = _positive_magnitude(config.excitation_scale * max(critical.values()))
+        e = detect.applied_excitation(config.excitation_scale * max(critical.values()))
 
+    t = config.burn_in
     hits = {h: 0 for h in hops}
-    for ss in _trial_seeds(config):
-        rng = np.random.default_rng(ss)
-        x0 = rng.uniform(config.init_low, config.init_high, config.n)
-        plan = ExcitationPlan(source, config.burn_in, e)
-        traj = simulate(tm, x0, config.burn_in + config.max_hop, noise, plan, seed=rng)
-        decision = infer_within_hops(
-            traj.observations[config.burn_in:], source, e, config.weight_floor, tm.stability
-        )
+    for y in _trials(config, tm, t + config.max_hop, ExcitationPlan(source, t, e)):
+        decision = infer_within_hops(y[t:], source, e, config.weight_floor, tm.stability)
         for h in hops:
             hits[h] += targets[h] in decision.at_hop(h)
 
     rows = []
     for h in hops:
         gmin, gmax = gain_range[h]
-        bound = detect.hop_inference_lower_bound(
-            gmin, gmax, critical[h], config.false_alarm, sigma[h]
-        )
         empirical = hits[h] / config.trial_count
         rows.append(
-            (
-                h,
-                targets[h],
-                gmin,
-                gmax,
-                critical[h],
-                e,
-                bound,
-                empirical,
-                config.trial_count,
-                binomial_half_width(empirical, config.trial_count),
-            )
+            {
+                "hop": h,
+                "target_node": targets[h],
+                "gain_min": gmin,
+                "gain_max": gmax,
+                "critical_excitation": critical[h],
+                "excitation": e,
+                "theory_lower_bound": detect.hop_inference_lower_bound(
+                    gmin, gmax, critical[h], config.false_alarm, sigma[h]
+                ),
+                "empirical_probability": empirical,
+                "trials": config.trial_count,
+                "ci_half_width": binomial_half_width(empirical, config.trial_count),
+            }
         )
-    return ResultTable(
-        (
-            "hop",
-            "target_node",
-            "gain_min",
-            "gain_max",
-            "critical_excitation",
-            "excitation",
-            "theory_lower_bound",
-            "empirical_probability",
-            "trials",
-            "ci_half_width",
-        ),
-        tuple(rows),
-    )
+    return ResultTable(rows)
 
 
 def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
@@ -392,58 +355,34 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     plain least squares, then injects one designed excitation, converts the
     resulting one-hop decision into column constraints, and re-estimates.
     """
-    graph, tm = _network(config)
-    source = config.excited_node if config.excited_node is not None else pick_source_node(graph)
-    noise = config.noise()
-    sigma_bar = config.sigma_bound()
-    target = min(config.error_targets)
-    e = config.excitation_magnitude
-    if e is None:
-        e = _positive_magnitude(
-            detect.critical_excitation(sigma_bar, config.weight_floor, target)
-        )
+    _, tm, source = _network(config)
+    e = _onehop_excitation(config, config.sigma_bound(), min(config.error_targets))
     horizon = config.n + 5
-    n = config.n
 
     rows = []
-    for k, ss in enumerate(_trial_seeds(config)):
-        rng = np.random.default_rng(ss)
-        x0 = rng.uniform(config.init_low, config.init_high, n)
-        plan = ExcitationPlan(source, horizon, e)
-        traj = simulate(tm, x0, horizon + 1, noise, plan, seed=rng)
-        y = traj.observations
+    plan = ExcitationPlan(source, horizon, e)
+    for k, y in enumerate(_trials(config, tm, horizon + 1, plan)):
         problem = LsProblem(y[:horizon], y[1:horizon + 1])
         ols = ols_estimate(problem)
         decision = infer_one_hop(
             y[horizon], y[horizon + 1], source, e, config.weight_floor, tm.stability
         )
-        constraints = constraints_from_decision(decision, n)
+        constraints = constraints_from_decision(decision, config.n)
         constrained = constrained_estimate(replace(problem, constraints=constraints))
         m_ols = error_metrics(ols.matrix, tm.matrix)
         m_con = error_metrics(constrained.matrix, tm.matrix)
         rows.append(
-            (
-                k,
-                m_ols.structure_error,
-                m_ols.magnitude_error,
-                m_con.structure_error,
-                m_con.magnitude_error,
-                ols.rank,
-                int(ols.rank_deficient),
-            )
+            {
+                "seed_index": k,
+                "ols_structure_error": m_ols.structure_error,
+                "ols_magnitude_error": m_ols.magnitude_error,
+                "constrained_structure_error": m_con.structure_error,
+                "constrained_magnitude_error": m_con.magnitude_error,
+                "rank": ols.rank,
+                "rank_deficient": int(ols.rank_deficient),
+            }
         )
-    return ResultTable(
-        (
-            "seed_index",
-            "ols_structure_error",
-            "ols_magnitude_error",
-            "constrained_structure_error",
-            "constrained_magnitude_error",
-            "rank",
-            "rank_deficient",
-        ),
-        tuple(rows),
-    )
+    return ResultTable(rows)
 
 
 def default_config(figure: str) -> ExperimentConfig:
@@ -471,30 +410,18 @@ def run_experiment(figure: str, config: ExperimentConfig) -> ResultTable:
     return runner(config)
 
 
-def _parse_value(text: str, kind: str):
+def _parse_value(text: str, annotation: str):
+    """Parse one config value by its ``ExperimentConfig`` field annotation."""
     text = text.strip()
-    if text.lower() in ("none", "null"):
+    if annotation.endswith("| None") and text.lower() in ("none", "null"):
         return None
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "tuple":
+    if annotation.startswith("tuple"):
         return tuple(float(v) for v in text.replace(",", " ").split())
+    if annotation.startswith("int"):
+        return int(text)
+    if annotation.startswith("float"):
+        return float(text)
     return text
-
-
-_FIELD_KINDS = {
-    "n": "int",
-    "graph_seed": "int",
-    "trial_count": "int",
-    "max_hop": "int",
-    "excited_node": "int",
-    "burn_in": "int",
-    "seed": "int",
-    "weight_rule": "str",
-    "error_targets": "tuple",
-}
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -504,7 +431,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
     separated values; ``none`` clears an optional field.  Keyword overrides
     win over file values.
     """
-    known = {f.name for f in fields(ExperimentConfig)}
+    annotations = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -515,8 +442,8 @@ def load_config(path, **overrides) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in annotations:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(raw, _FIELD_KINDS.get(key, "float"))
+            values[key] = _parse_value(raw, annotations[key])
     values.update(overrides)
     return ExperimentConfig(**values)

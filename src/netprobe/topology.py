@@ -16,6 +16,7 @@ import numpy as np
 # Eigensolver noise allowance for spectral-radius comparisons.
 SPECTRAL_TOL = 1e-9
 ROW_SUM_TOL = 1e-12
+WEIGHT_RULES = ("laplacian", "metropolis")
 
 
 class StabilityClass(enum.Enum):
@@ -190,6 +191,16 @@ def metropolis_weights(graph: WeightedDigraph) -> TopologyMatrix:
         w = np.where(graph.adjacency > 0, graph.adjacency / pair_max, 0.0)
     np.fill_diagonal(w, _closing_diagonal(w))
     return TopologyMatrix(w, StabilityClass.MARGINALLY_STABLE)
+
+
+def rule_weights(
+    graph: WeightedDigraph, rule: str = "laplacian", gamma: float = 1.0, alpha: float | None = None
+) -> TopologyMatrix:
+    """Weights by the named rule, shrunk by ``alpha`` into the stable regime when given."""
+    if rule not in WEIGHT_RULES:
+        raise ValueError(f"weight rule must be one of {WEIGHT_RULES}, got {rule!r}")
+    tm = laplacian_weights(graph, gamma) if rule == "laplacian" else metropolis_weights(graph)
+    return tm if alpha is None else scale_to_asymptotic(tm, alpha)
 
 
 def scale_to_asymptotic(tm: TopologyMatrix, alpha: float) -> TopologyMatrix:

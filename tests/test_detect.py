@@ -7,6 +7,7 @@ import pytest
 
 from netprobe import detect
 from netprobe.detect import (
+    applied_excitation,
     critical_excitation,
     detection_probability,
     deviation_noise_bound,
@@ -200,6 +201,12 @@ class TestCriticalExcitation:
         sigmas = np.linspace(0.5, 3.0, 11)
         vals = [critical_excitation(s, 0.5, 0.1) for s in sigmas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_applied_magnitude_replaces_zero_design(self):
+        assert applied_excitation(critical_excitation(0.0, 0.5, 0.05)) == 1.0
+        assert applied_excitation(critical_excitation(1.0, 0.5, 0.05)) == critical_excitation(
+            1.0, 0.5, 0.05
+        )
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):

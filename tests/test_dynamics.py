@@ -13,6 +13,7 @@ from netprobe.dynamics import (
     Trajectory,
     deviation_bound,
     simulate,
+    simulate_trial,
     write_trajectory_csv,
 )
 from netprobe.topology import (
@@ -92,6 +93,30 @@ class TestSimulate:
             simulate(tm, np.zeros(10), 5, NoiseModel(1, 1), ExcitationPlan(0, 5, 1.0))
         with pytest.raises(ValueError):
             simulate(tm, np.zeros(10), 5, NoiseModel(1, 1), ExcitationPlan(99, 2, 1.0))
+
+
+class TestSimulateTrial:
+    def test_int_seed_matches_hand_rolled(self, tm):
+        plan = ExcitationPlan(2, 5, 3.0)
+        rng = np.random.default_rng(4)
+        x0 = rng.uniform(-100.0, 100.0, tm.n)
+        expected = simulate(tm, x0, 8, NoiseModel(1.0, 0.5), plan, seed=rng)
+        traj = simulate_trial(tm, (-100.0, 100.0), 8, NoiseModel(1.0, 0.5), plan, seed=4)
+        assert np.array_equal(traj.states, expected.states)
+        assert np.array_equal(traj.observations, expected.observations)
+        assert traj.excitations_applied == expected.excitations_applied
+
+    def test_shared_generator_runs_trials_in_turn(self, tm):
+        hand = np.random.default_rng(9)
+        expected = []
+        for _ in range(2):
+            x0 = hand.uniform(-5.0, 5.0, tm.n)
+            expected.append(simulate(tm, x0, 6, NoiseModel(), seed=hand))
+        shared = np.random.default_rng(9)
+        for want in expected:
+            traj = simulate_trial(tm, (-5.0, 5.0), 6, NoiseModel(), seed=shared)
+            assert np.array_equal(traj.states, want.states)
+            assert np.array_equal(traj.observations, want.observations)
 
 
 class TestDeviationBound:

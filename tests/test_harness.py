@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,11 @@ class TestConfig:
             ExperimentConfig(weight_rule="ring")
         with pytest.raises(ValueError):
             ExperimentConfig(alpha_scale=1.0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(error_targets=())
+        for scale in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                ExperimentConfig(excitation_scale=scale)
 
     def test_default_network_premises(self):
         # every positive weight of the default network reaches the test floor
@@ -66,6 +71,49 @@ class TestConfig:
         assert config.excited_node is None
         assert config.weight_rule == "metropolis"
 
+    def test_every_field_round_trip(self, tmp_path):
+        config = ExperimentConfig(
+            n=12,
+            edge_probability=0.3,
+            graph_seed=7,
+            trial_count=5,
+            sigma_theta=0.5,
+            sigma_upsilon=0.25,
+            weight_rule="metropolis",
+            gamma=0.8,
+            alpha_scale=0.9,
+            weight_floor=0.2,
+            error_targets=(0.1, 0.2),
+            false_alarm=0.1,
+            max_hop=2,
+            excited_node=3,
+            excitation_magnitude=7.5,
+            excitation_scale=2.0,
+            burn_in=10,
+            init_low=-5.0,
+            init_high=5.0,
+            seed=99,
+        )
+        default = ExperimentConfig()
+        lines = []
+        for f in fields(config):
+            value = getattr(config, f.name)
+            assert value != getattr(default, f.name), f.name
+            text = ", ".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{f.name} = {text}\n")
+        path = tmp_path / "every.cfg"
+        path.write_text("".join(lines))
+        assert load_config(path) == config
+        path.write_text("alpha_scale = none\nexcited_node = null\n")
+        assert load_config(path) == default
+
+    def test_none_only_clears_optional_fields(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        for line in ("n = none\n", "weight_floor = none\n"):
+            path.write_text(line)
+            with pytest.raises(ValueError):
+                load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("banana = 3\n")
@@ -80,19 +128,25 @@ class TestConfig:
 
 class TestResultTable:
     def test_row_width_checked(self):
-        with pytest.raises(ValueError):
-            ResultTable(("a", "b"), ((1,),))
+        for rows in (
+            ({"a": 1, "b": 2}, {"a": 1}),
+            ({"a": 1, "b": 2}, {"a": 1, "c": 2}),
+            ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+        ):
+            with pytest.raises(ValueError):
+                ResultTable(rows)
 
     def test_exports(self, tmp_path):
-        table = ResultTable(("a", "b"), ((1, 2.5), (3, 4.0)))
+        table = ResultTable([{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}])
+        assert table.columns == ("a", "b")
         csv_path = tmp_path / "t.csv"
         json_path = tmp_path / "t.json"
         table.write_csv(csv_path)
         table.write_json(json_path)
-        assert csv_path.read_text().splitlines()[0] == "a,b"
+        assert csv_path.read_text().splitlines() == ["a,b", "1,2.5", "3,4.0"]
         assert json.loads(json_path.read_text())[1] == {"a": 3, "b": 4.0}
         assert table.column("b") == [2.5, 4.0]
-        assert "a" in table.pretty()
+        assert table.pretty().splitlines()[1].split() == ["1", "2.5"]
 
     def test_half_width(self):
         assert binomial_half_width(0.5, 0) == 0.5
@@ -273,6 +327,50 @@ class TestCli:
                 cli.main(list(argv))
             assert info.value.code not in (None, 0)
         assert "must be >= 1" in capsys.readouterr().err
+
+    def test_noiseless_runs_apply_unit_excitation(self, tmp_path, capsys):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "12", "--p", "0.2", "--seed", "5", "--weights-out", str(w))
+        capsys.readouterr()
+        noiseless = ("--weights", str(w), "--excite-node", "0",
+                     "--sigma-theta", "0", "--sigma-upsilon", "0")
+        for mode in ("onehop", "multihop", "multi"):
+            self.run("infer", mode, *noiseless)
+            records = json.loads(capsys.readouterr().out)
+            assert records[0]["source"] == 0
+        self.run("estimate", "constrained", *noiseless)
+        assert json.loads(capsys.readouterr().out)["mode"] == "constrained"
+
+    BAD_INPUTS = {
+        "infer-node-out-of-range": ("infer", "onehop", "--excite-node", "99", "--weights", "{w}"),
+        "estimate-node-out-of-range": (
+            "estimate", "constrained", "--excite-node", "99", "--weights", "{w}",
+        ),
+        "simulate-zero-steps": ("simulate", "--steps", "0", "--weights", "{w}", "--out", "{d}/t.csv"),
+        "simulate-excite-after-horizon": (
+            "simulate", "--steps", "5", "--excite-node", "1", "--excite-time", "9",
+            "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "infer-negative-burn-in": (
+            "infer", "onehop", "--excite-node", "0", "--burn-in", "-1", "--weights", "{w}",
+        ),
+        "experiment-zero-trials": ("experiment", "fig1a", "--trials", "0"),
+        "config-unknown-key": ("experiment", "fig1a", "--config", "{d}/unknown.cfg"),
+        "config-word-for-int": ("experiment", "fig1a", "--config", "{d}/word.cfg"),
+        "missing-weights-file": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/none.txt"),
+        "missing-config-file": ("experiment", "fig1a", "--config", "{d}/none.cfg"),
+    }
+
+    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_exits_with_message(self, tmp_path, argv):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        (tmp_path / "unknown.cfg").write_text("banana = 3\n")
+        (tmp_path / "word.cfg").write_text("n = twelve\n")
+        argv = [a.format(w=w, d=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert str(info.value.code).startswith(f"netprobe {argv[0]}: ")
 
     def test_estimate_constrained(self, tmp_path, capsys):
         w = tmp_path / "w.txt"

@@ -16,6 +16,7 @@ from netprobe.topology import (
     load_adjacency,
     load_weights,
     metropolis_weights,
+    rule_weights,
     save_adjacency,
     save_matrix,
     save_weights,
@@ -151,6 +152,24 @@ class TestScaleToAsymptotic:
         for alpha in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 scale_to_asymptotic(tm, alpha)
+
+
+class TestRuleWeights:
+    def test_dispatch_and_rescaling(self):
+        graph = generate_random_digraph(10, 0.3, 8)
+        pairs = (
+            (rule_weights(graph, "laplacian", 0.8), laplacian_weights(graph, 0.8)),
+            (rule_weights(graph, "metropolis"), metropolis_weights(graph)),
+            (
+                rule_weights(graph, "metropolis", alpha=0.9),
+                scale_to_asymptotic(metropolis_weights(graph), 0.9),
+            ),
+        )
+        for built, expected in pairs:
+            assert np.array_equal(built.matrix, expected.matrix)
+            assert built.stability is expected.stability
+        with pytest.raises(ValueError):
+            rule_weights(graph, "ring")
 
 
 class TestClassifyStability:
