@@ -106,10 +106,10 @@ def _weight_floor(args, tm: topology.TopologyMatrix) -> float:
     """--weight-floor, defaulting to the loaded matrix's smallest weight."""
     if args.weight_floor is None:
         return tm.weight_floor
-    if args.weight_floor > tm.weight_floor:
-        raise SystemExit(
-            f"--weight-floor {args.weight_floor} exceeds the smallest weight "
-            f"{tm.weight_floor} in {args.weights}"
+    if not 0.0 < args.weight_floor <= tm.weight_floor:
+        raise ValueError(
+            f"--weight-floor {args.weight_floor} must be > 0 and at most the smallest "
+            f"weight {tm.weight_floor} in {args.weights}"
         )
     return args.weight_floor
 

@@ -99,8 +99,10 @@ def critical_excitation(sigma: float, weight: float, error_budget: float) -> flo
     noise std and an h-step gain in place of (sigma, weight) the same formula
     designs the within-h-hop test.
     """
-    if weight <= 0.0:
-        raise ValueError("weight must be > 0")
+    if not 0.0 < weight < math.inf:
+        raise ValueError(f"weight must be finite and > 0, got {weight!r}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"noise std must be finite and >= 0, got {sigma!r}")
     if not 0.0 < error_budget <= 1.0:
         raise ValueError("error budget must lie in (0, 1]")
     return 2.0 * SQRT2 * sigma * erf_inv(1.0 - error_budget) / weight

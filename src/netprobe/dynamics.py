@@ -10,6 +10,7 @@ taken before the injection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ class NoiseModel:
     sigma_upsilon: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma_theta < 0 or self.sigma_upsilon < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+        for sigma in (self.sigma_theta, self.sigma_upsilon):
+            if not 0.0 <= sigma < math.inf:
+                raise ValueError(f"noise standard deviations must be finite and >= 0, got {sigma!r}")
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":
@@ -130,6 +132,8 @@ def simulate_trial(
     Passing one ``Generator`` to several calls runs the trials in turn on its
     stream.
     """
+    if not all(math.isfinite(bound) for bound in init):
+        raise ValueError(f"initial-state interval must be finite, got {tuple(init)!r}")
     rng = np.random.default_rng(seed)
     return simulate(tm, rng.uniform(*init, tm.n), horizon, noise, plan, seed=rng)
 

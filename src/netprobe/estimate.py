@@ -3,9 +3,11 @@
 The interaction matrix is estimated row by row from consecutive observation
 pairs.  An excitation round supplies sign information for one column: entries
 decided present are constrained nonnegative, entries decided absent are fixed
-to zero.  Rows with nonnegativity constraints are solved exactly by an
-active-set method (Lawson-Hanson with the free variables pre-seeded into the
-passive set), which is exact and fast at these sizes.
+to zero.  Rows are grouped by their constraint pattern: every row of a
+pattern with only zero entries is solved in one multi-right-hand-side
+least-squares call, and rows with nonnegativity constraints are solved
+exactly by an active-set method (Lawson-Hanson with the free variables
+pre-seeded into the passive set) on their pattern's shared design.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class LsProblem:
     @property
     def n(self) -> int:
         return self.regressors.shape[1]
-
-    def constraint(self, i: int, j: int) -> EntryConstraint:
-        return self.constraints.get((i, j), EntryConstraint.FREE)
 
 
 @dataclass(frozen=True)
@@ -140,29 +139,65 @@ def _nonneg_row_lstsq(a: np.ndarray, b: np.ndarray, positive: np.ndarray) -> np.
     return x
 
 
+def _row_patterns(constraints: dict[tuple[int, int], EntryConstraint]) -> dict[tuple, list[int]]:
+    """Rows grouped by their non-free constraints, as sorted ``(column, kind)`` keys.
+
+    Keys and member lists are sorted, so the grouping does not depend on the
+    dict's insertion order.  Rows with no non-free entry are left out.
+    """
+    by_row: dict[int, list[tuple[int, EntryConstraint]]] = {}
+    for (i, j), kind in constraints.items():
+        if kind is not EntryConstraint.FREE:
+            by_row.setdefault(i, []).append((j, kind))
+    groups: dict[tuple, list[int]] = {}
+    for i in sorted(by_row):
+        groups.setdefault(tuple(sorted(by_row[i])), []).append(i)
+    return groups
+
+
+def _solve_pattern(
+    x: np.ndarray, y: np.ndarray, pattern: tuple, rows: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns a pattern keeps, and its rows' values on them, one row each.
+
+    Every row of the pattern shares the design ``x[:, keep]``.  Without a
+    positive entry all rows are one multi-right-hand-side solve (minimum-norm
+    when the design is rank-deficient); otherwise each row runs the
+    active-set solver on that design.
+    """
+    zero = [j for j, kind in pattern if kind is EntryConstraint.ZERO]
+    keep = np.delete(np.arange(x.shape[1]), zero)
+    a = x[:, keep]
+    positive = np.isin(keep, [j for j, kind in pattern if kind is EntryConstraint.POSITIVE])
+    if positive.any():
+        return keep, np.array([_nonneg_row_lstsq(a, y[:, i], positive) for i in rows])
+    # solving for every column of y avoids copying y[:, rows]
+    return keep, np.linalg.lstsq(a, y, rcond=None)[0][:, rows].T
+
+
 def constrained_estimate(problem: LsProblem) -> LsSolution:
     """Row-wise least squares honoring the problem's entry constraints.
 
-    Zero-constrained entries are eliminated from the row's variables,
-    positive-constrained entries are solved under nonnegativity, and fully
-    unconstrained rows reproduce the plain least-squares rows bit for bit.
+    Rows are grouped by their constraint pattern and each pattern is solved
+    on its shared design (see ``_solve_pattern``); zero-constrained entries
+    are eliminated and positive-constrained ones solved under nonnegativity.
+    Fully unconstrained rows reproduce the plain least-squares rows bit for
+    bit.
     """
     x = problem.regressors
     y = problem.targets
-    n = problem.n
+    solved = [
+        (rows, *_solve_pattern(x, y, pattern, rows))
+        for pattern, rows in _row_patterns(problem.constraints).items()
+    ]
+    # The plain solve runs last: run first, its (n, n) result would sit
+    # beside each pattern's design and solver workspace and raise peak memory.
     base, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    w = np.zeros((n, n))
-    for i in range(n):
-        kinds = [problem.constraint(i, j) for j in range(n)]
-        if all(k is EntryConstraint.FREE for k in kinds):
-            w[i] = base[:, i]
-            continue
-        keep = [j for j in range(n) if kinds[j] is not EntryConstraint.ZERO]
-        if not keep:
-            continue
-        positive = np.array([kinds[j] is EntryConstraint.POSITIVE for j in keep], dtype=bool)
-        w[i, keep] = _nonneg_row_lstsq(x[:, keep], y[:, i], positive)
-    return LsSolution(w, int(rank), int(rank) < n)
+    w = base.T  # rows of W; free rows keep the plain solution
+    for rows, keep, values in solved:
+        w[rows] = 0.0
+        w[np.ix_(rows, keep)] = values
+    return LsSolution(w, int(rank), int(rank) < problem.n)
 
 
 def _thresholded_sign(m: np.ndarray, tol: float) -> np.ndarray:

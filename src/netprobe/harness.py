@@ -90,6 +90,13 @@ class ExperimentConfig:
             raise ValueError("max hop must be >= 1")
         if not self.excitation_scale > 0.0:
             raise ValueError("excitation scale must be > 0")
+        if not self.weight_floor > 0.0:
+            raise ValueError(f"weight floor must be > 0, got {self.weight_floor!r}")
+        for name in ("weight_floor", "excitation_magnitude", "init_low", "init_high", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        self.noise()  # NoiseModel rejects a negative or non-finite sigma
         if self.init_low >= self.init_high:
             raise ValueError("initial-state interval is empty")
         object.__setattr__(self, "error_targets", tuple(float(p) for p in self.error_targets))

@@ -213,6 +213,11 @@ class TestCriticalExcitation:
             critical_excitation(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             critical_excitation(1.0, -0.3, 0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                critical_excitation(1.0, bad, 0.1)
+            with pytest.raises(ValueError, match="finite"):
+                critical_excitation(bad, 0.5, 0.1)
 
 
 class TestMisjudgement:

@@ -119,6 +119,14 @@ class TestSimulateTrial:
             assert np.array_equal(traj.observations, want.observations)
 
 
+    @pytest.mark.parametrize(
+        "init", [(-100.0, math.inf), (-math.inf, 100.0), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_rejects_non_finite_interval(self, tm, init):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_trial(tm, init, 4, NoiseModel(), seed=1)
+
+
 class TestDeviationBound:
     def test_marginal_is_spread(self):
         assert deviation_bound([3.0, 1.0, 2.0], StabilityClass.MARGINALLY_STABLE) == 2.0
@@ -184,6 +192,11 @@ class TestTypesAndExport:
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseModel(bad, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                NoiseModel(1.0, bad)
 
     def test_trajectory_shape_mismatch(self):
         with pytest.raises(ValueError):

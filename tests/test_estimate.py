@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from netprobe.estimate import (
     constrained_estimate,
     constraints_from_decision,
     error_metrics,
+    _nonneg_row_lstsq,
     load_constraints,
     ols_estimate,
     save_constraints,
@@ -62,6 +64,24 @@ def brute_force_constrained_row(x_mat, y_col, kinds):
         if obj < best_obj - 1e-15:
             best, best_obj = row, obj
     return best, best_obj
+
+
+def per_row_reference(problem):
+    """Row-at-a-time oracle: one active-set solve per constrained row."""
+    x, y, n = problem.regressors, problem.targets, problem.n
+    base = np.linalg.lstsq(x, y, rcond=None)[0]
+    w = np.zeros((n, n))
+    for i in range(n):
+        kinds = [problem.constraints.get((i, j), FREE) for j in range(n)]
+        if all(k is FREE for k in kinds):
+            w[i] = base[:, i]
+            continue
+        keep = [j for j in range(n) if kinds[j] is not ZERO]
+        if not keep:
+            continue
+        positive = np.array([kinds[j] is POS for j in keep], dtype=bool)
+        w[i, keep] = _nonneg_row_lstsq(x[:, keep], y[:, i], positive)
+    return w
 
 
 class TestOls:
@@ -197,6 +217,72 @@ class TestConstrained:
             err_con = np.linalg.norm(constrained_estimate(problem).matrix - w)
             err_ols = np.linalg.norm(ols_estimate(problem).matrix - w)
             assert err_con <= err_ols + 1e-9
+
+
+class TestGroupedSolve:
+    """Pattern-grouped solves against the per-row oracle."""
+
+    def assert_matches_reference(self, problem):
+        got = constrained_estimate(problem).matrix
+        assert np.abs(got - per_row_reference(problem)).max() <= 1e-12
+
+    def test_fig1c_shaped(self):
+        n = 60
+        tm = laplacian_weights(generate_random_digraph(n, 1.6 / n, 102), 1.0)
+        w = tm.matrix
+        j = int(np.argmax((w > 0).sum(axis=0) - np.diag(w > 0)))
+        constraints = {(i, j): (POS if w[i, j] > 0 else ZERO) for i in range(n) if i != j}
+        assert sum(kind is POS for kind in constraints.values()) >= 3
+        for seed in (1, 2):
+            self.assert_matches_reference(LsProblem(*noisy_rows(tm, n + 5, seed=seed), constraints))
+
+    def random_patterns(self, n, seed):
+        """Rows drawn from a few shared patterns (two with POS entries), some left free."""
+        rng = np.random.default_rng(seed)
+        patterns = [
+            {2: ZERO, 5: ZERO},
+            {1: POS, 7: ZERO},
+            {3: POS, 4: POS, 0: FREE},
+            {6: ZERO, 8: FREE},
+        ]
+        constraints = {}
+        for i in range(n):
+            k = int(rng.integers(len(patterns) + 1))
+            if k < len(patterns):
+                constraints.update({(i, j): kind for j, kind in patterns[k].items()})
+        return constraints
+
+    def test_shared_random_patterns(self):
+        tm = laplacian_weights(generate_random_digraph(12, 0.3, 4), 1.0)
+        for seed in range(5):
+            constraints = self.random_patterns(12, seed)
+            self.assert_matches_reference(LsProblem(*noisy_rows(tm, 30, seed=seed), constraints))
+
+    def test_rank_deficient_design(self):
+        tm = laplacian_weights(generate_random_digraph(12, 0.3, 4), 1.0)
+        for seed in range(5):
+            problem = LsProblem(*noisy_rows(tm, 6, seed=seed), self.random_patterns(12, seed))
+            assert constrained_estimate(problem).rank_deficient
+            self.assert_matches_reference(problem)
+
+    def test_fully_zeroed_group(self):
+        tm = laplacian_weights(generate_random_digraph(8, 0.3, 2), 1.0)
+        constraints = {(i, j): ZERO for i in (1, 4, 6) for j in range(8)}
+        constraints.update({(i, 3): ZERO for i in (0, 2)})
+        problem = LsProblem(*noisy_rows(tm, 20, seed=3), constraints)
+        got = constrained_estimate(problem).matrix
+        assert np.array_equal(got[[1, 4, 6]], np.zeros((3, 8)))
+        self.assert_matches_reference(problem)
+
+    def test_insertion_order_bitwise(self):
+        tm = laplacian_weights(generate_random_digraph(12, 0.3, 4), 1.0)
+        constraints = self.random_patterns(12, 9)
+        items = list(constraints.items())
+        random.Random(3).shuffle(items)
+        rows = noisy_rows(tm, 30, seed=9)
+        ordered = constrained_estimate(LsProblem(*rows, constraints)).matrix
+        shuffled = constrained_estimate(LsProblem(*rows, dict(items))).matrix
+        assert np.array_equal(ordered, shuffled)
 
 
 class TestErrorMetrics:

@@ -41,6 +41,20 @@ class TestConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig(excitation_scale=scale)
 
+    @pytest.mark.parametrize(
+        "field", ["weight_floor", "excitation_magnitude", "init_low", "init_high",
+                  "gamma", "sigma_theta", "sigma_upsilon"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite|> 0"):
+            ExperimentConfig(**{field: value})
+
+    def test_rejects_nonpositive_weight_floor(self):
+        for floor in (0.0, -0.4):
+            with pytest.raises(ValueError, match="weight floor"):
+                ExperimentConfig(weight_floor=floor)
+
     def test_default_network_premises(self):
         # every positive weight of the default network reaches the test floor
         graph, tm = ExperimentConfig().build_network()
@@ -359,6 +373,28 @@ class TestCli:
         "config-word-for-int": ("experiment", "fig1a", "--config", "{d}/word.cfg"),
         "missing-weights-file": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/none.txt"),
         "missing-config-file": ("experiment", "fig1a", "--config", "{d}/none.cfg"),
+        "config-nan-weight-floor": ("experiment", "fig1b", "--config", "{d}/nanfloor.cfg"),
+        "config-nan-magnitude": ("experiment", "fig1b", "--config", "{d}/nanmag.cfg"),
+        "config-inf-init-high": ("experiment", "fig1b", "--config", "{d}/infinit.cfg"),
+        "simulate-inf-init-high": (
+            "simulate", "--steps", "5", "--init-high", "inf", "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "simulate-nan-sigma": (
+            "simulate", "--steps", "5", "--sigma-theta", "nan", "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "infer-floor-above-smallest-weight": (
+            "infer", "onehop", "--excite-node", "0", "--weight-floor", "5", "--weights", "{w}",
+        ),
+        "infer-nan-weight-floor": (
+            "infer", "onehop", "--excite-node", "0", "--weight-floor", "nan",
+            "--excite-magnitude", "5", "--weights", "{w}",
+        ),
+        "design-nan-sigma": (
+            "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1", "--sigma", "nan",
+        ),
+        "infer-nan-init-low": (
+            "infer", "onehop", "--excite-node", "0", "--init-low", "nan", "--weights", "{w}",
+        ),
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -367,6 +403,9 @@ class TestCli:
         self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
         (tmp_path / "unknown.cfg").write_text("banana = 3\n")
         (tmp_path / "word.cfg").write_text("n = twelve\n")
+        (tmp_path / "nanfloor.cfg").write_text("weight_floor = nan\ntrial_count = 3\n")
+        (tmp_path / "nanmag.cfg").write_text("excitation_magnitude = nan\ntrial_count = 3\n")
+        (tmp_path / "infinit.cfg").write_text("init_high = inf\ntrial_count = 3\n")
         argv = [a.format(w=w, d=tmp_path) for a in argv]
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
