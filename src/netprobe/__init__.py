@@ -26,6 +26,8 @@ from netprobe.dynamics import (
     Trajectory,
     simulate,
     simulate_trial,
+    simulate_batch,
+    chunk_size,
     deviation_bound,
 )
 from netprobe.detect import (
@@ -45,6 +47,7 @@ from netprobe.infer import (
     NeighborDecision,
     infer_one_hop,
     infer_within_hops,
+    first_hops,
 )
 from netprobe.estimate import (
     EntryConstraint,
@@ -81,6 +84,8 @@ __all__ = [
     "Trajectory",
     "simulate",
     "simulate_trial",
+    "simulate_batch",
+    "chunk_size",
     "deviation_bound",
     "erf",
     "erf_inv",
@@ -96,6 +101,7 @@ __all__ = [
     "NeighborDecision",
     "infer_one_hop",
     "infer_within_hops",
+    "first_hops",
     "EntryConstraint",
     "LsProblem",
     "LsSolution",

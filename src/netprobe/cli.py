@@ -27,7 +27,7 @@ def _write_table(table: harness.ResultTable, out: str | None) -> None:
     elif out.endswith(".csv"):
         table.write_csv(out)
     else:
-        raise SystemExit(f"--out must end in .csv or .json, got {out!r}")
+        raise ValueError(f"--out must end in .csv or .json, got {out!r}")
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
@@ -45,7 +45,7 @@ def _positive_int(text: str) -> int:
 def _load_network(path: str) -> topology.TopologyMatrix:
     tm = topology.load_weights(path)
     if tm.stability is topology.StabilityClass.UNSTABLE:
-        raise SystemExit(f"weight matrix in {path} is spectrally unstable")
+        raise ValueError(f"weight matrix in {path} is spectrally unstable")
     return tm
 
 
@@ -85,9 +85,9 @@ def _cmd_design(args) -> None:
         args.n, noise, row_stochastic=args.row_stochastic
     )
     if not 0.0 < args.error_target < 1.0:
-        raise SystemExit(f"--error-target must lie in (0, 1), got {args.error_target}")
+        raise ValueError(f"--error-target must lie in (0, 1), got {args.error_target}")
     if sigma <= 0.0:
-        raise SystemExit(f"noise std bound must be > 0, got {sigma}")
+        raise ValueError(f"noise std bound must be > 0, got {sigma}")
     print(
         json.dumps(
             {

@@ -1,12 +1,12 @@
 """Experiment runners: designed-excitation accuracy sweeps and LS refinement.
 
 Each runner builds the network from an ``ExperimentConfig``, runs seeded
-independent trials through ``dynamics.simulate_trial``, and returns a
-``ResultTable`` of named rows whose theoretical columns come straight from
-the formulas in :mod:`netprobe.detect`.  Trials draw their randomness from
-seeds spawned deterministically off the master seed in trial order, so
-results are bit-reproducible and trials could execute in any order or in
-parallel.
+independent trials chunk by chunk through ``dynamics.simulate_batch``, and
+returns a ``ResultTable`` of named rows whose theoretical columns come
+straight from the formulas in :mod:`netprobe.detect`.  Trials draw their
+randomness from seeds spawned deterministically off the master seed in
+trial order, so results are bit-reproducible and trials could execute in
+any order or in parallel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from netprobe.topology import (
     rule_weights,
     true_hop_sets,
 )
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate_trial
+from netprobe.dynamics import ExcitationPlan, NoiseModel, chunk_size, simulate_batch
 from netprobe.estimate import (
     LsProblem,
     constrained_estimate,
@@ -35,7 +35,7 @@ from netprobe.estimate import (
     error_metrics,
     ols_estimate,
 )
-from netprobe.infer import infer_one_hop, infer_within_hops
+from netprobe.infer import first_hops, infer_one_hop
 
 
 @dataclass(frozen=True)
@@ -219,11 +219,18 @@ def _network(
     return graph, tm, pick_source_node(graph, depth)
 
 
-def _trials(config: ExperimentConfig, tm: TopologyMatrix, horizon: int, plan: ExcitationPlan):
-    """Observations of each seeded trial, in trial order."""
+def _trials(
+    config: ExperimentConfig, tm: TopologyMatrix, horizon: int, plan: ExcitationPlan, start: int
+):
+    """(chunk, rows, n) observations y_start..y_horizon of the seeded trials, in trial order.
+
+    Only one chunk of trials is held at a time.
+    """
     init, noise = (config.init_low, config.init_high), config.noise()
-    for ss in np.random.SeedSequence(config.seed).spawn(config.trial_count):
-        yield simulate_trial(tm, init, horizon, noise, plan, ss).observations
+    seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
+    size = chunk_size(tm.n, horizon)
+    for first in range(0, len(seeds), size):
+        yield simulate_batch(tm, init, horizon, noise, plan, seeds[first:first + size], start)
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:
@@ -245,23 +252,22 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     guarantee presumes every positive weight reaches the configured floor.
     """
     graph, tm, source = _network(config)
-    truth = true_hop_sets(graph, source, 1).at_hop(1)
-    sigma_bar = config.sigma_bound()
     n, t = config.n, config.burn_in
+    truth = np.zeros(n, dtype=bool)
+    truth[list(true_hop_sets(graph, source, 1).at_hop(1))] = True
+    others = np.arange(n) != source
+    sigma_bar = config.sigma_bound()
 
     rows = []
     for target in config.error_targets:
         e = _onehop_excitation(config, sigma_bar, target)
         pair_ok = 0
         set_ok = 0
-        for y in _trials(config, tm, t + 1, ExcitationPlan(source, t, e)):
-            estimated = infer_one_hop(
-                y[t], y[t + 1], source, e, config.weight_floor, tm.stability
-            ).one_hop()
-            pair_ok += sum(
-                (i in estimated) == (i in truth) for i in range(n) if i != source
-            )
-            set_ok += estimated == truth
+        for y in _trials(config, tm, t + 1, ExcitationPlan(source, t, e), t):
+            estimated = first_hops(y, source, e, config.weight_floor, tm.stability) == 1
+            correct = (estimated == truth)[:, others]
+            pair_ok += int(correct.sum())
+            set_ok += int(correct.all(axis=1).sum())
         decisions = config.trial_count * (n - 1)
         pair_acc = pair_ok / decisions
         rows.append(
@@ -327,10 +333,10 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
 
     t = config.burn_in
     hits = {h: 0 for h in hops}
-    for y in _trials(config, tm, t + config.max_hop, ExcitationPlan(source, t, e)):
-        decision = infer_within_hops(y[t:], source, e, config.weight_floor, tm.stability)
+    for y in _trials(config, tm, t + config.max_hop, ExcitationPlan(source, t, e), t):
+        first = first_hops(y, source, e, config.weight_floor, tm.stability)
         for h in hops:
-            hits[h] += targets[h] in decision.at_hop(h)
+            hits[h] += int((first[:, targets[h]] == h).sum())
 
     rows = []
     for h in hops:
@@ -367,8 +373,8 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     horizon = config.n + 5
 
     rows = []
-    plan = ExcitationPlan(source, horizon, e)
-    for k, y in enumerate(_trials(config, tm, horizon + 1, plan)):
+    chunks = _trials(config, tm, horizon + 1, ExcitationPlan(source, horizon, e), 0)
+    for k, y in enumerate(y for chunk in chunks for y in chunk):
         problem = LsProblem(y[:horizon], y[1:horizon + 1])
         ols = ols_estimate(problem)
         decision = infer_one_hop(

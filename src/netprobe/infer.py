@@ -5,7 +5,8 @@ its absolute observed deviation reaches the natural-drift bound plus half
 the least discriminable h-step influence, weight_floor**h * |e| / 2.
 Equality decides inclusion.  The one-hop test is the case h = 1, and
 repeated excitations average deviations and drift bounds over rounds.  The
-excited node itself is never a candidate.
+excited node itself is never a candidate.  ``first_hops`` applies the rule
+to many trials at once and returns arrays, not decision records.
 """
 
 from __future__ import annotations
@@ -70,6 +71,52 @@ class NeighborDecision:
         return json.dumps(self.to_records(), indent=indent)
 
 
+def _first_hops(
+    deviations: np.ndarray,
+    drift: np.ndarray,
+    source: int,
+    excitation: float,
+    weight_floor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold rule: first hops (trials, n) and thresholds (trials, h).
+
+    ``deviations`` (trials, h, n) and ``drift`` (trials,) belong to one
+    decision per trial.  Node i's first hop is the smallest h where
+    |deviation| >= drift + weight_floor**h * |e| / 2, and 0 where no hop
+    accepts; the source's is always 0.
+    """
+    if excitation == 0.0:
+        raise ValueError("excitation must be nonzero")
+    _, hops, n = deviations.shape
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside 0..{n - 1}")
+    floors = [weight_floor ** h * abs(excitation) / 2.0 for h in range(1, hops + 1)]
+    thresholds = np.add.outer(drift, floors)
+    accepted = np.abs(deviations) >= thresholds[:, :, None]
+    accepted[:, :, source] = False
+    return np.where(accepted.any(axis=1), accepted.argmax(axis=1) + 1, 0), thresholds
+
+
+def first_hops(
+    windows,
+    source: int,
+    excitation: float,
+    weight_floor: float,
+    stability: StabilityClass,
+) -> np.ndarray:
+    """Each trial's first accepting hop per node, shaped (trials, n); 0 = never.
+
+    ``windows`` is (trials, h+1, n): per trial, the observations from the
+    injection step on.  Every trial is decided on its own, as
+    ``infer_within_hops`` decides one window.
+    """
+    y = np.asarray(windows, dtype=float)
+    if y.ndim != 3 or y.shape[1] < 2:
+        raise ValueError("windows must be (trials, h+1, n) with h >= 1")
+    drift = deviation_bound(y[:, 0], stability)
+    return _first_hops(y[:, 1:] - y[:, :1], drift, source, excitation, weight_floor)[0]
+
+
 def _decide(
     windows: np.ndarray,
     source: int,
@@ -80,31 +127,24 @@ def _decide(
     """The threshold rule over (rounds, h+1, n) observation windows.
 
     Row 0 of each round is the snapshot at the injection step.  Drift bounds
-    and deviations are averaged over rounds; node i joins the hop-h estimate
-    at the smallest h where |mean deviation| reaches the mean drift bound
-    plus weight_floor**h * |e| / 2.
+    and deviations are averaged over rounds and decided as one trial.
     """
-    if excitation == 0.0:
-        raise ValueError("excitation must be nonzero")
-    rounds, steps, n = windows.shape
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} outside 0..{n - 1}")
+    rounds, steps, _ = windows.shape
     # sum / rounds is np.mean's arithmetic without its call overhead
-    drift = float(deviation_bound(windows[:, 0], stability).sum() / rounds)
+    drift = deviation_bound(windows[:, 0], stability).sum() / rounds
     deviations = (windows[:, 1:] - windows[:, :1]).sum(axis=0) / rounds
-    thresholds = {h: drift + weight_floor ** h * abs(excitation) / 2.0 for h in range(1, steps)}
-    per_hop: dict[int, frozenset[int]] = {}
-    seen = {source}
-    for h, magnitudes in zip(thresholds, np.abs(deviations)):
-        per_hop[h] = frozenset(np.flatnonzero(magnitudes >= thresholds[h]).tolist()) - seen
-        seen |= per_hop[h]
+    first, thresholds = _first_hops(
+        deviations[None], np.array([drift]), source, excitation, weight_floor
+    )
+    hops = range(1, steps)
+    per_hop = {h: frozenset(np.flatnonzero(first[0] == h).tolist()) for h in hops}
     raw = {
         (i, h): value
-        for h, row in zip(thresholds, deviations.tolist())
+        for h, row in zip(hops, deviations.tolist())
         for i, value in enumerate(row)
         if i != source
     }
-    return NeighborDecision(source, per_hop, raw, thresholds)
+    return NeighborDecision(source, per_hop, raw, dict(zip(hops, thresholds[0].tolist())))
 
 
 def infer_one_hop(

@@ -6,13 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from netprobe import dynamics
 from netprobe.detect import deviation_noise_std
 from netprobe.dynamics import (
     ExcitationPlan,
     NoiseModel,
     Trajectory,
+    chunk_size,
     deviation_bound,
     simulate,
+    simulate_batch,
     simulate_trial,
     write_trajectory_csv,
 )
@@ -57,6 +60,26 @@ class TestSimulate:
         target = np.diag(w @ w.T) + 1.0 + 1.0
         rel = np.abs(samples.var(axis=0, ddof=1) - target) / target
         assert rel.max() <= 0.05
+
+    def test_matches_matrix_vector_recursion(self, tm):
+        # the recursion written out: theta then upsilon drawn by normal(),
+        # the injection added to a copy of the recorded state
+        x0 = np.random.default_rng(2).uniform(-100, 100, 10)
+        plan = ExcitationPlan(3, 4, 9.5)
+        rng = np.random.default_rng(12)
+        theta = rng.normal(0.0, 1.5, size=(8, 10))
+        upsilon = rng.normal(0.0, 0.5, size=(9, 10))
+        states = [x0]
+        for t in range(8):
+            x = states[t].copy()
+            if t == plan.time:
+                x[plan.node] += plan.magnitude
+            states.append(tm.matrix @ x + theta[t])
+        states = np.array(states)
+        traj = simulate(tm, x0, 8, NoiseModel(1.5, 0.5), plan, seed=12)
+        scale = np.abs(states).max()
+        assert np.abs(traj.states - states).max() <= 1e-12 * scale
+        assert np.abs(traj.observations - (states + upsilon)).max() <= 1e-12 * scale
 
     def test_seeded_determinism(self, tm):
         a = simulate(tm, np.ones(10), 20, NoiseModel(1, 1), seed=99)
@@ -125,6 +148,79 @@ class TestSimulateTrial:
     def test_rejects_non_finite_interval(self, tm, init):
         with pytest.raises(ValueError, match="finite"):
             simulate_trial(tm, init, 4, NoiseModel(), seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_batch(tm, init, 4, NoiseModel(), None, [1])
+
+    @pytest.mark.parametrize("init", [(50.0, -50.0), (5.0, 5.0)])
+    def test_rejects_empty_interval(self, tm, init):
+        with pytest.raises(ValueError, match="initial-state interval is empty"):
+            simulate_trial(tm, init, 4, NoiseModel(), seed=1)
+        with pytest.raises(ValueError, match="initial-state interval is empty"):
+            simulate_batch(tm, init, 4, NoiseModel(), None, [1])
+
+
+class TestSimulateBatch:
+    @pytest.fixture(scope="class")
+    def tm_wide(self):
+        # wide enough that a many-row product rounds apart from W @ x
+        return laplacian_weights(generate_random_digraph(120, 0.02, 4), 1.0)
+
+    def test_matches_per_trial_observations(self, tm, tm_wide):
+        seeds = np.random.SeedSequence(3).spawn(11)
+        for net in (tm, tm_wide):
+            plan = ExcitationPlan(1, 20, 40.0)
+            noise = NoiseModel(1.0, 0.5)
+            windows = simulate_batch(net, (-100.0, 100.0), 23, noise, plan, seeds, 20)
+            expected = np.array([
+                simulate_trial(net, (-100.0, 100.0), 23, noise, plan, s)
+                .observations[20:]
+                for s in seeds
+            ])
+            assert windows.shape == (11, 4, net.n)
+            assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_one_trial_is_simulate_trial(self, tm_wide):
+        # one trial steps as one column, the same recursion as ``simulate``
+        plan, noise = ExcitationPlan(3, 4, -7.5), NoiseModel(0.5, 2.0)
+        for start in (0, 5, 9):
+            window = simulate_batch(tm_wide, (-3.0, 9.0), 9, noise, plan, [8], start)
+            traj = simulate_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8)
+            assert np.array_equal(window[0], traj.observations[start:])
+
+    def test_chunks_give_the_same_rows(self, tm_wide):
+        # 13 trials as chunks of 5, 5 and 3 against one call
+        seeds = np.random.SeedSequence(21).spawn(13)
+        args = (tm_wide, (-100.0, 100.0), 12, NoiseModel(), ExcitationPlan(0, 10, 25.0))
+        whole = simulate_batch(*args, seeds, 10)
+        parts = np.concatenate([simulate_batch(*args, seeds[i:i + 5], 10) for i in (0, 5, 10)])
+        assert np.abs(parts - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    def test_draws_match_normal(self):
+        # standard_normal scaled in place draws what normal(0, sigma) draws
+        for sigma in (1.7, 1.0, 0.0):
+            want = np.random.default_rng(5).normal(0.0, sigma, (6, 4))
+            got = np.empty((6, 4))
+            dynamics._normal(np.random.default_rng(5), sigma, got)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_chunk_size_from_byte_budget(self):
+        assert chunk_size(300, 53) == 8
+        assert chunk_size(20, 51) == 128
+        assert chunk_size(300, 10**6) == 1
+        assert chunk_size(20, 51) * 8 * 51 * 20 <= dynamics.CHUNK_BYTES
+
+    def test_rejects_bad_inputs(self, tm):
+        args = (tm, (-1.0, 1.0))
+        with pytest.raises(ValueError, match="first kept step"):
+            simulate_batch(*args, 5, NoiseModel(), None, [1], 6)
+        with pytest.raises(ValueError):
+            simulate_batch(*args, 0, NoiseModel(), None, [1])
+        with pytest.raises(ValueError):
+            simulate_batch(*args, 5, NoiseModel(), ExcitationPlan(0, 5, 1.0), [1])
+        with pytest.raises(ValueError):
+            simulate_batch(*args, 5, NoiseModel(), ExcitationPlan(99, 2, 1.0), [1])
+        assert simulate_batch(*args, 5, NoiseModel(), None, [], 2).shape == (0, 4, 10)
 
 
 class TestDeviationBound:
@@ -175,12 +271,14 @@ class TestObservationDeviation:
         noise = NoiseModel(1.0, 1.0)
         target = deviation_noise_std(tm_small, i, h, noise) ** 2
         gh = np.linalg.matrix_power(tm_small.matrix, h)
-        x0 = np.full(6, 2.0)
-        samples = np.empty(10**5)
-        for s in range(10**5):
-            traj = simulate(tm_small, x0, h, noise, seed=s)
-            y0 = traj.observations[0]
-            samples[s] = (traj.observations[h, i] - y0[i]) - ((gh @ y0)[i] - y0[i])
+        seeds = range(10**5)
+        size = chunk_size(6, h)
+        y = np.concatenate([
+            simulate_batch(tm_small, (1.0, 3.0), h, noise, None, seeds[k:k + size])
+            for k in range(0, len(seeds), size)
+        ])
+        y0 = y[:, 0]
+        samples = (y[:, h, i] - y0[:, i]) - ((y0 @ gh.T)[:, i] - y0[:, i])
         assert abs(samples.var(ddof=1) - target) / target <= 0.05
 
 

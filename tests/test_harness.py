@@ -7,7 +7,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from netprobe import cli, detect
+from netprobe import cli, detect, dynamics
+from netprobe.dynamics import ExcitationPlan, simulate_trial
 from netprobe.harness import (
     ExperimentConfig,
     ResultTable,
@@ -19,10 +20,18 @@ from netprobe.harness import (
     run_multihop_accuracy,
     run_onehop_accuracy,
 )
-from netprobe.topology import generate_random_digraph, load_weights
+from netprobe.infer import infer_one_hop, infer_within_hops
+from netprobe.topology import generate_random_digraph, load_weights, true_hop_sets
 
 
 SMALL = ExperimentConfig(trial_count=20)
+
+
+def per_trial_observations(config, tm, horizon, plan):
+    """Each seeded trial simulated on its own, as the batch engine's oracle."""
+    init, noise = (config.init_low, config.init_high), config.noise()
+    for ss in np.random.SeedSequence(config.seed).spawn(config.trial_count):
+        yield simulate_trial(tm, init, horizon, noise, plan, ss).observations
 
 
 class TestConfig:
@@ -241,6 +250,54 @@ class TestRunners:
             with pytest.raises(ValueError, match="weight_floor"):
                 runner(config)
 
+    def test_onehop_counts_match_per_trial_decisions(self):
+        config = replace(SMALL, trial_count=30)
+        graph, tm = config.build_network()
+        source = pick_source_node(graph)
+        truth = true_hop_sets(graph, source, 1).at_hop(1)
+        t = config.burn_in
+        for row in run_onehop_accuracy(config).as_dicts():
+            e = row["excitation"]
+            pair_ok = set_ok = 0
+            for y in per_trial_observations(config, tm, t + 1, ExcitationPlan(source, t, e)):
+                estimated = infer_one_hop(
+                    y[t], y[t + 1], source, e, config.weight_floor, tm.stability
+                ).one_hop()
+                pair_ok += sum((i in estimated) == (i in truth) for i in range(20) if i != source)
+                set_ok += estimated == truth
+            assert row["pair_accuracy"] == pair_ok / row["decision_count"]
+            assert row["set_accuracy"] == set_ok / config.trial_count
+
+    def test_multihop_counts_match_per_trial_decisions(self):
+        # a sub-critical input, so that some placements miss
+        config = replace(SMALL, trial_count=40, excitation_scale=0.5)
+        graph, tm = config.build_network()
+        source = pick_source_node(graph, config.max_hop)
+        rows = run_multihop_accuracy(config).as_dicts()
+        e, t = rows[0]["excitation"], config.burn_in
+        hits = {row["hop"]: 0 for row in rows}
+        plan = ExcitationPlan(source, t, e)
+        for y in per_trial_observations(config, tm, t + config.max_hop, plan):
+            decision = infer_within_hops(y[t:], source, e, config.weight_floor, tm.stability)
+            for row in rows:
+                hits[row["hop"]] += row["target_node"] in decision.at_hop(row["hop"])
+        assert [row["empirical_probability"] for row in rows] == [
+            hits[row["hop"]] / config.trial_count for row in rows
+        ]
+        assert any(0 < hits[h] < config.trial_count for h in hits)
+
+    def test_tables_do_not_depend_on_chunk_size(self, monkeypatch):
+        # 13 trials: one chunk by default; chunks of 3, 2 and 5 for fig1a/b/c here
+        config = replace(SMALL, trial_count=13, excitation_scale=0.5)
+        runners = (run_onehop_accuracy, run_multihop_accuracy, run_ls_improvement)
+        whole = [runner(config) for runner in runners]
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * 20)
+        assert dynamics.chunk_size(20, 51) == 3
+        chunked = [runner(config) for runner in runners]
+        assert chunked[:2] == whole[:2]
+        for a, b in zip(chunked[2].rows, whole[2].rows):
+            assert a == pytest.approx(b, rel=1e-12)
+
     def test_default_config_trial_counts(self):
         assert default_config("fig1a").trial_count == 1000
         assert default_config("fig1c").trial_count == 50
@@ -395,6 +452,21 @@ class TestCli:
         "infer-nan-init-low": (
             "infer", "onehop", "--excite-node", "0", "--init-low", "nan", "--weights", "{w}",
         ),
+        "design-error-target-above-one": (
+            "design-excitation", "--weight-floor", "0.5", "--error-target", "1.5",
+        ),
+        "design-zero-sigma": (
+            "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1", "--sigma", "0",
+        ),
+        "unstable-weights": ("simulate", "--weights", "{d}/unstable.txt", "--out", "{d}/t.csv"),
+        "experiment-odd-extension": ("experiment", "fig1a", "--trials", "2", "--out", "{d}/r.xml"),
+        "simulate-reversed-init": (
+            "simulate", "--steps", "2", "--init-low", "50", "--init-high", "-50",
+            "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "estimate-empty-init": (
+            "estimate", "ols", "--init-low", "5", "--init-high", "5", "--weights", "{w}",
+        ),
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -406,10 +478,29 @@ class TestCli:
         (tmp_path / "nanfloor.cfg").write_text("weight_floor = nan\ntrial_count = 3\n")
         (tmp_path / "nanmag.cfg").write_text("excitation_magnitude = nan\ntrial_count = 3\n")
         (tmp_path / "infinit.cfg").write_text("init_high = inf\ntrial_count = 3\n")
+        (tmp_path / "unstable.txt").write_text("2\n0 2\n2 0\n")
         argv = [a.format(w=w, d=tmp_path) for a in argv]
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert str(info.value.code).startswith(f"netprobe {argv[0]}: ")
+
+    def test_error_messages_name_the_cause(self, tmp_path):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        for argv, message in (
+            (
+                ["design-excitation", "--weight-floor", "0.5", "--error-target", "1.5"],
+                "netprobe design-excitation: --error-target must lie in (0, 1), got 1.5",
+            ),
+            (
+                ["simulate", "--steps", "2", "--init-low", "50", "--init-high", "-50",
+                 "--weights", str(w), "--out", str(tmp_path / "t.csv")],
+                "netprobe simulate: initial-state interval is empty",
+            ),
+        ):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert str(info.value.code).startswith(message)
 
     def test_estimate_constrained(self, tmp_path, capsys):
         w = tmp_path / "w.txt"

@@ -8,7 +8,7 @@ import pytest
 
 from netprobe.detect import critical_excitation, multi_excitation_bound
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
-from netprobe.infer import infer_one_hop, infer_within_hops
+from netprobe.infer import first_hops, infer_one_hop, infer_within_hops
 from netprobe.topology import (
     StabilityClass,
     WeightedDigraph,
@@ -209,6 +209,52 @@ class TestInferMultiExcitation:
             infer_one_hop(np.zeros((2, 3)), np.zeros((1, 3)), 0, 5.0, 0.4, MARGINAL)
         with pytest.raises(ValueError):
             infer_one_hop(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), 0, 5.0, 0.4, MARGINAL)
+
+
+class TestFirstHops:
+    """The array rule: one decision per trial, as ``infer_within_hops`` makes it."""
+
+    def windows(self):
+        # quarter-integer observations keep every deviation and threshold exact
+        rng = np.random.default_rng(17)
+        y = rng.integers(-40, 41, size=(60, 4, 9)) / 4.0
+        # trial 0: node 3 deviates at hop 2 by exactly drift + 0.5**2 * 8 / 2
+        drift = y[0, 0].max() - y[0, 0].min()
+        y[0, 1:, 3] = y[0, 0, 3]
+        y[0, 2, 3] = y[0, 0, 3] + drift + 0.5 ** 2 * 8.0 / 2.0
+        return y
+
+    @pytest.mark.parametrize("stability", [MARGINAL, StabilityClass.ASYMPTOTICALLY_STABLE])
+    def test_matches_per_trial_decisions(self, stability):
+        y = self.windows()
+        first = first_hops(y, 2, 8.0, 0.5, stability)
+        assert first.shape == (60, 9)
+        for k, window in enumerate(y):
+            decision = infer_within_hops(window, 2, 8.0, 0.5, stability)
+            for h in (1, 2, 3):
+                assert set(np.flatnonzero(first[k] == h)) == decision.at_hop(h)
+            one = infer_one_hop(window[0], window[1], 2, 8.0, 0.5, stability).one_hop()
+            one_hop_first = first_hops(y[k:k + 1, :2], 2, 8.0, 0.5, stability)[0]
+            assert set(np.flatnonzero(one_hop_first == 1)) == one
+        assert (first[:, 2] == 0).all()
+        assert 1 <= (first == 0).sum() < first.size
+
+    def test_tie_counts_as_inclusion(self):
+        y = self.windows()
+        assert first_hops(y, 2, 8.0, 0.5, MARGINAL)[0, 3] == 2
+        assert infer_within_hops(y[0], 2, 8.0, 0.5, MARGINAL).at_hop(2) >= {3}
+        y[0, 2, 3] -= 2.0 ** -40
+        assert first_hops(y, 2, 8.0, 0.5, MARGINAL)[0, 3] != 2
+
+    def test_validation(self):
+        for bad in (np.zeros((3, 3)), np.zeros((2, 1, 3)), np.zeros((2, 2, 3, 1))):
+            with pytest.raises(ValueError):
+                first_hops(bad, 0, 8.0, 0.5, MARGINAL)
+        with pytest.raises(ValueError, match="nonzero"):
+            first_hops(np.zeros((2, 2, 3)), 0, 0.0, 0.5, MARGINAL)
+        for source in (-1, 3):
+            with pytest.raises(ValueError):
+                first_hops(np.zeros((2, 2, 3)), source, 8.0, 0.5, MARGINAL)
 
 
 class TestDecisionRecords:
