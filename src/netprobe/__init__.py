@@ -7,6 +7,8 @@ observed deviations.  It also refines global least-squares estimates of W
 with the edge constraints obtained from an excitation round.
 """
 
+from types import ModuleType as _ModuleType
+
 from netprobe.topology import (
     StabilityClass,
     WeightedDigraph,
@@ -68,53 +70,9 @@ from netprobe.harness import (
 )
 
 __all__ = [
-    "StabilityClass",
-    "WeightedDigraph",
-    "TopologyMatrix",
-    "HopSets",
-    "generate_random_digraph",
-    "laplacian_weights",
-    "metropolis_weights",
-    "rule_weights",
-    "scale_to_asymptotic",
-    "classify_stability",
-    "true_hop_sets",
-    "NoiseModel",
-    "ExcitationPlan",
-    "Trajectory",
-    "simulate",
-    "simulate_trial",
-    "simulate_batch",
-    "chunk_size",
-    "deviation_bound",
-    "erf",
-    "erf_inv",
-    "deviation_noise_bound",
-    "deviation_noise_std",
-    "critical_excitation",
-    "applied_excitation",
-    "misjudgement_probability",
-    "false_alarm_probability",
-    "detection_probability",
-    "hop_inference_lower_bound",
-    "multi_excitation_bound",
-    "NeighborDecision",
-    "infer_one_hop",
-    "infer_within_hops",
-    "first_hops",
-    "EntryConstraint",
-    "LsProblem",
-    "LsSolution",
-    "ErrorMetrics",
-    "ols_estimate",
-    "constrained_estimate",
-    "error_metrics",
-    "constraints_from_decision",
-    "ExperimentConfig",
-    "ResultTable",
-    "run_onehop_accuracy",
-    "run_multihop_accuracy",
-    "run_ls_improvement",
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
 
 __version__ = "0.1.0"

@@ -174,7 +174,7 @@ def _cmd_estimate(args) -> None:
         decision = infer.infer_one_hop(
             y[horizon], y[horizon + 1], args.excite_node, e, floor, tm.stability
         )
-        constraints = estimate.constraints_from_decision(decision, tm.n)
+        constraints = estimate.constraints_from_decision(decision)
         if args.constraints_out:
             estimate.save_constraints(args.constraints_out, constraints)
     problem = estimate.LsProblem(y[:horizon], y[1:horizon + 1], constraints)

@@ -47,6 +47,8 @@ class ExcitationPlan:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("excitation time must be >= 0")
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"excitation magnitude must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)

@@ -226,20 +226,18 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray, sign_tol: float = 1e-
     return ErrorMetrics(structure, magnitude)
 
 
-def constraints_from_decision(decision: NeighborDecision, n: int) -> dict[tuple[int, int], EntryConstraint]:
+def constraints_from_decision(decision: NeighborDecision) -> dict[tuple[int, int], EntryConstraint]:
     """Column constraints for the excited node from a one-hop decision.
 
     Accepted nodes force W[i, source] nonnegative-active, rejected nodes
     force it to zero; the diagonal entry stays free.
     """
     j = decision.source
-    accepted = decision.one_hop()
-    out: dict[tuple[int, int], EntryConstraint] = {}
-    for i in range(n):
-        if i == j:
-            continue
-        out[(i, j)] = EntryConstraint.POSITIVE if i in accepted else EntryConstraint.ZERO
-    return out
+    return {
+        (i, j): EntryConstraint.POSITIVE if hop == 1 else EntryConstraint.ZERO
+        for i, hop in enumerate(decision.first_hop.tolist())
+        if i != j
+    }
 
 
 def save_constraints(path, constraints: dict[tuple[int, int], EntryConstraint]) -> None:
@@ -248,15 +246,3 @@ def save_constraints(path, constraints: dict[tuple[int, int], EntryConstraint]) 
         for (i, j), kind in sorted(constraints.items()):
             if kind is not EntryConstraint.FREE:
                 fh.write(f"{i} {j} {kind.value}\n")
-
-
-def load_constraints(path) -> dict[tuple[int, int], EntryConstraint]:
-    out: dict[tuple[int, int], EntryConstraint] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            si, sj, kind = line.split()
-            out[(int(si), int(sj))] = EntryConstraint(kind)
-    return out

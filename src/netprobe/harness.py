@@ -380,7 +380,7 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
         decision = infer_one_hop(
             y[horizon], y[horizon + 1], source, e, config.weight_floor, tm.stability
         )
-        constraints = constraints_from_decision(decision, config.n)
+        constraints = constraints_from_decision(decision)
         constrained = constrained_estimate(replace(problem, constraints=constraints))
         m_ols = error_metrics(ols.matrix, tm.matrix)
         m_con = error_metrics(constrained.matrix, tm.matrix)
@@ -440,9 +440,9 @@ def _parse_value(text: str, annotation: str):
 def load_config(path, **overrides) -> ExperimentConfig:
     """Read a flat ``key = value`` config file; '#' starts a comment line.
 
-    Unknown keys are rejected; ``error_targets`` takes comma- or space-
-    separated values; ``none`` clears an optional field.  Keyword overrides
-    win over file values.
+    Unknown and repeated keys are rejected; ``error_targets`` takes comma-
+    or space-separated values; ``none`` clears an optional field.  Keyword
+    overrides win over file values.
     """
     annotations = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict = {}
@@ -457,6 +457,8 @@ def load_config(path, **overrides) -> ExperimentConfig:
             key = key.strip()
             if key not in annotations:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             values[key] = _parse_value(raw, annotations[key])
     values.update(overrides)
     return ExperimentConfig(**values)

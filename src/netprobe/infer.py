@@ -6,66 +6,73 @@ the least discriminable h-step influence, weight_floor**h * |e| / 2.
 Equality decides inclusion.  The one-hop test is the case h = 1, and
 repeated excitations average deviations and drift bounds over rounds.  The
 excited node itself is never a candidate.  ``first_hops`` applies the rule
-to many trials at once and returns arrays, not decision records.
+to many trials at once and returns only their first-hop arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from netprobe.topology import StabilityClass
+from netprobe.topology import StabilityClass, _frozen
 from netprobe.dynamics import deviation_bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborDecision:
-    """Per-hop estimated neighbor sets with the evidence behind them.
+    """One excitation's neighbor decisions with the evidence behind them.
 
-    ``estimated_per_hop`` maps hop h to the nodes first accepted at h, so the
-    sets are pairwise disjoint; ``raw_deviations`` maps (node, hop) to the
-    observed deviation; ``thresholds`` maps hop to the acceptance threshold.
+    ``first_hop[i]`` is the hop at which node i was first accepted, 0 when
+    no hop accepted it (always 0 for the excited node); ``deviations[h-1]``
+    holds every node's observed hop-h deviation; ``thresholds`` maps hop to
+    the acceptance threshold.  Both arrays are read-only.
     """
 
     source: int
-    estimated_per_hop: dict[int, frozenset[int]]
-    raw_deviations: dict[tuple[int, int], float] = field(default_factory=dict)
-    thresholds: dict[int, float] = field(default_factory=dict)
+    first_hop: np.ndarray
+    deviations: np.ndarray
+    thresholds: dict[int, float]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for h, members in sorted(self.estimated_per_hop.items()):
-            if self.source in members:
-                raise ValueError("estimated sets must exclude the excited node")
-            if members & seen:
-                raise ValueError("per-hop estimates must be pairwise disjoint")
-            seen |= members
+        object.__setattr__(self, "first_hop", _frozen(self.first_hop))
+        object.__setattr__(self, "deviations", _frozen(self.deviations))
+        if self.first_hop[self.source]:
+            raise ValueError("estimated sets must exclude the excited node")
+
+    def __eq__(self, other) -> bool:
+        """Equal when the records are: same source, members, thresholds and tested deviations."""
+        return isinstance(other, NeighborDecision) and self.to_records() == other.to_records()
+
+    @property
+    def raw_deviations(self) -> Mapping[tuple[int, int], float]:
+        """Observed deviation per (node, hop), the excited node left out."""
+        rows = enumerate(self.deviations.tolist(), start=1)
+        pairs = {(i, h): v for h, row in rows for i, v in enumerate(row) if i != self.source}
+        return MappingProxyType(pairs)
 
     def at_hop(self, h: int) -> frozenset[int]:
-        return self.estimated_per_hop.get(h, frozenset())
+        return frozenset(np.flatnonzero(self.first_hop == h).tolist()) if h > 0 else frozenset()
 
     def one_hop(self) -> frozenset[int]:
         return self.at_hop(1)
 
     def to_records(self) -> list[dict]:
         """One record per hop: {source, hop, members, threshold, deviations}."""
-        records = []
-        for h in sorted(self.estimated_per_hop):
-            deviations = {
-                str(i): dev for (i, hh), dev in self.raw_deviations.items() if hh == h
+        return [
+            {
+                "source": self.source,
+                "hop": h,
+                "members": sorted(self.at_hop(h)),
+                "threshold": self.thresholds[h],
+                "deviations": {str(i): dev for i, dev in enumerate(row) if i != self.source},
             }
-            records.append(
-                {
-                    "source": self.source,
-                    "hop": h,
-                    "members": sorted(self.estimated_per_hop[h]),
-                    "threshold": self.thresholds.get(h),
-                    "deviations": deviations,
-                }
-            )
-        return records
+            for h, row in enumerate(self.deviations.tolist(), start=1)
+        ]
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_records(), indent=indent)
@@ -85,8 +92,8 @@ def _first_hops(
     |deviation| >= drift + weight_floor**h * |e| / 2, and 0 where no hop
     accepts; the source's is always 0.
     """
-    if excitation == 0.0:
-        raise ValueError("excitation must be nonzero")
+    if excitation == 0.0 or not math.isfinite(excitation):
+        raise ValueError(f"excitation must be finite and nonzero, got {excitation}")
     _, hops, n = deviations.shape
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside 0..{n - 1}")
@@ -129,22 +136,14 @@ def _decide(
     Row 0 of each round is the snapshot at the injection step.  Drift bounds
     and deviations are averaged over rounds and decided as one trial.
     """
-    rounds, steps, _ = windows.shape
+    rounds = windows.shape[0]
     # sum / rounds is np.mean's arithmetic without its call overhead
     drift = deviation_bound(windows[:, 0], stability).sum() / rounds
     deviations = (windows[:, 1:] - windows[:, :1]).sum(axis=0) / rounds
     first, thresholds = _first_hops(
         deviations[None], np.array([drift]), source, excitation, weight_floor
     )
-    hops = range(1, steps)
-    per_hop = {h: frozenset(np.flatnonzero(first[0] == h).tolist()) for h in hops}
-    raw = {
-        (i, h): value
-        for h, row in zip(hops, deviations.tolist())
-        for i, value in enumerate(row)
-        if i != source
-    }
-    return NeighborDecision(source, per_hop, raw, dict(zip(hops, thresholds[0].tolist())))
+    return NeighborDecision(source, first[0], deviations, dict(enumerate(thresholds[0].tolist(), 1)))
 
 
 def infer_one_hop(

@@ -54,9 +54,6 @@ class WeightedDigraph:
     def in_degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def in_neighbors(self, node: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.adjacency[node]).tolist())
-
     def out_neighbors(self, node: int) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.adjacency[:, node]).tolist())
 
@@ -285,10 +282,6 @@ def load_matrix(path) -> np.ndarray:
 
 def save_adjacency(path, graph: WeightedDigraph) -> None:
     save_matrix(path, graph.adjacency, integer=True)
-
-
-def load_adjacency(path) -> WeightedDigraph:
-    return WeightedDigraph(load_matrix(path).astype(np.int64))
 
 
 def save_weights(path, tm: TopologyMatrix) -> None:

@@ -15,7 +15,6 @@ from netprobe.estimate import (
     constraints_from_decision,
     error_metrics,
     _nonneg_row_lstsq,
-    load_constraints,
     ols_estimate,
     save_constraints,
 )
@@ -323,7 +322,7 @@ class TestConstraintPlumbing:
             np.zeros(4), np.array([0.0, 5.0, 0.1, 5.0]), 0, 4.0, 0.5,
             StabilityClass.MARGINALLY_STABLE,
         )
-        constraints = constraints_from_decision(decision, 4)
+        constraints = constraints_from_decision(decision)
         assert constraints[(1, 0)] is POS
         assert constraints[(3, 0)] is POS
         assert constraints[(2, 0)] is ZERO
@@ -333,8 +332,7 @@ class TestConstraintPlumbing:
         constraints = {(0, 1): POS, (2, 1): ZERO, (3, 1): FREE}
         path = tmp_path / "cons.txt"
         save_constraints(path, constraints)
-        loaded = load_constraints(path)
-        assert loaded == {(0, 1): POS, (2, 1): ZERO}
+        assert path.read_text() == "0 1 pos\n2 1 zero\n"
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):

@@ -428,6 +428,7 @@ class TestCli:
         "experiment-zero-trials": ("experiment", "fig1a", "--trials", "0"),
         "config-unknown-key": ("experiment", "fig1a", "--config", "{d}/unknown.cfg"),
         "config-word-for-int": ("experiment", "fig1a", "--config", "{d}/word.cfg"),
+        "config-duplicate-key": ("experiment", "fig1a", "--config", "{d}/twice.cfg"),
         "missing-weights-file": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/none.txt"),
         "missing-config-file": ("experiment", "fig1a", "--config", "{d}/none.cfg"),
         "config-nan-weight-floor": ("experiment", "fig1b", "--config", "{d}/nanfloor.cfg"),
@@ -435,6 +436,19 @@ class TestCli:
         "config-inf-init-high": ("experiment", "fig1b", "--config", "{d}/infinit.cfg"),
         "simulate-inf-init-high": (
             "simulate", "--steps", "5", "--init-high", "inf", "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "simulate-nan-magnitude": (
+            "simulate", "--steps", "5", "--excite-node", "1", "--excite-time", "2",
+            "--excite-magnitude", "nan", "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "infer-nan-magnitude": (
+            "infer", "onehop", "--excite-node", "0", "--excite-magnitude", "nan", "--weights", "{w}",
+        ),
+        "infer-inf-magnitude": (
+            "infer", "onehop", "--excite-node", "0", "--excite-magnitude", "inf", "--weights", "{w}",
+        ),
+        "estimate-nan-magnitude": (
+            "estimate", "constrained", "--excite-magnitude", "nan", "--weights", "{w}",
         ),
         "simulate-nan-sigma": (
             "simulate", "--steps", "5", "--sigma-theta", "nan", "--weights", "{w}", "--out", "{d}/t.csv",
@@ -478,6 +492,7 @@ class TestCli:
         (tmp_path / "nanfloor.cfg").write_text("weight_floor = nan\ntrial_count = 3\n")
         (tmp_path / "nanmag.cfg").write_text("excitation_magnitude = nan\ntrial_count = 3\n")
         (tmp_path / "infinit.cfg").write_text("init_high = inf\ntrial_count = 3\n")
+        (tmp_path / "twice.cfg").write_text("n = 12\nn = 14\ntrial_count = 3\n")
         (tmp_path / "unstable.txt").write_text("2\n0 2\n2 0\n")
         argv = [a.format(w=w, d=tmp_path) for a in argv]
         with pytest.raises(SystemExit) as info:
@@ -487,7 +502,13 @@ class TestCli:
     def test_error_messages_name_the_cause(self, tmp_path):
         w = tmp_path / "w.txt"
         self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        twice = tmp_path / "twice.cfg"
+        twice.write_text("n = 12\nn = 14\n")
         for argv, message in (
+            (
+                ["experiment", "fig1a", "--config", str(twice)],
+                f"netprobe experiment: {twice}:2: duplicate config key 'n'",
+            ),
             (
                 ["design-excitation", "--weight-floor", "0.5", "--error-target", "1.5"],
                 "netprobe design-excitation: --error-target must lie in (0, 1), got 1.5",

@@ -209,6 +209,9 @@ class TestInferMultiExcitation:
             infer_one_hop(np.zeros((2, 3)), np.zeros((1, 3)), 0, 5.0, 0.4, MARGINAL)
         with pytest.raises(ValueError):
             infer_one_hop(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), 0, 5.0, 0.4, MARGINAL)
+        for e in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                infer_one_hop(np.zeros((1, 3)), np.zeros((1, 3)), 0, e, 0.4, MARGINAL)
 
 
 class TestFirstHops:
@@ -252,6 +255,8 @@ class TestFirstHops:
                 first_hops(bad, 0, 8.0, 0.5, MARGINAL)
         with pytest.raises(ValueError, match="nonzero"):
             first_hops(np.zeros((2, 2, 3)), 0, 0.0, 0.5, MARGINAL)
+        with pytest.raises(ValueError, match="finite"):
+            first_hops(np.zeros((2, 2, 3)), 0, math.nan, 0.5, MARGINAL)
         for source in (-1, 3):
             with pytest.raises(ValueError):
                 first_hops(np.zeros((2, 2, 3)), source, 8.0, 0.5, MARGINAL)
@@ -265,6 +270,31 @@ class TestDecisionRecords:
         assert record["hop"] == 1
         assert record["members"] == [1]
         assert set(record["deviations"]) == {"1", "2"}
+
+    def test_first_hop_array_agrees_with_hop_sets(self):
+        y = TestFirstHops().windows()[0]
+        decision = infer_within_hops(y, 2, 8.0, 0.5, MARGINAL)
+        assert decision.first_hop.shape == (9,) and decision.deviations.shape == (3, 9)
+        assert decision.first_hop[3] == 2
+        for h in (1, 2, 3):
+            assert decision.at_hop(h) == set(np.flatnonzero(decision.first_hop == h))
+        accepted = set().union(*map(decision.at_hop, (1, 2, 3)))
+        assert accepted == set(np.flatnonzero(decision.first_hop)) and 2 not in accepted
+
+    def test_raw_deviations_cover_every_tested_pair(self):
+        for hops, n in ((1, 4), (3, 9)):
+            y = np.arange((hops + 1) * n, dtype=float).reshape(hops + 1, n)
+            decision = infer_within_hops(y, 1, 8.0, 0.5, MARGINAL)
+            assert len(decision.raw_deviations) == hops * (n - 1)
+            assert decision.raw_deviations[(0, hops)] == decision.deviations[hops - 1, 0]
+
+    def test_arrays_read_only(self):
+        decision = infer_one_hop(np.zeros(3), np.array([0.0, 2.0, 0.1]), 0, 4.0, 0.5, MARGINAL)
+        for array in (decision.first_hop, decision.deviations):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(TypeError):
+            decision.raw_deviations[(1, 1)] = 0.0
 
     def test_json_round_trip(self):
         decision = infer_one_hop(np.zeros(3), np.array([0.0, 2.0, 0.1]), 0, 4.0, 0.5, MARGINAL)
