@@ -13,7 +13,6 @@ from netprobe.topology import (
     StabilityClass,
     WeightedDigraph,
     TopologyMatrix,
-    HopSets,
     generate_random_digraph,
     laplacian_weights,
     metropolis_weights,

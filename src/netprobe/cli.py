@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -124,11 +125,19 @@ def _decision_out(decision: infer.NeighborDecision, out: str | None) -> None:
 
 
 def _trial_setup(args):
-    """Network, weight floor, noise and applied magnitude for infer and estimate."""
+    """Network, weight floor, noise and applied magnitude for infer and estimate.
+
+    The excited node and magnitude are checked here for every mode, also
+    for those that never inject.
+    """
     tm = _load_network(args.weights)
     floor = _weight_floor(args, tm)
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
+    if not 0 <= args.excite_node < tm.n:
+        raise ValueError(f"excited node {args.excite_node} outside 0..{tm.n - 1}")
     e = args.excite_magnitude
+    if e is not None and not math.isfinite(e):
+        raise ValueError(f"excitation magnitude must be finite, got {e}")
     if e is None:
         sigma = detect.deviation_noise_bound(tm.n, noise, row_stochastic=True)
         e = detect.applied_excitation(detect.critical_excitation(sigma, floor, args.error_target))
@@ -160,9 +169,11 @@ def _cmd_infer(args) -> None:
 
 
 def _cmd_estimate(args) -> None:
+    constrained = args.mode == "constrained"
+    if args.constraints_out and not constrained:
+        raise ValueError("--constraints-out needs constrained mode")
     tm, floor, noise, e = _trial_setup(args)
     horizon = args.pairs
-    constrained = args.mode == "constrained"
     plan = ExcitationPlan(args.excite_node, horizon, e) if constrained else None
     # the constrained run also observes the step after its injection
     steps = horizon + 1 if constrained else horizon

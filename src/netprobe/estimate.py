@@ -20,6 +20,9 @@ import numpy as np
 from netprobe.infer import NeighborDecision
 from netprobe.topology import _frozen
 
+# Entries within this distance of zero count as zero in the structure error.
+SIGN_TOL = 1e-6
+
 
 class EntryConstraint(enum.Enum):
     FREE = "free"
@@ -200,13 +203,13 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
     return LsSolution(w, int(rank), int(rank) < problem.n)
 
 
-def _thresholded_sign(m: np.ndarray, tol: float) -> np.ndarray:
+def _thresholded_sign(m: np.ndarray) -> np.ndarray:
     s = np.sign(m)
-    s[np.abs(m) <= tol] = 0.0
+    s[np.abs(m) <= SIGN_TOL] = 0.0
     return s
 
 
-def error_metrics(estimate: np.ndarray, truth: np.ndarray, sign_tol: float = 1e-6) -> ErrorMetrics:
+def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> ErrorMetrics:
     """Structure and magnitude errors of an estimated interaction matrix.
 
     The structure error counts entries whose thresholded sign differs from
@@ -220,7 +223,7 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray, sign_tol: float = 1e-
     denom = float(np.linalg.norm(tru))
     if denom == 0.0:
         raise ValueError("truth matrix must be nonzero")
-    mismatches = (_thresholded_sign(est, sign_tol) != _thresholded_sign(tru, sign_tol)).sum()
+    mismatches = (_thresholded_sign(est) != _thresholded_sign(tru)).sum()
     structure = float(mismatches) / est.size
     magnitude = float(np.linalg.norm(est - tru)) / denom
     return ErrorMetrics(structure, magnitude)

@@ -134,9 +134,6 @@ class ResultTable:
     def columns(self) -> tuple[str, ...]:
         return tuple(self.rows[0]) if self.rows else ()
 
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
-
     def as_dicts(self) -> list[dict]:
         return [dict(row) for row in self.rows]
 
@@ -179,22 +176,17 @@ def pick_source_node(graph: WeightedDigraph, max_hop: int = 1) -> int:
 
     For one-hop runs (max_hop 1): the smallest-index node with the fewest
     (but at least one) out-neighbors, mirroring a probe of one monitored
-    connection.  For deeper runs: the smallest-index node with nonempty hop
-    sets all the way to max_hop.
+    connection.  For deeper runs: the smallest-index node that reaches some
+    node at hop max_hop (BFS levels are contiguous, so every hop below is
+    reached too).
     """
-    n = graph.n
     if max_hop == 1:
-        eligible = [
-            (len(graph.out_neighbors(j)), j)
-            for j in range(n)
-            if graph.out_neighbors(j)
-        ]
-        if not eligible:
+        out_degrees = graph.adjacency.sum(axis=0)
+        if not out_degrees.any():
             raise ValueError("graph has no edges")
-        return min(eligible)[1]
-    for j in range(n):
-        hs = true_hop_sets(graph, j, max_hop)
-        if all(hs.at_hop(h) for h in range(1, max_hop + 1)):
+        return int(np.where(out_degrees > 0, out_degrees, graph.n).argmin())
+    for j in range(graph.n):
+        if true_hop_sets(graph, j, max_hop).max() == max_hop:
             return j
     raise ValueError(f"no node reaches depth {max_hop}; use a denser graph")
 
@@ -253,8 +245,7 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     """
     graph, tm, source = _network(config)
     n, t = config.n, config.burn_in
-    truth = np.zeros(n, dtype=bool)
-    truth[list(true_hop_sets(graph, source, 1).at_hop(1))] = True
+    truth = true_hop_sets(graph, source, 1) == 1
     others = np.arange(n) != source
     sigma_bar = config.sigma_bound()
 
@@ -285,19 +276,6 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     return ResultTable(rows)
 
 
-def _positive_gain_range(w: np.ndarray, target: int, source: int, max_hop: int) -> tuple[float, float]:
-    """Min/max positive multi-step influence gains over horizons 1..max_hop."""
-    gains = []
-    power = np.eye(w.shape[0])
-    for _ in range(max_hop):
-        power = power @ w
-        if power[target, source] > 0.0:
-            gains.append(float(power[target, source]))
-    if not gains:
-        raise ValueError(f"node {target} is unreachable from {source} within {max_hop} hops")
-    return min(gains), max(gains)
-
-
 def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     """Hop placement of one representative node per hop vs the theory bound.
 
@@ -309,49 +287,55 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     graph, tm, source = _network(config, config.max_hop)
     hop_truth = true_hop_sets(graph, source, config.max_hop)
     noise = config.noise()
-    w = tm.matrix
 
-    hops = [h for h in range(1, config.max_hop + 1) if hop_truth.at_hop(h)]
-    if not hops:
+    # BFS levels are contiguous, so the reached hops are 1..deepest
+    hops = np.arange(1, hop_truth.max() + 1)
+    if not hops.size:
         raise ValueError("excited node has no reachable nodes at any hop")
-    targets = {h: min(hop_truth.at_hop(h)) for h in hops}
-    gain_range = {h: _positive_gain_range(w, targets[h], source, h) for h in hops}
-    sigma = {
-        h: max(
-            detect.deviation_noise_std(tm, targets[h], l, noise)
-            for l in range(1, h + 1)
-        )
-        for h in hops
-    }
-    critical = {
-        h: detect.critical_excitation(sigma[h], gain_range[h][0], 2.0 * config.false_alarm)
-        for h in hops
-    }
+    targets = (hop_truth == hops[:, None]).argmax(axis=1)  # first node of each level
+    # gains[k, m]: (k+1)-step influence of the source on hop m+1's target
+    gains = np.empty((hops.size, hops.size))
+    power = np.eye(tm.n)
+    for k in range(hops.size):
+        power = power @ tm.matrix
+        gains[k] = power[targets, source]
+    # horizons 1..h of each hop h; a target is first reached at its own hop,
+    # so its gain there is positive
+    positive = (gains > 0.0) & (hops[:, None] <= hops)
+    gain_min = np.where(positive, gains, np.inf).min(axis=0).tolist()
+    gain_max = np.where(positive, gains, -np.inf).max(axis=0).tolist()
+    targets = targets.tolist()
+    sigma = [
+        max(detect.deviation_noise_std(tm, target, l, noise) for l in range(1, h + 1))
+        for h, target in zip(hops.tolist(), targets)
+    ]
+    critical = [
+        detect.critical_excitation(s, g, 2.0 * config.false_alarm)
+        for s, g in zip(sigma, gain_min)
+    ]
     e = config.excitation_magnitude
     if e is None:
-        e = detect.applied_excitation(config.excitation_scale * max(critical.values()))
+        e = detect.applied_excitation(config.excitation_scale * max(critical))
 
     t = config.burn_in
-    hits = {h: 0 for h in hops}
+    hits = np.zeros(hops.size, dtype=np.int64)
     for y in _trials(config, tm, t + config.max_hop, ExcitationPlan(source, t, e), t):
         first = first_hops(y, source, e, config.weight_floor, tm.stability)
-        for h in hops:
-            hits[h] += int((first[:, targets[h]] == h).sum())
+        hits += (first[:, targets] == hops).sum(axis=0)
 
     rows = []
-    for h in hops:
-        gmin, gmax = gain_range[h]
-        empirical = hits[h] / config.trial_count
+    for m, h in enumerate(hops.tolist()):
+        empirical = int(hits[m]) / config.trial_count
         rows.append(
             {
                 "hop": h,
-                "target_node": targets[h],
-                "gain_min": gmin,
-                "gain_max": gmax,
-                "critical_excitation": critical[h],
+                "target_node": targets[m],
+                "gain_min": gain_min[m],
+                "gain_max": gain_max[m],
+                "critical_excitation": critical[m],
                 "excitation": e,
                 "theory_lower_bound": detect.hop_inference_lower_bound(
-                    gmin, gmax, critical[h], config.false_alarm, sigma[h]
+                    gain_min[m], gain_max[m], critical[m], config.false_alarm, sigma[m]
                 ),
                 "empirical_probability": empirical,
                 "trials": config.trial_count,
@@ -437,12 +421,11 @@ def _parse_value(text: str, annotation: str):
     return text
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file; '#' starts a comment line.
 
     Unknown and repeated keys are rejected; ``error_targets`` takes comma-
-    or space-separated values; ``none`` clears an optional field.  Keyword
-    overrides win over file values.
+    or space-separated values; ``none`` clears an optional field.
     """
     annotations = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict = {}
@@ -460,5 +443,4 @@ def load_config(path, **overrides) -> ExperimentConfig:
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             values[key] = _parse_value(raw, annotations[key])
-    values.update(overrides)
     return ExperimentConfig(**values)

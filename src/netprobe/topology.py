@@ -54,9 +54,6 @@ class WeightedDigraph:
     def in_degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def out_neighbors(self, node: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.adjacency[:, node]).tolist())
-
     def edge_count(self) -> int:
         return int(self.adjacency.sum())
 
@@ -96,38 +93,6 @@ class TopologyMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def spectral_radius(self) -> float:
-        return float(np.abs(np.linalg.eigvals(self.matrix)).max())
-
-
-@dataclass(frozen=True)
-class HopSets:
-    """Exact-hop node sets from a source node.
-
-    ``per_hop[h-1]`` holds the nodes whose shortest information-flow path
-    from the source has exactly ``h`` edges.  Sets at different hops are
-    disjoint.
-    """
-
-    source: int
-    per_hop: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for level in self.per_hop:
-            if level & seen:
-                raise ValueError("per-hop sets must be pairwise disjoint")
-            seen |= level
-
-    @property
-    def max_hop(self) -> int:
-        return len(self.per_hop)
-
-    def at_hop(self, h: int) -> frozenset[int]:
-        if not 1 <= h <= self.max_hop:
-            raise IndexError(f"hop {h} outside 1..{self.max_hop}")
-        return self.per_hop[h - 1]
 
 
 def generate_random_digraph(n: int, edge_probability: float, seed=None) -> WeightedDigraph:
@@ -213,20 +178,20 @@ def scale_to_asymptotic(tm: TopologyMatrix, alpha: float) -> TopologyMatrix:
     return TopologyMatrix(alpha * tm.matrix, StabilityClass.ASYMPTOTICALLY_STABLE)
 
 
-def classify_stability(w: np.ndarray, tol: float = SPECTRAL_TOL) -> StabilityClass:
+def classify_stability(w: np.ndarray) -> StabilityClass:
     """Classify a square matrix from its spectrum.
 
-    Asymptotically stable when the spectral radius is below 1 - tol;
-    marginally stable when the radius is 1 within tol and eigenvalue 1 has
+    Asymptotically stable when the spectral radius is below 1 - SPECTRAL_TOL;
+    marginally stable when it is 1 within SPECTRAL_TOL and eigenvalue 1 has
     geometric multiplicity one; unstable otherwise.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("matrix must be square")
     radius = float(np.abs(np.linalg.eigvals(w)).max())
-    if radius < 1.0 - tol:
+    if radius < 1.0 - SPECTRAL_TOL:
         return StabilityClass.ASYMPTOTICALLY_STABLE
-    if abs(radius - 1.0) <= tol:
+    if abs(radius - 1.0) <= SPECTRAL_TOL:
         n = w.shape[0]
         multiplicity = n - np.linalg.matrix_rank(w - np.eye(n))
         if multiplicity == 1:
@@ -234,30 +199,29 @@ def classify_stability(w: np.ndarray, tol: float = SPECTRAL_TOL) -> StabilityCla
     return StabilityClass.UNSTABLE
 
 
-def true_hop_sets(graph: WeightedDigraph, source: int, max_hop: int) -> HopSets:
-    """Ground-truth hop sets by breadth-first search along information flow.
+def true_hop_sets(graph: WeightedDigraph, source: int, max_hop: int) -> np.ndarray:
+    """Ground-truth first hops by breadth-first search along information flow.
 
-    Hop 1 from ``source`` is the support of adjacency column ``source``;
-    hop h holds nodes first reached at BFS level h.  The source itself is
-    never a member, even on cycles returning to it.
+    Returns an (n,) integer array in the format of
+    ``NeighborDecision.first_hop``: entry i is the BFS level (at most
+    ``max_hop``) at which node i is first reached from ``source``, 0 when it
+    is not reached.  Hop 1 is the support of adjacency column ``source``.
+    The source itself is always 0, even on cycles returning to it.
     """
     n = graph.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside 0..{n - 1}")
     if max_hop < 1:
         raise ValueError("max_hop must be >= 1")
-    visited = {source}
-    frontier = {source}
-    per_hop: list[frozenset[int]] = []
-    for _ in range(max_hop):
-        nxt: set[int] = set()
-        for j in frontier:
-            nxt.update(np.flatnonzero(graph.adjacency[:, j]).tolist())
-        level = nxt - visited
-        visited |= level
-        frontier = level
-        per_hop.append(frozenset(level))
-    return HopSets(source, tuple(per_hop))
+    first = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    reached[source] = True
+    frontier = reached.copy()
+    for h in range(1, max_hop + 1):
+        frontier = graph.adjacency[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+        first[frontier] = h
+    return first
 
 
 def save_matrix(path, matrix: np.ndarray, integer: bool = False) -> None:

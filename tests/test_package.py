@@ -3,7 +3,7 @@
 import netprobe
 
 EXPORTED = [
-    "StabilityClass", "WeightedDigraph", "TopologyMatrix", "HopSets",
+    "StabilityClass", "WeightedDigraph", "TopologyMatrix",
     "generate_random_digraph", "laplacian_weights", "metropolis_weights", "rule_weights",
     "scale_to_asymptotic", "classify_stability", "true_hop_sets",
     "NoiseModel", "ExcitationPlan", "Trajectory", "simulate", "simulate_trial",
@@ -20,6 +20,6 @@ EXPORTED = [
 
 
 def test_exported_names_pinned():
-    assert len(EXPORTED) == 47
+    assert len(EXPORTED) == 46
     assert netprobe.__all__ == EXPORTED
     assert all(hasattr(netprobe, name) for name in EXPORTED)

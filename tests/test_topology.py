@@ -1,4 +1,4 @@
-"""Graph generation, weight rules, stability classification, hop sets."""
+"""Graph generation, weight rules, stability classification, ground-truth hops."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from netprobe.topology import (
-    HopSets,
     StabilityClass,
     TopologyMatrix,
     WeightedDigraph,
@@ -77,7 +76,7 @@ class TestWeightedDigraph:
 
     def test_neighbor_views(self):
         g = WeightedDigraph(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
-        assert g.out_neighbors(1) == {0}
+        assert np.flatnonzero(g.adjacency[:, 1]).tolist() == [0]  # out-neighbors of 1
         assert g.in_degrees().tolist() == [1, 1, 1]
 
 
@@ -202,38 +201,39 @@ class TestClassifyStability:
         assert tm.weight_floor == pytest.approx(positive.min())
 
 
+def level_oracle(graph: WeightedDigraph, source: int, max_hop: int) -> np.ndarray:
+    """Per node, the smallest h <= max_hop with (A^h)[i, source] > 0; 0 if none."""
+    a = graph.adjacency.astype(float)
+    first = np.zeros(graph.n, dtype=int)
+    power = np.eye(graph.n)
+    for h in range(1, max_hop + 1):
+        power = power @ a
+        first[(power[:, source] > 0) & (first == 0)] = h
+    first[source] = 0
+    return first
+
+
 class TestTrueHopSets:
     def test_chain(self):
         # information flows 0 -> 1 -> 2, i.e. a_10 = a_21 = 1
         a = np.zeros((3, 3), dtype=int)
         a[1, 0] = 1
         a[2, 1] = 1
-        hs = true_hop_sets(WeightedDigraph(a), 0, 2)
-        assert hs.at_hop(1) == {1}
-        assert hs.at_hop(2) == {2}
+        hops = true_hop_sets(WeightedDigraph(a), 0, 2)
+        assert hops.dtype.kind == "i"  # the decisions' first-hop format
+        assert hops.tolist() == [0, 1, 2]
 
     def test_sink_node(self):
         a = np.zeros((3, 3), dtype=int)
         a[1, 0] = 1
         a[2, 1] = 1
-        hs = true_hop_sets(WeightedDigraph(a), 2, 3)
-        assert all(not hs.at_hop(h) for h in (1, 2, 3))
-
-    def test_disjoint_levels(self):
-        for s in range(10):
-            g = generate_random_digraph(15, 0.2, seed=s)
-            hs = true_hop_sets(g, 0, 5)
-            seen = set()
-            for h in range(1, 6):
-                assert not (hs.at_hop(h) & seen)
-                seen |= hs.at_hop(h)
+        assert not true_hop_sets(WeightedDigraph(a), 2, 3).any()
 
     def test_source_never_member(self):
         # 3-cycle returns to the source at hop 3, which is not reported
         a = np.zeros((3, 3), dtype=int)
         a[1, 0] = a[2, 1] = a[0, 2] = 1
-        hs = true_hop_sets(WeightedDigraph(a), 0, 5)
-        assert all(0 not in hs.at_hop(h) for h in range(1, 6))
+        assert true_hop_sets(WeightedDigraph(a), 0, 5).tolist() == [0, 1, 2]
 
     def test_matrix_power_oracle(self):
         # reachable-within-h == positivity of sum of adjacency powers
@@ -241,21 +241,37 @@ class TestTrueHopSets:
             g = generate_random_digraph(7, 0.25, seed=100 + s)
             a = g.adjacency.astype(float)
             for j in range(7):
-                hs = true_hop_sets(g, j, 4)
+                hops = true_hop_sets(g, j, 4)
                 acc = np.zeros((7, 7))
                 power = np.eye(7)
                 for h in range(1, 5):
                     power = power @ a
                     acc += power
                     expected = {i for i in range(7) if acc[i, j] > 0 and i != j}
-                    assert set().union(*(hs.at_hop(k) for k in range(1, h + 1))) == expected
+                    assert set(np.flatnonzero((hops >= 1) & (hops <= h)).tolist()) == expected
+
+    def test_matrix_power_level_oracle(self):
+        # exact levels: the first power of A that reaches each node
+        for s in range(25):
+            g = generate_random_digraph(12, 0.15, seed=200 + s)
+            for j in range(12):
+                for max_hop in (1, 3, 6):
+                    assert np.array_equal(true_hop_sets(g, j, max_hop), level_oracle(g, j, max_hop))
 
     def test_hop_of(self):
         g = ring_with_chords(8)
-        hs = true_hop_sets(g, 0, 4)
-        assert hs.at_hop(1) == {5, 7}
-        assert 3 in hs.at_hop(3)
-        assert all(0 not in hs.at_hop(h) for h in range(1, 5))
+        hops = true_hop_sets(g, 0, 4)
+        assert np.flatnonzero(hops == 1).tolist() == [5, 7]
+        assert hops[3] == 3
+        assert hops[0] == 0
+
+    def test_validation(self):
+        g = ring_with_chords(4)
+        for source in (-1, 4):
+            with pytest.raises(ValueError):
+                true_hop_sets(g, source, 2)
+        with pytest.raises(ValueError):
+            true_hop_sets(g, 0, 0)
 
 
 class TestStochasticMatrixProperties:
@@ -277,19 +293,6 @@ class TestStochasticMatrixProperties:
             for _ in range(10):
                 power = power @ tm.matrix
                 assert ((power**2).sum(axis=1) <= 1 + 1e-11).all()
-
-
-class TestHopSetsType:
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            HopSets(0, (frozenset({1}), frozenset({1})))
-
-    def test_index_bounds(self):
-        hs = HopSets(0, (frozenset({1}),))
-        with pytest.raises(IndexError):
-            hs.at_hop(2)
-        with pytest.raises(IndexError):
-            hs.at_hop(0)
 
 
 class TestSerialization:
