@@ -16,8 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from netprobe import detect, estimate, harness, infer, topology
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate_trial, write_trajectory_csv
+from netprobe import detect, dynamics, estimate, harness, infer, topology
+from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate_batch, simulate_trial
 
 
 def _write_table(table: harness.ResultTable, out: str | None) -> None:
@@ -29,11 +29,6 @@ def _write_table(table: harness.ResultTable, out: str | None) -> None:
         table.write_csv(out)
     else:
         raise ValueError(f"--out must end in .csv or .json, got {out!r}")
-
-
-def _add_noise_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-theta", type=float, default=1.0, help="process noise std")
-    p.add_argument("--sigma-upsilon", type=float, default=1.0, help="measurement noise std")
 
 
 def _positive_int(text: str) -> int:
@@ -53,10 +48,10 @@ def _load_network(path: str) -> topology.TopologyMatrix:
 def _cmd_generate(args) -> None:
     graph = topology.generate_random_digraph(args.n, args.p, args.seed)
     if args.adjacency_out:
-        topology.save_adjacency(args.adjacency_out, graph)
+        topology.save_matrix(args.adjacency_out, graph.adjacency)
     if args.weights_out:
         tm = topology.rule_weights(graph, args.rule, args.gamma, args.alpha)
-        topology.save_weights(args.weights_out, tm)
+        topology.save_matrix(args.weights_out, tm.matrix)
     print(
         json.dumps(
             {
@@ -76,8 +71,14 @@ def _cmd_simulate(args) -> None:
         plan = ExcitationPlan(args.excite_node, time, args.excite_magnitude)
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
     traj = simulate_trial(tm, (args.init_low, args.init_high), args.steps, noise, plan, args.seed)
-    write_trajectory_csv(args.out, traj)
+    dynamics.write_trajectory_csv(args.out, traj)
     print(json.dumps({"steps": traj.horizon, "nodes": traj.n, "out": args.out}))
+
+
+def _error_target(args) -> float:
+    if not 0.0 < args.error_target < 1.0:
+        raise ValueError(f"--error-target must lie in (0, 1), got {args.error_target}")
+    return args.error_target
 
 
 def _cmd_design(args) -> None:
@@ -85,19 +86,16 @@ def _cmd_design(args) -> None:
     sigma = args.sigma if args.sigma is not None else detect.deviation_noise_bound(
         args.n, noise, row_stochastic=args.row_stochastic
     )
-    if not 0.0 < args.error_target < 1.0:
-        raise ValueError(f"--error-target must lie in (0, 1), got {args.error_target}")
+    budget = _error_target(args)
     if sigma <= 0.0:
         raise ValueError(f"noise std bound must be > 0, got {sigma}")
     print(
         json.dumps(
             {
                 "weight_floor": args.weight_floor,
-                "error_budget": args.error_target,
+                "error_budget": budget,
                 "sigma_bound": sigma,
-                "excitation": detect.critical_excitation(
-                    sigma, args.weight_floor, args.error_target
-                ),
+                "excitation": detect.critical_excitation(sigma, args.weight_floor, budget),
             }
         )
     )
@@ -115,15 +113,6 @@ def _weight_floor(args, tm: topology.TopologyMatrix) -> float:
     return args.weight_floor
 
 
-def _decision_out(decision: infer.NeighborDecision, out: str | None) -> None:
-    text = decision.to_json(indent=2)
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-
-
 def _trial_setup(args):
     """Network, weight floor, noise and applied magnitude for infer and estimate.
 
@@ -132,6 +121,7 @@ def _trial_setup(args):
     """
     tm = _load_network(args.weights)
     floor = _weight_floor(args, tm)
+    budget = _error_target(args)
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
     if not 0 <= args.excite_node < tm.n:
         raise ValueError(f"excited node {args.excite_node} outside 0..{tm.n - 1}")
@@ -139,8 +129,12 @@ def _trial_setup(args):
     if e is not None and not math.isfinite(e):
         raise ValueError(f"excitation magnitude must be finite, got {e}")
     if e is None:
-        sigma = detect.deviation_noise_bound(tm.n, noise, row_stochastic=True)
-        e = detect.applied_excitation(detect.critical_excitation(sigma, floor, args.error_target))
+        # the tight bound needs squared row sums <= 1; a loaded stable matrix may exceed it
+        sigma = max(
+            detect.deviation_noise_bound(tm.n, noise, row_stochastic=True),
+            *(detect.deviation_noise_std(tm, i, 1, noise) for i in range(tm.n)),
+        )
+        e = detect.applied_excitation(detect.critical_excitation(sigma, floor, budget))
     return tm, floor, noise, e
 
 
@@ -150,14 +144,10 @@ def _cmd_infer(args) -> None:
     hops = args.max_hop if args.mode == "multihop" else 1
     rounds = args.rounds if args.mode == "multi" else 1
     plan = ExcitationPlan(source, args.burn_in, e)
-    rng = np.random.default_rng(args.seed)
-    init = (args.init_low, args.init_high)
-    windows = np.array(
-        [
-            simulate_trial(tm, init, args.burn_in + hops, noise, plan, rng)
-            .observations[args.burn_in:]
-            for _ in range(rounds)
-        ]
+    # one generator for every round, so the rounds draw in turn on its stream
+    windows = simulate_batch(
+        tm, (args.init_low, args.init_high), args.burn_in + hops, noise, plan,
+        [np.random.default_rng(args.seed)] * rounds, args.burn_in,
     )
     if args.mode == "multihop":
         decision = infer.infer_within_hops(windows[0], source, e, floor, tm.stability)
@@ -165,7 +155,12 @@ def _cmd_infer(args) -> None:
         decision = infer.infer_one_hop(
             windows[:, 0], windows[:, 1], source, e, floor, tm.stability
         )
-    _decision_out(decision, args.out)
+    text = json.dumps(decision.to_records(), indent=2)
+    if args.out is None:
+        print(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
 
 
 def _cmd_estimate(args) -> None:
@@ -177,9 +172,7 @@ def _cmd_estimate(args) -> None:
     plan = ExcitationPlan(args.excite_node, horizon, e) if constrained else None
     # the constrained run also observes the step after its injection
     steps = horizon + 1 if constrained else horizon
-    y = simulate_trial(
-        tm, (args.init_low, args.init_high), steps, noise, plan, args.seed
-    ).observations
+    y = simulate_batch(tm, (args.init_low, args.init_high), steps, noise, plan, [args.seed])[0]
     constraints = {}
     if constrained:
         decision = infer.infer_one_hop(
@@ -229,6 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    noise = argparse.ArgumentParser(add_help=False)
+    noise.add_argument("--sigma-theta", type=float, default=1.0, help="process noise std")
+    noise.add_argument("--sigma-upsilon", type=float, default=1.0, help="measurement noise std")
+
+    trial = argparse.ArgumentParser(add_help=False, parents=[noise])
+    trial.add_argument("--weights", required=True)
+    trial.add_argument("--seed", type=int, default=0)
+    trial.add_argument("--init-low", type=float, default=-100.0)
+    trial.add_argument("--init-high", type=float, default=100.0)
+
+    design = argparse.ArgumentParser(add_help=False)
+    design.add_argument("--excite-magnitude", type=float, default=None)
+    design.add_argument("--weight-floor", type=float, default=None, help="default: smallest weight")
+    design.add_argument("--error-target", type=float, default=0.05)
+
     p = sub.add_parser("generate", help="random digraph and weight matrix files")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--p", type=float, default=0.2, help="edge probability")
@@ -240,58 +248,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("simulate", help="simulate a trajectory to CSV")
-    p.add_argument("--weights", required=True)
+    p = sub.add_parser("simulate", parents=[trial], help="simulate a trajectory to CSV")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-low", type=float, default=-100.0)
-    p.add_argument("--init-high", type=float, default=100.0)
     p.add_argument("--excite-node", type=int, default=None)
     p.add_argument("--excite-time", type=int, default=None)
     p.add_argument("--excite-magnitude", type=float, default=0.0)
-    _add_noise_args(p)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("design-excitation", help="critical excitation for a target error")
+    p = sub.add_parser(
+        "design-excitation", parents=[noise], help="critical excitation for a target error"
+    )
     p.add_argument("--weight-floor", type=float, required=True)
     p.add_argument("--error-target", type=float, required=True)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--sigma", type=float, default=None, help="explicit noise std bound")
     p.add_argument("--row-stochastic", action="store_true")
-    _add_noise_args(p)
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("infer", help="simulate and decide neighbor sets")
+    p = sub.add_parser("infer", parents=[trial, design], help="simulate and decide neighbor sets")
     p.add_argument("mode", choices=("onehop", "multihop", "multi"))
-    p.add_argument("--weights", required=True)
     p.add_argument("--excite-node", type=int, required=True)
-    p.add_argument("--excite-magnitude", type=float, default=None)
-    p.add_argument("--weight-floor", type=float, default=None, help="default: smallest weight")
-    p.add_argument("--error-target", type=float, default=0.05)
     p.add_argument("--max-hop", type=_positive_int, default=3)
     p.add_argument("--rounds", type=_positive_int, default=4, help="excitation count for multi")
     p.add_argument("--burn-in", type=int, default=50)
-    p.add_argument("--init-low", type=float, default=-100.0)
-    p.add_argument("--init-high", type=float, default=100.0)
-    p.add_argument("--seed", type=int, default=0)
-    _add_noise_args(p)
     p.add_argument("--out", default=None, help="decision JSON path (default stdout)")
     p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("estimate", help="least-squares topology estimation")
+    p = sub.add_parser("estimate", parents=[trial, design], help="least-squares topology estimation")
     p.add_argument("mode", choices=("ols", "constrained"))
-    p.add_argument("--weights", required=True)
     p.add_argument("--pairs", type=_positive_int, default=25, help="observation pair count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-low", type=float, default=-100.0)
-    p.add_argument("--init-high", type=float, default=100.0)
     p.add_argument("--excite-node", type=int, default=0)
-    p.add_argument("--excite-magnitude", type=float, default=None)
-    p.add_argument("--weight-floor", type=float, default=None, help="default: smallest weight")
-    p.add_argument("--error-target", type=float, default=0.05)
     p.add_argument("--constraints-out", default=None)
-    _add_noise_args(p)
     p.add_argument("--out", default=None, help="estimated matrix text path")
     p.set_defaults(func=_cmd_estimate)
 

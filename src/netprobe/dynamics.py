@@ -209,9 +209,10 @@ def simulate_batch(
     Trial k draws exactly what ``simulate_trial(..., seed=seeds[k])`` draws,
     in the same order; then all trials step together, one (n, n) @
     (n, trials) product per step.  That product may round the last bits
-    differently from the matrix-vector product of ``simulate_trial``.  The
-    buffers grow with the trial count, so callers pass ``chunk_size`` seeds
-    at a time.
+    differently from the matrix-vector product of ``simulate_trial``.  One
+    ``Generator`` repeated in ``seeds`` draws the trials in turn on its
+    stream, as repeated ``simulate_trial`` calls on it do.  The buffers grow
+    with the trial count, so callers pass ``chunk_size`` seeds at a time.
     """
     _check_init(init)
     _check_run(tm, horizon, plan)

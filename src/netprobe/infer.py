@@ -11,7 +11,6 @@ to many trials at once and returns only their first-hop arrays.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -73,9 +72,6 @@ class NeighborDecision:
             }
             for h, row in enumerate(self.deviations.tolist(), start=1)
         ]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_records(), indent=indent)
 
 
 def _first_hops(

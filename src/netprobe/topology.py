@@ -224,11 +224,11 @@ def true_hop_sets(graph: WeightedDigraph, source: int, max_hop: int) -> np.ndarr
     return first
 
 
-def save_matrix(path, matrix: np.ndarray, integer: bool = False) -> None:
-    """Write a square matrix as a header line ``n`` plus n whitespace rows."""
+def save_matrix(path, matrix: np.ndarray) -> None:
+    """Write a header line ``n`` plus n rows: integer dtypes as ``%d``, others as ``%.17g``."""
     m = np.asarray(matrix)
     n = m.shape[0]
-    fmt = "%d" if integer else "%.17g"
+    fmt = "%d" if np.issubdtype(m.dtype, np.integer) else "%.17g"
     with open(path, "w") as fh:
         fh.write(f"{n}\n")
         for row in m:
@@ -242,14 +242,6 @@ def load_matrix(path) -> np.ndarray:
     if m.shape != (n, n):
         raise ValueError(f"expected {n}x{n} matrix, got {m.shape}")
     return m
-
-
-def save_adjacency(path, graph: WeightedDigraph) -> None:
-    save_matrix(path, graph.adjacency, integer=True)
-
-
-def save_weights(path, tm: TopologyMatrix) -> None:
-    save_matrix(path, tm.matrix)
 
 
 def load_weights(path) -> TopologyMatrix:

@@ -336,9 +336,124 @@ class TestRunners:
             default_config("fig2")
 
 
+def parent_trials(argv):
+    """The observations infer/estimate drew before the batch engine.
+
+    One ``simulate_trial`` per round, every round on one generator; estimate
+    draws its single run from the seed.  Shaped like ``simulate_batch``'s
+    return, so it can stand in for it.
+    """
+    args = cli.build_parser().parse_args(argv)
+    tm, _, noise, e = cli._trial_setup(args)
+    init = (args.init_low, args.init_high)
+    if args.command == "estimate":
+        constrained = args.mode == "constrained"
+        plan = ExcitationPlan(args.excite_node, args.pairs, e) if constrained else None
+        return simulate_trial(tm, init, args.pairs + constrained, noise, plan, args.seed).observations[None]
+    hops = args.max_hop if args.mode == "multihop" else 1
+    rounds = args.rounds if args.mode == "multi" else 1
+    plan = ExcitationPlan(args.excite_node, args.burn_in, e)
+    rng = np.random.default_rng(args.seed)
+    return np.array([
+        simulate_trial(tm, init, args.burn_in + hops, noise, plan, rng).observations[args.burn_in:]
+        for _ in range(rounds)
+    ])
+
+
+SHARED_DEFAULTS = {"seed": 0, "init_low": -100.0, "init_high": 100.0,
+                   "sigma_theta": 1.0, "sigma_upsilon": 1.0}
+DESIGN_DEFAULTS = {"excite_magnitude": None, "weight_floor": None, "error_target": 0.05}
+
+
 class TestCli:
     def run(self, *argv):
         assert cli.main(list(argv)) == 0
+
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (
+                ["simulate", "--weights", "w.txt", "--out", "t.csv"],
+                {**SHARED_DEFAULTS, "steps": 100, "excite_node": None, "excite_time": None,
+                 "excite_magnitude": 0.0},
+            ),
+            (
+                ["infer", "onehop", "--weights", "w.txt", "--excite-node", "2"],
+                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "max_hop": 3, "rounds": 4, "burn_in": 50,
+                 "out": None},
+            ),
+            (
+                ["estimate", "ols", "--weights", "w.txt"],
+                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "pairs": 25, "excite_node": 0,
+                 "constraints_out": None, "out": None},
+            ),
+            (
+                ["design-excitation", "--weight-floor", "0.4", "--error-target", "0.05"],
+                {"sigma_theta": 1.0, "sigma_upsilon": 1.0, "n": 20, "sigma": None,
+                 "row_stochastic": False},
+            ),
+        ],
+        ids=["simulate", "infer", "estimate", "design-excitation"],
+    )
+    def test_minimal_argv_keeps_defaults(self, argv, defaults):
+        args = vars(cli.build_parser().parse_args(argv))
+        assert {name: args[name] for name in defaults} == defaults
+        if "--weights" in argv:
+            at = argv.index("--weights")
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv[:at] + argv[at + 2:])
+
+    @pytest.mark.parametrize(
+        "network",
+        [("--n", "20", "--p", "0.08", "--seed", "102"), ("--n", "150", "--p", "0.02", "--seed", "5")],
+        ids=["n20", "n150"],
+    )
+    def test_trials_match_per_round_loop(self, tmp_path, capsys, monkeypatch, network):
+        w, out = tmp_path / "w.txt", tmp_path / "out"
+        self.run("generate", *network, "--weights-out", str(w))
+        common = ("--weights", str(w), "--excite-node", "1", "--seed", "3", "--out", str(out))
+        commands = (
+            ("infer", "onehop"), ("infer", "multihop"), ("infer", "multi", "--rounds", "1"),
+            ("estimate", "ols"), ("estimate", "constrained"), ("infer", "multi", "--rounds", "8"),
+        )
+        for command in commands:
+            argv = [*command, *common]
+            texts = []
+            for draws in (None, parent_trials(argv)):
+                if draws is not None:
+                    monkeypatch.setattr(cli, "simulate_batch", lambda *args: draws)
+                capsys.readouterr()
+                self.run(*argv)
+                texts.append(capsys.readouterr().out + out.read_text())
+                monkeypatch.undo()
+            if command[-1] != "8":
+                assert texts[0] == texts[1], command
+                continue
+            # eight rounds step as one (n, n) @ (n, 8) product: the last bits may move
+            batch, loop = (json.loads(text) for text in texts)
+            for got, want in zip(batch, loop, strict=True):
+                assert got["members"] == want["members"]
+                want_values = [want["threshold"], *want["deviations"].values()]
+                got_values = [got["threshold"], *got["deviations"].values()]
+                scale = max(abs(v) for v in want_values)
+                assert got_values == pytest.approx(want_values, rel=0, abs=1e-12 * scale)
+
+    def test_design_covers_rows_beyond_unit_norm(self, tmp_path):
+        # stable, yet row 1's squared sum is 1.53 > 1, so the tight bound
+        # sqrt(2 su^2 + st^2) = 1.732 understates node 1's one-step noise 1.879
+        w = tmp_path / "w.txt"
+        w.write_text("4\n0.5 0 0 0\n1.2 0.3 0 0\n0 0.9 0.05 0\n0 0 0.6 0.2\n")
+        for command in (("infer", "onehop", "--excite-node", "0"), ("estimate", "ols")):
+            args = cli.build_parser().parse_args([*command, "--weights", str(w)])
+            tm, floor, noise, e = cli._trial_setup(args)
+            for i in range(tm.n):
+                sigma = detect.deviation_noise_std(tm, i, 1, noise)
+                assert detect.misjudgement_probability(sigma, floor, e) <= 0.05 + 1e-12
+        # where every squared row sum is <= 1 the design stays the tight bound's
+        self.run("generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", str(w))
+        args = cli.build_parser().parse_args(["infer", "onehop", "--weights", str(w), "--excite-node", "1"])
+        tm, floor, noise, e = cli._trial_setup(args)
+        assert e == detect.critical_excitation(math.sqrt(3.0), floor, 0.05)
 
     def test_generate_and_infer_flow(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
@@ -524,6 +639,12 @@ class TestCli:
         "estimate-ols-constraints-out": (
             "estimate", "ols", "--constraints-out", "{d}/c.txt", "--weights", "{w}",
         ),
+        "infer-error-target-one": (
+            "infer", "onehop", "--excite-node", "0", "--error-target", "1", "--weights", "{w}",
+        ),
+        "estimate-error-target-one": (
+            "estimate", "ols", "--error-target", "1", "--weights", "{w}",
+        ),
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -555,6 +676,10 @@ class TestCli:
             (
                 ["design-excitation", "--weight-floor", "0.5", "--error-target", "1.5"],
                 "netprobe design-excitation: --error-target must lie in (0, 1), got 1.5",
+            ),
+            (
+                ["infer", "multi", "--weights", str(w), "--excite-node", "0", "--error-target", "1"],
+                "netprobe infer: --error-target must lie in (0, 1), got 1.0",
             ),
             (
                 ["simulate", "--steps", "2", "--init-low", "50", "--init-high", "-50",

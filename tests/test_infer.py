@@ -298,5 +298,5 @@ class TestDecisionRecords:
 
     def test_json_round_trip(self):
         decision = infer_one_hop(np.zeros(3), np.array([0.0, 2.0, 0.1]), 0, 4.0, 0.5, MARGINAL)
-        parsed = json.loads(decision.to_json())
+        parsed = json.loads(json.dumps(decision.to_records()))
         assert parsed[0]["members"] == [1]

@@ -16,9 +16,7 @@ from netprobe.topology import (
     load_weights,
     metropolis_weights,
     rule_weights,
-    save_adjacency,
     save_matrix,
-    save_weights,
     scale_to_asymptotic,
     true_hop_sets,
 )
@@ -299,14 +297,20 @@ class TestSerialization:
     def test_adjacency_round_trip(self, tmp_path):
         g = generate_random_digraph(9, 0.3, 2)
         path = tmp_path / "adj.txt"
-        save_adjacency(path, g)
-        assert "." not in path.read_text()  # integer entries
+        save_matrix(path, g.adjacency)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [" ".join(str(v) for v in row) for row in g.adjacency.tolist()]
         assert np.array_equal(load_matrix(path), g.adjacency)
+        save_matrix(path, np.array([[0, 10**17 + 1], [1, 0]]))  # beyond 17 digits
+        assert path.read_text() == "2\n0 100000000000000001\n1 0\n"
 
     def test_weights_round_trip_exact(self, tmp_path):
         tm = laplacian_weights(generate_random_digraph(9, 0.3, 2), 0.7)
         path = tmp_path / "w.txt"
-        save_weights(path, tm)
+        save_matrix(path, tm.matrix)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [" ".join("%.17g" % v for v in row) for row in tm.matrix]
+        assert any("." in row for row in rows)
         loaded = load_weights(path)
         assert np.array_equal(loaded.matrix, tm.matrix)
         assert loaded.stability is StabilityClass.MARGINALLY_STABLE
