@@ -47,7 +47,7 @@ from netprobe.detect import (
 from netprobe.infer import (
     NeighborDecision,
     infer_one_hop,
-    infer_within_hops,
+    decide,
     first_hops,
 )
 from netprobe.estimate import (

@@ -20,17 +20,6 @@ from netprobe import detect, dynamics, estimate, harness, infer, topology
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate_batch, simulate_trial
 
 
-def _write_table(table: harness.ResultTable, out: str | None) -> None:
-    if out is None:
-        print(table.pretty())
-    elif out.endswith(".json"):
-        table.write_json(out)
-    elif out.endswith(".csv"):
-        table.write_csv(out)
-    else:
-        raise ValueError(f"--out must end in .csv or .json, got {out!r}")
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -129,11 +118,7 @@ def _trial_setup(args):
     if e is not None and not math.isfinite(e):
         raise ValueError(f"excitation magnitude must be finite, got {e}")
     if e is None:
-        # the tight bound needs squared row sums <= 1; a loaded stable matrix may exceed it
-        sigma = max(
-            detect.deviation_noise_bound(tm.n, noise, row_stochastic=True),
-            *(detect.deviation_noise_std(tm, i, 1, noise) for i in range(tm.n)),
-        )
+        sigma = detect.onehop_noise_std(tm, noise)
         e = detect.applied_excitation(detect.critical_excitation(sigma, floor, budget))
     return tm, floor, noise, e
 
@@ -149,12 +134,7 @@ def _cmd_infer(args) -> None:
         tm, (args.init_low, args.init_high), args.burn_in + hops, noise, plan,
         [np.random.default_rng(args.seed)] * rounds, args.burn_in,
     )
-    if args.mode == "multihop":
-        decision = infer.infer_within_hops(windows[0], source, e, floor, tm.stability)
-    else:
-        decision = infer.infer_one_hop(
-            windows[:, 0], windows[:, 1], source, e, floor, tm.stability
-        )
+    decision = infer.decide(windows, source, e, floor, tm.stability)
     text = json.dumps(decision.to_records(), indent=2)
     if args.out is None:
         print(text)
@@ -200,6 +180,9 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
+    # checked before the run, which can take minutes
+    if args.out is not None and not args.out.endswith((".csv", ".json")):
+        raise ValueError(f"--out must end in .csv or .json, got {args.out!r}")
     if args.config:
         config = harness.load_config(args.config)
     else:
@@ -212,7 +195,12 @@ def _cmd_experiment(args) -> None:
     if overrides:
         config = replace(config, **overrides)
     table = harness.run_experiment(args.figure, config)
-    _write_table(table, args.out)
+    if args.out is None:
+        print(table.pretty())
+    elif args.out.endswith(".json"):
+        table.write_json(args.out)
+    else:
+        table.write_csv(args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

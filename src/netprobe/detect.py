@@ -92,6 +92,18 @@ def deviation_noise_std(tm: TopologyMatrix | np.ndarray, node: int, steps: int, 
     return math.sqrt(var)
 
 
+def onehop_noise_std(tm: TopologyMatrix, noise: NoiseModel) -> float:
+    """The noise std the one-hop excitation is designed for.
+
+    The row-stochastic bound sqrt(2 sigma_upsilon^2 + sigma_theta^2), or the
+    largest exact one-step std sqrt((1 + sum_j w_ij^2) sigma_upsilon^2 +
+    sigma_theta^2) where a stable matrix has a squared row sum above one.
+    """
+    exact = np.sqrt((1.0 + (tm.matrix ** 2).sum(axis=1)) * noise.sigma_upsilon ** 2
+                    + noise.sigma_theta ** 2)
+    return max(deviation_noise_bound(tm.n, noise, row_stochastic=True), float(exact.max()))
+
+
 def critical_excitation(sigma: float, weight: float, error_budget: float) -> float:
     """Smallest |e| that keeps the edge-test misjudgement within the budget.
 

@@ -108,11 +108,6 @@ class ExperimentConfig:
         graph = generate_random_digraph(self.n, self.edge_probability, self.graph_seed)
         return graph, rule_weights(graph, self.weight_rule, self.gamma, self.alpha_scale)
 
-    def sigma_bound(self) -> float:
-        # Rule-built matrices keep squared row sums at most one even after
-        # the asymptotic rescaling, so the tight bound applies.
-        return detect.deviation_noise_bound(self.n, self.noise(), row_stochastic=True)
-
 
 @dataclass(frozen=True)
 class ResultTable:
@@ -247,7 +242,7 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     n, t = config.n, config.burn_in
     truth = true_hop_sets(graph, source, 1) == 1
     others = np.arange(n) != source
-    sigma_bar = config.sigma_bound()
+    sigma_bar = detect.onehop_noise_std(tm, config.noise())
 
     rows = []
     for target in config.error_targets:
@@ -292,26 +287,22 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     hops = np.arange(1, hop_truth.max() + 1)
     if not hops.size:
         raise ValueError("excited node has no reachable nodes at any hop")
-    targets = (hop_truth == hops[:, None]).argmax(axis=1)  # first node of each level
-    # gains[k, m]: (k+1)-step influence of the source on hop m+1's target
-    gains = np.empty((hops.size, hops.size))
+    targets = (hop_truth == hops[:, None]).argmax(axis=1).tolist()  # first node of each level
+    # A target first reached at hop h has no shorter walk from the source and
+    # W >= 0, so (W^k)[target, source] is 0 for k < h: its one positive gain
+    # over horizons 1..h is (W^h)[target, source], both its least and largest.
+    gains = []
     power = np.eye(tm.n)
-    for k in range(hops.size):
+    for target in targets:
         power = power @ tm.matrix
-        gains[k] = power[targets, source]
-    # horizons 1..h of each hop h; a target is first reached at its own hop,
-    # so its gain there is positive
-    positive = (gains > 0.0) & (hops[:, None] <= hops)
-    gain_min = np.where(positive, gains, np.inf).min(axis=0).tolist()
-    gain_max = np.where(positive, gains, -np.inf).max(axis=0).tolist()
-    targets = targets.tolist()
+        gains.append(float(power[target, source]))
     sigma = [
         max(detect.deviation_noise_std(tm, target, l, noise) for l in range(1, h + 1))
         for h, target in zip(hops.tolist(), targets)
     ]
     critical = [
         detect.critical_excitation(s, g, 2.0 * config.false_alarm)
-        for s, g in zip(sigma, gain_min)
+        for s, g in zip(sigma, gains)
     ]
     e = config.excitation_magnitude
     if e is None:
@@ -330,12 +321,12 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
             {
                 "hop": h,
                 "target_node": targets[m],
-                "gain_min": gain_min[m],
-                "gain_max": gain_max[m],
+                "gain_min": gains[m],
+                "gain_max": gains[m],
                 "critical_excitation": critical[m],
                 "excitation": e,
                 "theory_lower_bound": detect.hop_inference_lower_bound(
-                    gain_min[m], gain_max[m], critical[m], config.false_alarm, sigma[m]
+                    gains[m], gains[m], critical[m], config.false_alarm, sigma[m]
                 ),
                 "empirical_probability": empirical,
                 "trials": config.trial_count,
@@ -353,7 +344,9 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     resulting one-hop decision into column constraints, and re-estimates.
     """
     _, tm, source = _network(config)
-    e = _onehop_excitation(config, config.sigma_bound(), min(config.error_targets))
+    e = _onehop_excitation(
+        config, detect.onehop_noise_std(tm, config.noise()), min(config.error_targets)
+    )
     horizon = config.n + 5
 
     rows = []

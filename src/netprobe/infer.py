@@ -111,7 +111,7 @@ def first_hops(
 
     ``windows`` is (trials, h+1, n): per trial, the observations from the
     injection step on.  Every trial is decided on its own, as
-    ``infer_within_hops`` decides one window.
+    ``decide`` decides one round.
     """
     y = np.asarray(windows, dtype=float)
     if y.ndim != 3 or y.shape[1] < 2:
@@ -120,18 +120,24 @@ def first_hops(
     return _first_hops(y[:, 1:] - y[:, :1], drift, source, excitation, weight_floor)[0]
 
 
-def _decide(
-    windows: np.ndarray,
+def decide(
+    windows,
     source: int,
     excitation: float,
     weight_floor: float,
     stability: StabilityClass,
 ) -> NeighborDecision:
-    """The threshold rule over (rounds, h+1, n) observation windows.
+    """Assign nodes to hops 1..h from (rounds, h+1, n) observation windows.
 
     Row 0 of each round is the snapshot at the injection step.  Drift bounds
-    and deviations are averaged over rounds and decided as one trial.
+    and deviations y_{t+h} - y_t are averaged over rounds and decided as one
+    trial: a node joins the hop-h estimate at the smallest h where its mean
+    deviation reaches the mean drift bound plus weight_floor**h * |e| / 2.
+    One round of an (h+1, n) window is ``window[None]``.
     """
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 3 or windows.shape[1] < 2 or windows.shape[0] < 1:
+        raise ValueError("windows must be (rounds, h+1, n) with rounds >= 1 and h >= 1")
     rounds = windows.shape[0]
     # sum / rounds is np.mean's arithmetic without its call overhead
     drift = deviation_bound(windows[:, 0], stability).sum() / rounds
@@ -164,25 +170,4 @@ def infer_one_hop(
         raise ValueError("before/after observations must be equal-shape n or (m, n) arrays")
     # (rounds, 2, n): each round's before and after rows
     windows = np.array([yb, ya]).reshape(2, -1, yb.shape[-1]).swapaxes(0, 1)
-    return _decide(windows, source, excitation, weight_floor, stability)
-
-
-def infer_within_hops(
-    observations,
-    source: int,
-    excitation: float,
-    weight_floor: float,
-    stability: StabilityClass,
-) -> NeighborDecision:
-    """Assign nodes to hops 1..h after a single excitation.
-
-    ``observations`` is the (h+1, n) window of observations starting at the
-    injection step.  For each h the deviation y_{t+h} - y_t is tested against
-    the drift bound at injection time t plus weight_floor**h * |e|/2, the
-    worst-case h-step influence floor; a node joins the hop-h estimate at the
-    smallest h where the test first accepts.
-    """
-    y = np.asarray(observations, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 2:
-        raise ValueError("observations must be an (h+1, n) window with h >= 1")
-    return _decide(y[None], source, excitation, weight_floor, stability)
+    return decide(windows, source, excitation, weight_floor, stability)

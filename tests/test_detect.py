@@ -18,9 +18,17 @@ from netprobe.detect import (
     hop_inference_lower_bound,
     misjudgement_probability,
     multi_excitation_bound,
+    onehop_noise_std,
 )
 from netprobe.dynamics import NoiseModel
-from netprobe.topology import StabilityClass, TopologyMatrix, generate_random_digraph, laplacian_weights
+from netprobe.topology import (
+    StabilityClass,
+    TopologyMatrix,
+    classify_stability,
+    generate_random_digraph,
+    laplacian_weights,
+    rule_weights,
+)
 
 
 def erf_series(x: float) -> float:
@@ -174,6 +182,50 @@ class TestDeviationNoiseStd:
         var = (1.0 + (power**2).sum(axis=1)) * noise.sigma_upsilon**2 + theta_sum * noise.sigma_theta**2
         for i in range(8):
             assert math.sqrt(var[i]) == pytest.approx(deviation_noise_std(tm, i, 4, noise), abs=1e-12)
+
+
+class TestOnehopNoiseStd:
+    """The one-hop design's noise std: the row-stochastic bound, or a larger exact row."""
+
+    @staticmethod
+    def per_node_max(tm, noise):
+        # the per-node rule it replaces: one exact one-step std per node
+        return max(
+            deviation_noise_bound(tm.n, noise, row_stochastic=True),
+            *(deviation_noise_std(tm, i, 1, noise) for i in range(tm.n)),
+        )
+
+    def test_matches_per_node_max_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        above = 0
+        for k in range(60):
+            n = int(rng.integers(2, 40))
+            w = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.3)
+            diagonal = np.diag(rng.uniform(0.1, 0.95, n))
+            if k % 2:
+                # triangular: the diagonal is the spectrum, while rows may exceed unit norm
+                w = np.tril(w, -1) + diagonal
+            else:
+                w = (w + diagonal) * (0.9 / np.abs(np.linalg.eigvals(w + diagonal)).max())
+            tm = TopologyMatrix(w, classify_stability(w))
+            assert tm.stability is StabilityClass.ASYMPTOTICALLY_STABLE
+            noise = NoiseModel(*rng.uniform(0.1, 2.0, 2))
+            got = onehop_noise_std(tm, noise)
+            assert got == self.per_node_max(tm, noise)
+            above += got > deviation_noise_bound(n, noise, row_stochastic=True)
+        # both sides of the max are exercised
+        assert 0 < above < 60
+
+    def test_tight_bound_on_rule_built(self):
+        # rule-built matrices keep squared row sums at most one, also rescaled by alpha
+        for rule in ("laplacian", "metropolis"):
+            for alpha in (None, 0.9, 0.5):
+                for seed in range(4):
+                    graph = generate_random_digraph(20, (0.08, 0.3)[seed % 2], 100 + seed)
+                    tm = rule_weights(graph, rule, 1.0, alpha)
+                    for noise in (NoiseModel(1.0, 1.0), NoiseModel(0.3, 1.7)):
+                        tight = deviation_noise_bound(tm.n, noise, row_stochastic=True)
+                        assert onehop_noise_std(tm, noise) == tight
 
 
 class TestCriticalExcitation:

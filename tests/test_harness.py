@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from netprobe import cli, detect, dynamics
+from netprobe import cli, detect, dynamics, harness
 from netprobe.dynamics import ExcitationPlan, simulate_trial
 from netprobe.harness import (
     ExperimentConfig,
@@ -20,7 +20,7 @@ from netprobe.harness import (
     run_multihop_accuracy,
     run_onehop_accuracy,
 )
-from netprobe.infer import infer_one_hop, infer_within_hops
+from netprobe.infer import decide, infer_one_hop
 from netprobe.topology import WeightedDigraph, generate_random_digraph, load_weights, true_hop_sets
 
 
@@ -69,12 +69,6 @@ class TestConfig:
         graph, tm = ExperimentConfig().build_network()
         assert tm.weight_floor >= 0.4
         assert graph.in_degrees().max() <= 2
-
-    def test_sigma_bound_matches_detect(self):
-        config = ExperimentConfig()
-        assert config.sigma_bound() == detect.deviation_noise_bound(
-            config.n, config.noise(), row_stochastic=True
-        )
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -202,7 +196,8 @@ class TestRunners:
 
     def test_onehop_theory_column_from_detect(self):
         table = run_onehop_accuracy(SMALL)
-        sigma = SMALL.sigma_bound()
+        sigma = detect.onehop_noise_std(SMALL.build_network()[1], SMALL.noise())
+        assert sigma == math.sqrt(3.0)  # the row-stochastic bound at unit noise
         for row in table.as_dicts():
             e = detect.critical_excitation(sigma, SMALL.weight_floor, row["error_target"])
             assert row["excitation"] == e
@@ -282,7 +277,7 @@ class TestRunners:
         hits = {row["hop"]: 0 for row in rows}
         plan = ExcitationPlan(source, t, e)
         for y in per_trial_observations(config, tm, t + config.max_hop, plan):
-            decision = infer_within_hops(y[t:], source, e, config.weight_floor, tm.stability)
+            decision = decide(y[None, t:], source, e, config.weight_floor, tm.stability)
             for row in rows:
                 hits[row["hop"]] += row["target_node"] in decision.at_hop(row["hop"])
         assert [row["empirical_probability"] for row in rows] == [
@@ -309,8 +304,11 @@ class TestRunners:
             target = min(np.flatnonzero(levels == h).tolist())
             gains = []
             power = np.eye(config.n)
-            for _ in range(h):
+            for k in range(1, h + 1):
                 power = power @ tm.matrix
+                if k < h:
+                    # the runner's premise: no walk shorter than h reaches the target
+                    assert power[target, source] == 0.0
                 if power[target, source] > 0.0:
                     gains.append(float(power[target, source]))
             assert row["target_node"] == target
@@ -730,8 +728,13 @@ class TestCli:
         rows = json.loads(out.read_text())
         assert {"error_target", "pair_accuracy"} <= set(rows[0])
 
-    def test_experiment_rejects_odd_extension(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_experiment_rejects_odd_extension(self, tmp_path, monkeypatch):
+        # the extension is refused before the experiment runs
+        def run_experiment(figure, config):
+            raise AssertionError("the experiment ran before --out was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        with pytest.raises(SystemExit, match="--out must end in .csv or .json"):
             self.run("experiment", "fig1a", "--trials", "2", "--out", str(tmp_path / "r.xml"))
 
     def test_experiment_config_file(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from netprobe.detect import critical_excitation, multi_excitation_bound
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
-from netprobe.infer import first_hops, infer_one_hop, infer_within_hops
+from netprobe.infer import decide, first_hops, infer_one_hop
 from netprobe.topology import (
     StabilityClass,
     WeightedDigraph,
@@ -81,6 +81,8 @@ class TestInferOneHop:
 
 
 class TestInferWithinHops:
+    """Hop assignment after one excitation: one (h+1, n) window through ``decide``."""
+
     def chain(self):
         # information path 0 -> 1 -> 2
         a = np.zeros((3, 3), dtype=int)
@@ -93,35 +95,37 @@ class TestInferWithinHops:
         g, tm = self.chain()
         e = 8.0
         traj = consensus_excite(tm, 0, e, hops=2)
-        decision = infer_within_hops(traj.observations, 0, e, tm.weight_floor, MARGINAL)
+        decision = decide(traj.observations[None], 0, e, tm.weight_floor, MARGINAL)
         assert decision.at_hop(1) == {1}
         assert decision.at_hop(2) == {2}
 
     def test_unaccepted_node_absent(self):
         g, tm = self.chain()
         traj = consensus_excite(tm, 2, 8.0, hops=2)  # node 2 has no out-edges
-        decision = infer_within_hops(traj.observations, 2, 8.0, tm.weight_floor, MARGINAL)
+        decision = decide(traj.observations[None], 2, 8.0, tm.weight_floor, MARGINAL)
         assert not decision.at_hop(1) and not decision.at_hop(2)
 
     def test_exclusive_assignment(self):
         g = generate_random_digraph(15, 0.2, 3)
         tm = laplacian_weights(g, 1.0)
         traj = consensus_excite(tm, 0, 30.0, hops=4)
-        decision = infer_within_hops(traj.observations, 0, 30.0, tm.weight_floor, MARGINAL)
+        decision = decide(traj.observations[None], 0, 30.0, tm.weight_floor, MARGINAL)
         seen = set()
         for h in (1, 2, 3, 4):
             assert not (decision.at_hop(h) & seen)
             seen |= decision.at_hop(h)
 
     def test_window_shape_checked(self):
-        # h is the window length minus one, so a window needs two rows
-        for window in (np.zeros(3), np.zeros((1, 3)), np.zeros((1, 2, 3))):
-            with pytest.raises(ValueError):
-                infer_within_hops(window, 0, 8.0, 0.5, MARGINAL)
+        # h is the window length minus one, so a window needs two rows;
+        # windows come as (rounds, h+1, n) with at least one round
+        bad = (np.zeros((2, 3)), np.zeros((1, 1, 3)), np.zeros((0, 2, 3)), np.zeros((1, 2, 3, 1)))
+        for windows in bad:
+            with pytest.raises(ValueError, match="windows"):
+                decide(windows, 0, 8.0, 0.5, MARGINAL)
         for source in (-1, 3):
             with pytest.raises(ValueError):
-                infer_within_hops(np.zeros((3, 3)), source, 8.0, 0.5, MARGINAL)
-        decision = infer_within_hops(np.zeros((3, 3)), 0, 8.0, 0.5, MARGINAL)
+                decide(np.zeros((1, 3, 3)), source, 8.0, 0.5, MARGINAL)
+        decision = decide(np.zeros((1, 3, 3)), 0, 8.0, 0.5, MARGINAL)
         assert sorted(decision.thresholds) == [1, 2]
 
     def test_hop_one_matches_one_hop_rule(self):
@@ -133,7 +137,7 @@ class TestInferWithinHops:
             rng = np.random.default_rng(s)
             x0 = rng.uniform(-100, 100, 10)
             traj = simulate(tm, x0, 11, noise, ExcitationPlan(2, 10, 9.0), seed=rng)
-            d_multi = infer_within_hops(traj.observations[10:], 2, 9.0, 0.4, MARGINAL)
+            d_multi = decide(traj.observations[None, 10:], 2, 9.0, 0.4, MARGINAL)
             d_one = infer_one_hop(traj.observations[10], traj.observations[11], 2, 9.0, 0.4, MARGINAL)
             assert d_multi.at_hop(1) == d_one.one_hop()
             assert d_multi.thresholds[1] == pytest.approx(d_one.thresholds[1])
@@ -142,7 +146,7 @@ class TestInferWithinHops:
         # at consensus the drift bound is zero, leaving weight_floor**h * |e| / 2
         g, tm = self.chain()
         traj = consensus_excite(tm, 0, -8.0, hops=3)
-        decision = infer_within_hops(traj.observations, 0, -8.0, 0.5, MARGINAL)
+        decision = decide(traj.observations[None], 0, -8.0, 0.5, MARGINAL)
         assert decision.thresholds == {1: 2.0, 2: 1.0, 3: 0.5}
 
 
@@ -164,6 +168,8 @@ class TestInferMultiExcitation:
         assert decision.thresholds == {1: 2.0}
         assert decision.raw_deviations == {(1, 1): 2.0, (2, 1): 0.5}
         assert decision.one_hop() == {1}
+        # the same rounds as (rounds, 2, n) windows
+        assert decide(np.stack([before, after], axis=1), 0, 4.0, 0.5, MARGINAL) == decision
 
     def test_noiseless_trials_match_single(self):
         g = generate_random_digraph(8, 0.3, 14)
@@ -215,7 +221,7 @@ class TestInferMultiExcitation:
 
 
 class TestFirstHops:
-    """The array rule: one decision per trial, as ``infer_within_hops`` makes it."""
+    """The array rule: one decision per trial, as ``decide`` makes it for one round."""
 
     def windows(self):
         # quarter-integer observations keep every deviation and threshold exact
@@ -233,7 +239,7 @@ class TestFirstHops:
         first = first_hops(y, 2, 8.0, 0.5, stability)
         assert first.shape == (60, 9)
         for k, window in enumerate(y):
-            decision = infer_within_hops(window, 2, 8.0, 0.5, stability)
+            decision = decide(window[None], 2, 8.0, 0.5, stability)
             for h in (1, 2, 3):
                 assert set(np.flatnonzero(first[k] == h)) == decision.at_hop(h)
             one = infer_one_hop(window[0], window[1], 2, 8.0, 0.5, stability).one_hop()
@@ -245,7 +251,7 @@ class TestFirstHops:
     def test_tie_counts_as_inclusion(self):
         y = self.windows()
         assert first_hops(y, 2, 8.0, 0.5, MARGINAL)[0, 3] == 2
-        assert infer_within_hops(y[0], 2, 8.0, 0.5, MARGINAL).at_hop(2) >= {3}
+        assert decide(y[:1], 2, 8.0, 0.5, MARGINAL).at_hop(2) >= {3}
         y[0, 2, 3] -= 2.0 ** -40
         assert first_hops(y, 2, 8.0, 0.5, MARGINAL)[0, 3] != 2
 
@@ -273,7 +279,7 @@ class TestDecisionRecords:
 
     def test_first_hop_array_agrees_with_hop_sets(self):
         y = TestFirstHops().windows()[0]
-        decision = infer_within_hops(y, 2, 8.0, 0.5, MARGINAL)
+        decision = decide(y[None], 2, 8.0, 0.5, MARGINAL)
         assert decision.first_hop.shape == (9,) and decision.deviations.shape == (3, 9)
         assert decision.first_hop[3] == 2
         for h in (1, 2, 3):
@@ -284,7 +290,7 @@ class TestDecisionRecords:
     def test_raw_deviations_cover_every_tested_pair(self):
         for hops, n in ((1, 4), (3, 9)):
             y = np.arange((hops + 1) * n, dtype=float).reshape(hops + 1, n)
-            decision = infer_within_hops(y, 1, 8.0, 0.5, MARGINAL)
+            decision = decide(y[None], 1, 8.0, 0.5, MARGINAL)
             assert len(decision.raw_deviations) == hops * (n - 1)
             assert decision.raw_deviations[(0, hops)] == decision.deviations[hops - 1, 0]
 

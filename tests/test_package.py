@@ -11,7 +11,7 @@ EXPORTED = [
     "erf", "erf_inv", "deviation_noise_bound", "deviation_noise_std", "critical_excitation",
     "applied_excitation", "misjudgement_probability", "false_alarm_probability",
     "detection_probability", "hop_inference_lower_bound", "multi_excitation_bound",
-    "NeighborDecision", "infer_one_hop", "infer_within_hops", "first_hops",
+    "NeighborDecision", "infer_one_hop", "decide", "first_hops",
     "EntryConstraint", "LsProblem", "LsSolution", "ErrorMetrics", "ols_estimate",
     "constrained_estimate", "error_metrics", "constraints_from_decision",
     "ExperimentConfig", "ResultTable", "run_onehop_accuracy", "run_multihop_accuracy",
