@@ -69,39 +69,33 @@ def deviation_noise_bound(n: int, noise: NoiseModel, row_stochastic: bool = Fals
     return math.sqrt((1.0 + n) * sv2 + st2)
 
 
-def deviation_noise_std(tm: TopologyMatrix | np.ndarray, node: int, steps: int, noise: NoiseModel) -> float:
-    """Exact std of the h-step deviation noise at one node.
+def deviation_noise_std(tm: TopologyMatrix, steps: int, noise: NoiseModel) -> np.ndarray:
+    """Exact std of the h-step deviation noise at every node, as a (steps, n) array.
 
-    Its variance is (1 + sum_j G_ij(h)^2) sigma_upsilon^2 plus
-    sigma_theta^2 * sum_{m=1..h} sum_j G_ij(m-1)^2, where G(l) = W^l.
+    Row h-1 holds the h-step stds.  Node i's variance is (1 + sum_j G_ij(h)^2)
+    sigma_upsilon^2 plus sigma_theta^2 * sum_{m=1..h} sum_j G_ij(m-1)^2, where
+    G(l) = W^l; one chain of powers starting at W serves every row.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    w = tm.matrix if isinstance(tm, TopologyMatrix) else np.asarray(tm, dtype=float)
-    n = w.shape[0]
-    if not 0 <= node < n:
-        raise IndexError(f"node {node} outside 0..{n - 1}")
-    row = np.zeros(n)
-    row[node] = 1.0
-    theta_sum = 0.0
-    for _ in range(steps):
-        theta_sum += float((row ** 2).sum())
-        row = row @ w
-    var = (1.0 + float((row ** 2).sum())) * noise.sigma_upsilon ** 2
-    var += theta_sum * noise.sigma_theta ** 2
-    return math.sqrt(var)
+    powers = [tm.matrix]
+    for _ in range(steps - 1):
+        powers.append(powers[-1] @ tm.matrix)
+    # row l holds sum_j G_ij(l)^2 for l = 0..steps, with G(0) = I
+    squares = np.vstack([np.ones(tm.n), *((p ** 2).sum(axis=1) for p in powers)])
+    var = (1.0 + squares[1:]) * noise.sigma_upsilon ** 2
+    return np.sqrt(var + np.cumsum(squares[:-1], axis=0) * noise.sigma_theta ** 2)
 
 
 def onehop_noise_std(tm: TopologyMatrix, noise: NoiseModel) -> float:
     """The noise std the one-hop excitation is designed for.
 
     The row-stochastic bound sqrt(2 sigma_upsilon^2 + sigma_theta^2), or the
-    largest exact one-step std sqrt((1 + sum_j w_ij^2) sigma_upsilon^2 +
-    sigma_theta^2) where a stable matrix has a squared row sum above one.
+    largest exact one-step std where a stable matrix has a squared row sum
+    above one.
     """
-    exact = np.sqrt((1.0 + (tm.matrix ** 2).sum(axis=1)) * noise.sigma_upsilon ** 2
-                    + noise.sigma_theta ** 2)
-    return max(deviation_noise_bound(tm.n, noise, row_stochastic=True), float(exact.max()))
+    exact = float(deviation_noise_std(tm, 1, noise)[0].max())
+    return max(deviation_noise_bound(tm.n, noise, row_stochastic=True), exact)
 
 
 def critical_excitation(sigma: float, weight: float, error_budget: float) -> float:
@@ -151,28 +145,19 @@ def detection_probability(gain: float, excitation: float, sigma: float) -> float
     return _upper_tail(-gain, excitation, sigma)
 
 
-def hop_inference_lower_bound(
-    gain_min: float,
-    gain_max: float,
-    excitation: float,
-    false_alarm: float,
-    sigma: float,
-) -> float:
+def hop_inference_lower_bound(gain: float, excitation: float, false_alarm: float, sigma: float) -> float:
     """Lower bound on the probability of placing a node at its true hop.
 
-    Evaluates D(gain_min)*(2 - alpha - D(gain_max)) with D the detection
-    probability at the given excitation; valid when the excitation meets the
-    critical magnitude 2*sqrt(2)*sigma*erf_inv(1-2*alpha)/gain_min.
+    Evaluates D(gain)*(2 - alpha - D(gain)) with D the detection probability
+    at the given excitation; valid when the excitation meets the critical
+    magnitude 2*sqrt(2)*sigma*erf_inv(1-2*alpha)/gain.
     """
-    if gain_min <= 0.0:
-        raise ValueError("gain_min must be > 0")
-    if gain_max < gain_min:
-        raise ValueError("gain_max must be >= gain_min")
+    if gain <= 0.0:
+        raise ValueError("gain must be > 0")
     if not 0.0 < false_alarm < 0.5:
         raise ValueError("false alarm level must lie in (0, 0.5)")
-    d_min = detection_probability(gain_min, excitation, sigma)
-    d_max = detection_probability(gain_max, excitation, sigma)
-    return d_min * (2.0 - false_alarm - d_max)
+    d = detection_probability(gain, excitation, sigma)
+    return d * (2.0 - false_alarm - d)
 
 
 def multi_excitation_bound(excitation: float, weight_floor: float, sigma: float, rounds: int) -> float:

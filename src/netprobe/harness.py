@@ -281,7 +281,6 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     """
     graph, tm, source = _network(config, config.max_hop)
     hop_truth = true_hop_sets(graph, source, config.max_hop)
-    noise = config.noise()
 
     # BFS levels are contiguous, so the reached hops are 1..deepest
     hops = np.arange(1, hop_truth.max() + 1)
@@ -290,16 +289,15 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     targets = (hop_truth == hops[:, None]).argmax(axis=1).tolist()  # first node of each level
     # A target first reached at hop h has no shorter walk from the source and
     # W >= 0, so (W^k)[target, source] is 0 for k < h: its one positive gain
-    # over horizons 1..h is (W^h)[target, source], both its least and largest.
-    gains = []
-    power = np.eye(tm.n)
-    for target in targets:
-        power = power @ tm.matrix
-        gains.append(float(power[target, source]))
-    sigma = [
-        max(detect.deviation_noise_std(tm, target, l, noise) for l in range(1, h + 1))
-        for h, target in zip(hops.tolist(), targets)
-    ]
+    # over horizons 1..h is (W^h)[target, source], read off the column W^h e_source.
+    column = tm.matrix[:, source]
+    gains = [float(column[targets[0]])]
+    for target in targets[1:]:
+        column = tm.matrix @ column
+        gains.append(float(column[target]))
+    table = detect.deviation_noise_std(tm, hops.size, config.noise())
+    # each target's largest std over horizons 1..h
+    sigma = np.maximum.accumulate(table)[hops - 1, targets].tolist()
     critical = [
         detect.critical_excitation(s, g, 2.0 * config.false_alarm)
         for s, g in zip(sigma, gains)
@@ -321,12 +319,11 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
             {
                 "hop": h,
                 "target_node": targets[m],
-                "gain_min": gains[m],
-                "gain_max": gains[m],
+                "gain": gains[m],
                 "critical_excitation": critical[m],
                 "excitation": e,
                 "theory_lower_bound": detect.hop_inference_lower_bound(
-                    gains[m], gains[m], critical[m], config.false_alarm, sigma[m]
+                    gains[m], critical[m], config.false_alarm, sigma[m]
                 ),
                 "empirical_probability": empirical,
                 "trials": config.trial_count,
@@ -435,5 +432,8 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-            values[key] = _parse_value(raw, annotations[key])
+            try:
+                values[key] = _parse_value(raw, annotations[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return ExperimentConfig(**values)

@@ -78,6 +78,8 @@ class TopologyMatrix:
         w = np.asarray(self.matrix, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.isfinite(w).all():
+            raise ValueError("matrix entries must be finite")
         if (w < 0).any():
             raise ValueError("matrix entries must be non-negative")
         if (

@@ -145,11 +145,32 @@ class TestNoiseBounds:
             deviation_noise_bound(0, NoiseModel(1, 1))
 
 
+def per_node_noise_std(tm, node, steps, noise):
+    """The per-node loop the table replaces: one row vector e_node W^l per step."""
+    row = np.zeros(tm.n)
+    row[node] = 1.0
+    theta_sum = 0.0
+    for _ in range(steps):
+        theta_sum += float((row**2).sum())
+        row = row @ tm.matrix
+    var = (1.0 + float((row**2).sum())) * noise.sigma_upsilon**2
+    var += theta_sum * noise.sigma_theta**2
+    return math.sqrt(var)
+
+
 class TestDeviationNoiseStd:
     def test_two_node_hand_value(self):
         w = TopologyMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]), StabilityClass.MARGINALLY_STABLE)
-        got = deviation_noise_std(w, 0, 1, NoiseModel(1.0, 1.0))
-        assert got == pytest.approx(math.sqrt(2.5), abs=1e-14)
+        got = deviation_noise_std(w, 1, NoiseModel(1.0, 1.0))
+        assert got == pytest.approx(np.full((1, 2), math.sqrt(2.5)), abs=1e-14)
+
+    def test_shape_and_rejects_no_steps(self):
+        tm = laplacian_weights(generate_random_digraph(7, 0.3, 4), 1.0)
+        for steps in (1, 2, 5):
+            assert deviation_noise_std(tm, steps, NoiseModel(1.0, 1.0)).shape == (steps, 7)
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="steps"):
+                deviation_noise_std(tm, steps, NoiseModel(1.0, 1.0))
 
     def test_one_step_matches_covariance_diagonal(self):
         g = generate_random_digraph(10, 0.3, 3)
@@ -157,31 +178,37 @@ class TestDeviationNoiseStd:
         w = tm.matrix
         noise = NoiseModel(1.3, 0.7)
         cov = noise.sigma_upsilon**2 * (w @ w.T) + (noise.sigma_upsilon**2 + noise.sigma_theta**2) * np.eye(10)
-        for i in range(10):
-            assert deviation_noise_std(tm, i, 1, noise) == pytest.approx(math.sqrt(cov[i, i]), abs=1e-12)
+        assert deviation_noise_std(tm, 1, noise)[0] == pytest.approx(np.sqrt(np.diag(cov)), abs=1e-12)
 
     def test_capped_by_worst_case(self):
         g = generate_random_digraph(12, 0.25, 9)
         tm = laplacian_weights(g, 1.0)
         noise = NoiseModel(1.0, 1.0)
-        for h in range(1, 11):
-            cap = 2 * noise.sigma_upsilon**2 + h * noise.sigma_theta**2
-            for i in range(12):
-                assert deviation_noise_std(tm, i, h, noise) ** 2 <= cap + 1e-12
+        cap = 2 * noise.sigma_upsilon**2 + np.arange(1, 11) * noise.sigma_theta**2
+        assert (deviation_noise_std(tm, 10, noise) ** 2 <= cap[:, None] + 1e-12).all()
 
-    def test_hstep_noise_matches_per_node(self):
-        # all nodes at once from full matrix powers G(l) = W^l
-        g = generate_random_digraph(8, 0.3, 21)
-        tm = laplacian_weights(g, 1.0)
-        noise = NoiseModel(1.0, 1.0)
-        power = np.eye(8)
-        theta_sum = np.zeros(8)
-        for _ in range(4):
-            theta_sum += (power**2).sum(axis=1)
-            power = power @ tm.matrix
-        var = (1.0 + (power**2).sum(axis=1)) * noise.sigma_upsilon**2 + theta_sum * noise.sigma_theta**2
-        for i in range(8):
-            assert math.sqrt(var[i]) == pytest.approx(deviation_noise_std(tm, i, 4, noise), abs=1e-12)
+    @staticmethod
+    def assert_matches_per_node(tm, noise):
+        # bit for bit at h = 1; the W^h chain orders its sums unlike e_i W W.., so 1e-12 beyond
+        table = deviation_noise_std(tm, 4, noise)
+        oracle = np.array([[per_node_noise_std(tm, i, h, noise) for i in range(tm.n)] for h in range(1, 5)])
+        assert table[0].tolist() == oracle[0].tolist()
+        np.testing.assert_allclose(table, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [20, 60, 300])
+    def test_hstep_noise_matches_per_node(self, n):
+        for rule, alpha in (("laplacian", None), ("metropolis", 0.9)):
+            tm = rule_weights(generate_random_digraph(n, 1.6 / n, 102), rule, 1.0, alpha)
+            self.assert_matches_per_node(tm, NoiseModel(0.8, 1.3))
+
+    def test_matches_per_node_loop_on_random_stable(self):
+        rng = np.random.default_rng(30)
+        for _ in range(30):
+            n = int(rng.integers(2, 25))
+            # nonnegative, rescaled to spectral radius 0.9; rows may exceed unit norm
+            w = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.3) + np.diag(rng.uniform(0.1, 0.95, n))
+            tm = TopologyMatrix(w * (0.9 / np.abs(np.linalg.eigvals(w)).max()), StabilityClass.ASYMPTOTICALLY_STABLE)
+            self.assert_matches_per_node(tm, NoiseModel(*rng.uniform(0.1, 2.0, 2)))
 
 
 class TestOnehopNoiseStd:
@@ -192,7 +219,7 @@ class TestOnehopNoiseStd:
         # the per-node rule it replaces: one exact one-step std per node
         return max(
             deviation_noise_bound(tm.n, noise, row_stochastic=True),
-            *(deviation_noise_std(tm, i, 1, noise) for i in range(tm.n)),
+            *(per_node_noise_std(tm, i, 1, noise) for i in range(tm.n)),
         )
 
     def test_matches_per_node_max_bit_for_bit(self):
@@ -326,29 +353,25 @@ class TestTailProbabilities:
 
 
 class TestHopBound:
-    def test_equal_gains_substitution(self):
+    def test_gain_substitution(self):
         sigma, e, alpha = 1.2, 20.0, 0.05
         d = detection_probability(0.3, e, sigma)
-        assert hop_inference_lower_bound(0.3, 0.3, e, alpha, sigma) == pytest.approx(
-            d * (2 - alpha - d), rel=1e-12
-        )
+        assert hop_inference_lower_bound(0.3, e, alpha, sigma) == pytest.approx(d * (2 - alpha - d), rel=1e-12)
 
     def test_detection_at_critical_matches_one_minus_alpha(self):
-        alpha, sigma = 0.05, 1.5
-        gmin, gmax = 0.2, 0.45
-        e_m = critical_excitation(sigma, gmin, 2 * alpha)
-        assert detection_probability(gmin, e_m, sigma) == pytest.approx(1 - alpha, abs=1e-12)
-        expected = (1 - alpha) * (2 - alpha - detection_probability(gmax, e_m, sigma))
-        assert hop_inference_lower_bound(gmin, gmax, e_m, alpha, sigma) == pytest.approx(expected, rel=1e-12)
+        # D = 1 - alpha at the critical input for 2 alpha, so D (2 - alpha - D) = 1 - alpha
+        for alpha, sigma, gain in ((0.05, 1.5, 0.2), (0.1, 0.7, 0.45), (0.01, 2.0, 0.003)):
+            e_m = critical_excitation(sigma, gain, 2 * alpha)
+            assert detection_probability(gain, e_m, sigma) == pytest.approx(1 - alpha, abs=1e-12)
+            assert hop_inference_lower_bound(gain, e_m, alpha, sigma) == pytest.approx(1 - alpha, abs=1e-12)
 
     def test_limit_toward_one(self):
-        assert hop_inference_lower_bound(0.5, 0.5, 1e6, 1e-9, 1.0) == pytest.approx(1.0, abs=1e-6)
+        assert hop_inference_lower_bound(0.5, 1e6, 1e-9, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_nonpositive_gain(self):
-        with pytest.raises(ValueError):
-            hop_inference_lower_bound(0.0, 0.5, 10.0, 0.05, 1.0)
-        with pytest.raises(ValueError):
-            hop_inference_lower_bound(0.5, 0.4, 10.0, 0.05, 1.0)
+        for gain in (0.0, -0.5):
+            with pytest.raises(ValueError, match="gain"):
+                hop_inference_lower_bound(gain, 10.0, 0.05, 1.0)
 
 
 class TestMultiExcitationBound:

@@ -269,7 +269,7 @@ class TestObservationDeviation:
         tm_small = laplacian_weights(generate_random_digraph(6, 0.4, 11), 1.0)
         i, h = 0, 3
         noise = NoiseModel(1.0, 1.0)
-        target = deviation_noise_std(tm_small, i, h, noise) ** 2
+        target = deviation_noise_std(tm_small, h, noise)[h - 1, i] ** 2
         gh = np.linalg.matrix_power(tm_small.matrix, h)
         seeds = range(10**5)
         size = chunk_size(6, h)

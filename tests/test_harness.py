@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 load_config(path)
 
+    def test_bad_value_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        for text in ("abc", "12 # twelve nodes"):
+            path.write_text(f"# header\nn = {text}\n")
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: bad value for 'n': "):
+                load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("banana = 3\n")
@@ -217,13 +226,12 @@ class TestRunners:
         table = run_multihop_accuracy(config)
         for row in table.as_dicts():
             assert row["theory_lower_bound"] == detect.hop_inference_lower_bound(
-                row["gain_min"],
-                row["gain_max"],
+                row["gain"],
                 row["critical_excitation"],
                 config.false_alarm,
                 # sigma is internal; re-derive via the critical-excitation identity
                 row["critical_excitation"]
-                * row["gain_min"]
+                * row["gain"]
                 / (2 * math.sqrt(2) * detect.erf_inv(1 - 2 * config.false_alarm)),
             )
             assert 0.0 <= row["empirical_probability"] <= 1.0
@@ -287,8 +295,8 @@ class TestRunners:
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_multihop_targets_and_gains_match_per_hop_powers(self, scaled):
-        # oracle: per hop, the level's smallest node and the positive gains
-        # (W^k)[target, source] over k = 1..h, each power built from scratch
+        # oracle: per hop, the level's smallest node and its gain (W^h)[target,
+        # source], from matrix powers built from scratch
         config = replace(SMALL, trial_count=2)
         if scaled:
             config = replace(config, n=60, edge_probability=1.6 / 60, weight_rule="metropolis",
@@ -302,18 +310,16 @@ class TestRunners:
         for row in rows:
             h = row["hop"]
             target = min(np.flatnonzero(levels == h).tolist())
-            gains = []
             power = np.eye(config.n)
             for k in range(1, h + 1):
                 power = power @ tm.matrix
                 if k < h:
                     # the runner's premise: no walk shorter than h reaches the target
                     assert power[target, source] == 0.0
-                if power[target, source] > 0.0:
-                    gains.append(float(power[target, source]))
             assert row["target_node"] == target
-            assert row["gain_min"] == min(gains)
-            assert row["gain_max"] == max(gains)
+            # the runner's column chain W(W..e_source) sums in another order than W^h
+            assert row["gain"] > 0.0
+            assert row["gain"] == pytest.approx(power[target, source], rel=1e-12)
 
     def test_tables_do_not_depend_on_chunk_size(self, monkeypatch):
         # 13 trials: one chunk by default; chunks of 3, 2 and 5 for fig1a/b/c here
@@ -332,6 +338,15 @@ class TestRunners:
         assert default_config("fig1c").trial_count == 50
         with pytest.raises(ValueError):
             default_config("fig2")
+
+    def test_readme_column_lists_match_tables(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = dict(re.findall(r"`experiment (fig1[abc])` \([^)]*\):\s*`([^`]*)`", readme))
+        assert sorted(listed) == ["fig1a", "fig1b", "fig1c"]
+        config = replace(SMALL, trial_count=2)
+        for figure, text in listed.items():
+            columns = tuple(c.strip() for c in text.split(","))
+            assert columns == harness.run_experiment(figure, config).columns, figure
 
 
 def parent_trials(argv):
@@ -445,7 +460,7 @@ class TestCli:
             args = cli.build_parser().parse_args([*command, "--weights", str(w)])
             tm, floor, noise, e = cli._trial_setup(args)
             for i in range(tm.n):
-                sigma = detect.deviation_noise_std(tm, i, 1, noise)
+                sigma = detect.deviation_noise_std(tm, 1, noise)[0, i]
                 assert detect.misjudgement_probability(sigma, floor, e) <= 0.05 + 1e-12
         # where every squared row sum is <= 1 the design stays the tight bound's
         self.run("generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", str(w))

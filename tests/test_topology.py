@@ -193,6 +193,13 @@ class TestClassifyStability:
         with pytest.raises(ValueError):
             load_weights(path)
 
+    def test_rejects_non_finite_entries(self):
+        # a NaN row sum never exceeds the tolerance, so only this check stops it
+        for bad in (math.nan, math.inf, -math.inf):
+            for stability in (StabilityClass.MARGINALLY_STABLE, StabilityClass.ASYMPTOTICALLY_STABLE):
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    TopologyMatrix(np.array([[bad, 0.5], [0.5, 0.5]]), stability)
+
     def test_weight_floor_field(self):
         tm = laplacian_weights(ring_with_chords(6), 0.8)
         positive = tm.matrix[tm.matrix > 0]
