@@ -195,8 +195,21 @@ class TestDeviationNoiseStd:
         assert table[0].tolist() == oracle[0].tolist()
         np.testing.assert_allclose(table, oracle, rtol=1e-12, atol=0)
 
+    def test_hstep_noise_matches_per_node(self):
+        # all nodes at once from full matrix powers G(l) = W^l
+        g = generate_random_digraph(8, 0.3, 21)
+        tm = laplacian_weights(g, 1.0)
+        noise = NoiseModel(1.0, 1.0)
+        power = np.eye(8)
+        theta_sum = np.zeros(8)
+        for _ in range(4):
+            theta_sum += (power**2).sum(axis=1)
+            power = power @ tm.matrix
+        var = (1.0 + (power**2).sum(axis=1)) * noise.sigma_upsilon**2 + theta_sum * noise.sigma_theta**2
+        assert deviation_noise_std(tm, 4, noise)[3] == pytest.approx(np.sqrt(var), abs=1e-12)
+
     @pytest.mark.parametrize("n", [20, 60, 300])
-    def test_hstep_noise_matches_per_node(self, n):
+    def test_hstep_noise_matches_per_node_loop(self, n):
         for rule, alpha in (("laplacian", None), ("metropolis", 0.9)):
             tm = rule_weights(generate_random_digraph(n, 1.6 / n, 102), rule, 1.0, alpha)
             self.assert_matches_per_node(tm, NoiseModel(0.8, 1.3))
