@@ -12,6 +12,7 @@ once, with the same draws per trial as ``simulate_trial``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ class Trajectory:
 
 
 # Process-noise bytes in one chunk of trials: 1 MiB is 8 trials of 53
-# steps at n = 300 and 128 trials of 51 steps at n = 20.
+# steps at n = 300 and 128 trials of 51 steps at n = 20.  The harness holds
+# two chunks' buffers at once, one propagating while the next is drawn.
 CHUNK_BYTES = 1 << 20
 
 
@@ -191,8 +193,50 @@ def simulate_trial(
 
 
 def chunk_size(n: int, horizon: int) -> int:
-    """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES."""
+    """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES.
+
+    The harness draws the next chunk while one propagates, so its trial
+    buffers take about twice this budget.
+    """
     return max(1, CHUNK_BYTES // (8 * horizon * n))
+
+
+class _Draws:
+    """One chunk's x0, theta and kept upsilon rows, drawn trial by trial.
+
+    The thread that makes the object allocates its buffers; ``fill`` only
+    writes them, and two threads may fill one object at once.  Each trial
+    draws from its own seed into its own rows, so the bits do not depend on
+    which thread draws which trial, provided no generator repeats in the
+    seeds (one repeated generator must be drawn by a single thread).
+    """
+
+    def __init__(self, init, noise: NoiseModel, seeds, n: int, horizon: int, start: int) -> None:
+        self.init, self.noise, self.seeds, self.start = init, noise, seeds, start
+        self.x0 = np.empty((len(seeds), n))
+        self.theta = np.empty((len(seeds), horizon, n))
+        self.out = np.empty((len(seeds), horizon + 1 - start, n))
+        self._next = 0
+        self._claim = threading.Lock()
+
+    def fill(self, upsilon: np.ndarray) -> None:
+        """Draw each trial no thread has claimed yet, in ``simulate_trial``'s order.
+
+        ``upsilon`` is the calling thread's (horizon + 1, n) scratch: a trial
+        draws all its upsilon rows and keeps rows start.. of them.  NumPy's
+        fills release the GIL, so another thread can propagate meanwhile.
+        """
+        while True:
+            with self._claim:
+                i = self._next
+                if i == len(self.seeds):
+                    return
+                self._next = i + 1
+            rng = np.random.default_rng(self.seeds[i])
+            self.x0[i] = rng.uniform(*self.init, self.x0.shape[1])
+            _normal(rng, self.noise.sigma_theta, self.theta[i])
+            _normal(rng, self.noise.sigma_upsilon, upsilon)
+            self.out[i] = upsilon[self.start:]
 
 
 def simulate_batch(
@@ -203,6 +247,7 @@ def simulate_batch(
     plan: ExcitationPlan | None,
     seeds,
     start: int = 0,
+    drawn: _Draws | None = None,
 ) -> np.ndarray:
     """Observations y_start..y_horizon of seeded trials, shaped (trials, rows, n).
 
@@ -213,26 +258,22 @@ def simulate_batch(
     ``Generator`` repeated in ``seeds`` draws the trials in turn on its
     stream, as repeated ``simulate_trial`` calls on it do.  The buffers grow
     with the trial count, so callers pass ``chunk_size`` seeds at a time.
+
+    ``drawn`` takes these seeds' draws, already filled, when another thread
+    helped to draw them ahead, as the harness does; the call then only
+    propagates them, adding the states to the drawn observation noise.
     """
     _check_init(init)
     _check_run(tm, horizon, plan)
     if not 0 <= start <= horizon:
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
-    k, n = len(seeds), tm.n
-    x = np.empty((k, n))
-    theta = np.empty((k, horizon, n))
-    upsilon = np.empty((horizon + 1, n))
-    out = np.empty((k, horizon + 1 - start, n))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        x[i] = rng.uniform(*init, n)
-        _normal(rng, noise.sigma_theta, theta[i])
-        _normal(rng, noise.sigma_upsilon, upsilon)
-        out[i] = upsilon[start:]
-    states = np.empty_like(out)
-    _propagate(tm, x, theta, plan, start, states)
-    out += states
-    return out
+    if drawn is None:
+        drawn = _Draws(init, noise, seeds, tm.n, horizon, start)
+        drawn.fill(np.empty((horizon + 1, tm.n)))
+    states = np.empty_like(drawn.out)
+    _propagate(tm, drawn.x0, drawn.theta, plan, start, states)
+    drawn.out += states
+    return drawn.out
 
 
 def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:

@@ -5,8 +5,12 @@ independent trials chunk by chunk through ``dynamics.simulate_batch``, and
 returns a ``ResultTable`` of named rows whose theoretical columns come
 straight from the formulas in :mod:`netprobe.detect`.  Trials draw their
 randomness from seeds spawned deterministically off the master seed in
-trial order, so results are bit-reproducible and trials could execute in
-any order or in parallel.
+trial order, each on its own generator, so results are bit-reproducible
+whichever thread draws them.  With more than one chunk, one worker thread
+draws the next chunk's noise while the calling thread propagates the
+current chunk and decides it, so two chunks' buffers are alive at once;
+the calling thread then draws the trials of the next chunk that the
+worker has not reached.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from netprobe.topology import (
     rule_weights,
     true_hop_sets,
 )
-from netprobe.dynamics import ExcitationPlan, NoiseModel, chunk_size, simulate_batch
+from netprobe.dynamics import ExcitationPlan, NoiseModel, _Draws, chunk_size, simulate_batch
 from netprobe.estimate import (
     LsProblem,
     constrained_estimate,
@@ -211,13 +215,39 @@ def _trials(
 ):
     """(chunk, rows, n) observations y_start..y_horizon of the seeded trials, in trial order.
 
-    Only one chunk of trials is held at a time.
+    A single chunk is drawn and propagated inline.  Otherwise one worker
+    thread draws chunk k + 1 while this thread propagates chunk k and its
+    caller decides it; this thread then draws whatever trials of chunk k + 1
+    the worker has not reached.  The worker only fills ``_Draws`` buffers
+    allocated here, so every public call, and every traced span, stays on
+    this thread.  A draw that raises on the worker re-raises here, and
+    closing the generator early waits for the worker to finish and end.
     """
     init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
     size = chunk_size(tm.n, horizon)
-    for first in range(0, len(seeds), size):
-        yield simulate_batch(tm, init, horizon, noise, plan, seeds[first:first + size], start)
+    chunks = [seeds[first:first + size] for first in range(0, len(seeds), size)]
+    if len(chunks) == 1:
+        yield simulate_batch(tm, init, horizon, noise, plan, seeds, start)
+        return
+    # imported here, so that one-chunk runs skip its import (5-10 ms with logging)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        scratch, worker_scratch = np.empty((2, horizon + 1, tm.n))
+
+        def draw_ahead(chunk):
+            draws = _Draws(init, noise, chunk, tm.n, horizon, start)
+            return draws, worker.submit(draws.fill, worker_scratch)
+
+        ahead = draw_ahead(chunks[0])
+        for k, chunk in enumerate(chunks):
+            drawn, pending = ahead
+            drawn.fill(scratch)  # the trials the worker has not reached
+            pending.result()  # waits for the worker's last trial, or raises its error
+            if k + 1 < len(chunks):
+                ahead = draw_ahead(chunks[k + 1])
+            yield simulate_batch(tm, init, horizon, noise, plan, chunk, start, drawn)
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:

@@ -190,6 +190,8 @@ def classify_stability(w: np.ndarray) -> StabilityClass:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(w).all():
+        raise ValueError("matrix entries must be finite")
     radius = float(np.abs(np.linalg.eigvals(w)).max())
     if radius < 1.0 - SPECTRAL_TOL:
         return StabilityClass.ASYMPTOTICALLY_STABLE
@@ -247,6 +249,12 @@ def load_matrix(path) -> np.ndarray:
 
 
 def load_weights(path) -> TopologyMatrix:
-    """Load a weight matrix, re-deriving its stability class spectrally."""
+    """Load a weight matrix, re-deriving its stability class spectrally.
+
+    A matrix that fails a check raises ``ValueError`` naming the file.
+    """
     w = load_matrix(path)
-    return TopologyMatrix(w, classify_stability(w))
+    try:
+        return TopologyMatrix(w, classify_stability(w))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -194,6 +196,32 @@ class TestSimulateBatch:
         whole = simulate_batch(*args, seeds, 10)
         parts = np.concatenate([simulate_batch(*args, seeds[i:i + 5], 10) for i in (0, 5, 10)])
         assert np.abs(parts - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    def test_threads_sharing_a_chunk_draw_one_threads_bits(self, tm):
+        # more threads than cores, tiny trials and a short switch interval
+        # interleave the claims; a trial left undrawn, or drawn into another
+        # trial's rows or through another thread's scratch, would differ
+        seeds = np.random.SeedSequence(9).spawn(3000)
+        init, noise, plan = (-100.0, 100.0), NoiseModel(0.5, 2.0), ExcitationPlan(2, 1, 30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for start in (0, 2):
+                drawn = dynamics._Draws(init, noise, seeds, tm.n, 2, start)
+                threads = [
+                    threading.Thread(target=drawn.fill, args=(np.empty((3, tm.n)),))
+                    for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                window = simulate_batch(tm, init, 2, noise, plan, seeds, start, drawn)
+                assert window is drawn.out
+                assert np.array_equal(window, simulate_batch(tm, init, 2, noise, plan, seeds, start))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_draws_match_normal(self):
         # standard_normal scaled in place draws what normal(0, sigma) draws

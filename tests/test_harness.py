@@ -1,15 +1,17 @@
 """Experiment runners and CLI: determinism, theory columns, file formats."""
 
+import inspect
 import json
 import math
 import re
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netprobe import cli, detect, dynamics, harness
+from netprobe import cli, detect, dynamics, estimate, harness, infer, topology
 from netprobe.dynamics import ExcitationPlan, simulate_trial
 from netprobe.harness import (
     ExperimentConfig,
@@ -349,6 +351,115 @@ class TestRunners:
             assert columns == harness.run_experiment(figure, config).columns, figure
 
 
+class TestTrialPipeline:
+    """``harness._trials`` draws the next chunk on a worker thread."""
+
+    CONFIG = replace(SMALL, trial_count=20)
+    HORIZON, START = 53, 50
+
+    def trials(self, monkeypatch, per_chunk):
+        _, tm = self.CONFIG.build_network()
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * self.HORIZON * self.CONFIG.n)
+        assert dynamics.chunk_size(self.CONFIG.n, self.HORIZON) == per_chunk
+        plan = ExcitationPlan(0, self.START, 30.0)
+        return tm, plan, harness._trials(self.CONFIG, tm, self.HORIZON, plan, self.START)
+
+    @pytest.mark.parametrize("per_chunk", [20, 13, 3], ids=["1-chunk", "2-chunks", "7-chunks"])
+    def test_chunks_equal_per_chunk_simulate_batch(self, monkeypatch, per_chunk):
+        tm, plan, chunks = self.trials(monkeypatch, per_chunk)
+        chunks = list(chunks)
+        config = self.CONFIG
+        seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
+        firsts = range(0, config.trial_count, per_chunk)
+        assert len(chunks) == len(firsts)
+        for first, chunk in zip(firsts, chunks):
+            want = dynamics.simulate_batch(
+                tm, (config.init_low, config.init_high), self.HORIZON, config.noise(), plan,
+                seeds[first:first + per_chunk], self.START,
+            )
+            assert np.array_equal(chunk, want)
+        assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 7 and 2 trials
+
+    def test_draw_error_reraises_on_calling_thread(self, monkeypatch):
+        # this thread leaves every trial to the worker, whose fourth chunk has a bad seed
+        made, raised = [], []
+
+        class WorkerOnly(dynamics._Draws):
+            def __init__(self, init, noise, seeds, *args):
+                made.append(self)
+                if len(made) == 4:
+                    seeds = [-1] * len(seeds)  # default_rng rejects a negative seed
+                super().__init__(init, noise, seeds, *args)
+
+            def fill(self, upsilon):
+                if threading.current_thread() is threading.main_thread():
+                    return
+                try:
+                    super().fill(upsilon)
+                except ValueError as exc:
+                    raised.append(exc)
+                    raise
+
+        monkeypatch.setattr(harness, "_Draws", WorkerOnly)
+        before = threading.active_count()
+        _, _, chunks = self.trials(monkeypatch, 3)
+        received = 0
+        with pytest.raises(ValueError, match="non-negative") as info:
+            for _ in chunks:
+                received += 1
+        assert received == 3
+        assert info.value is raised[0]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("per_chunk", [20, 3], ids=["1-chunk", "7-chunks"])
+    def test_abandoned_iteration_ends_the_worker(self, monkeypatch, per_chunk):
+        before = threading.active_count()
+        _, _, chunks = self.trials(monkeypatch, per_chunk)
+        for _ in chunks:
+            # one chunk is drawn inline; more keep one worker until the end
+            assert threading.active_count() == before + (per_chunk < 20)
+            break
+        del chunks
+        assert threading.active_count() == before
+
+    def test_public_calls_stay_on_calling_thread(self, monkeypatch):
+        # a tracer keeps one span stack, so no public function may run on the worker
+        callers: dict[str, set] = {}
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                callers.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return call
+
+        holders = (dynamics, infer, harness, detect, estimate, topology, cli)
+        for module in (dynamics, infer):
+            for attr, fn in list(vars(module).items()):
+                if attr.startswith("_") or not inspect.isfunction(fn):
+                    continue
+                if fn.__module__ != module.__name__:
+                    continue
+                name = f"{module.__name__}.{attr}"
+                for holder in holders:
+                    if vars(holder).get(attr) is fn:
+                        monkeypatch.setattr(holder, attr, recorded(name, fn))
+        drawers = set()
+
+        class Recorded(dynamics._Draws):
+            def fill(self, upsilon):
+                drawers.add(threading.get_ident())
+                super().fill(upsilon)
+
+        monkeypatch.setattr(harness, "_Draws", Recorded)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * self.HORIZON * self.CONFIG.n)
+        run_multihop_accuracy(self.CONFIG)
+        here = threading.get_ident()
+        assert drawers - {here}, "no worker thread drew"
+        assert {"netprobe.dynamics.simulate_batch", "netprobe.infer.first_hops"} <= set(callers)
+        assert all(idents == {here} for idents in callers.values()), callers
+
+
 def parent_trials(argv):
     """The observations infer/estimate drew before the batch engine.
 
@@ -542,6 +653,13 @@ class TestCli:
                 "--burn-in", "1",
             ])
         assert info.value.code not in (None, 0)
+
+    def test_non_finite_weights_file_named(self, tmp_path):
+        w = tmp_path / "w.txt"
+        w.write_text("2\nnan 0.5\n0.5 0.5\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["infer", "onehop", "--weights", str(w), "--excite-node", "0"])
+        assert info.value.code == f"netprobe infer: {w}: matrix entries must be finite"
 
     def test_counts_below_one_rejected(self, tmp_path, capsys):
         w = tmp_path / "w.txt"

@@ -1,6 +1,7 @@
 """Graph generation, weight rules, stability classification, ground-truth hops."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestClassifyStability:
             for stability in (StabilityClass.MARGINALLY_STABLE, StabilityClass.ASYMPTOTICALLY_STABLE):
                 with pytest.raises(ValueError, match="matrix entries must be finite"):
                     TopologyMatrix(np.array([[bad, 0.5], [0.5, 0.5]]), stability)
+
+    def test_classify_rejects_non_finite_entries(self, tmp_path):
+        # eigvals raises NumPy's own error on these, naming neither file nor entry
+        path = tmp_path / "w.txt"
+        for bad in (math.nan, math.inf, -math.inf):
+            w = np.array([[bad, 0.5], [0.5, 0.5]])
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                classify_stability(w)
+            save_matrix(path, w)
+            message = f"^{re.escape(str(path))}: matrix entries must be finite$"
+            with pytest.raises(ValueError, match=message):
+                load_weights(path)
 
     def test_weight_floor_field(self):
         tm = laplacian_weights(ring_with_chords(6), 0.8)
