@@ -204,11 +204,13 @@ def chunk_size(n: int, horizon: int) -> int:
 class _Draws:
     """One chunk's x0, theta and kept upsilon rows, drawn trial by trial.
 
-    The thread that makes the object allocates its buffers; ``fill`` only
-    writes them, and two threads may fill one object at once.  Each trial
-    draws from its own seed into its own rows, so the bits do not depend on
-    which thread draws which trial, provided no generator repeats in the
-    seeds (one repeated generator must be drawn by a single thread).
+    The thread that makes the object allocates its buffers.  A drawing
+    thread draws a trial into its own scratch and stores it under the lock
+    unless it is stored already, so two threads may draw one chunk, and
+    even one trial, at once.  Each trial draws from its own seed in
+    ``simulate_trial``'s order, so the stored bits do not depend on which
+    thread drew them; a generator repeated in the seeds must be drawn by a
+    single thread, which takes the trials in turn.
     """
 
     def __init__(self, init, noise: NoiseModel, seeds, n: int, horizon: int, start: int) -> None:
@@ -217,26 +219,52 @@ class _Draws:
         self.theta = np.empty((len(seeds), horizon, n))
         self.out = np.empty((len(seeds), horizon + 1 - start, n))
         self._next = 0
-        self._claim = threading.Lock()
+        self._stored = [False] * len(seeds)
+        self._lock = threading.Lock()
 
-    def fill(self, upsilon: np.ndarray) -> None:
-        """Draw each trial no thread has claimed yet, in ``simulate_trial``'s order.
+    @staticmethod
+    def scratch(n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """One drawing thread's theta and upsilon buffers for one trial.
 
-        ``upsilon`` is the calling thread's (horizon + 1, n) scratch: a trial
-        draws all its upsilon rows and keeps rows start.. of them.  NumPy's
-        fills release the GIL, so another thread can propagate meanwhile.
+        A sole drawing thread may pass None for theta, which it then draws
+        in place.
         """
+        return np.empty((horizon, n)), np.empty((horizon + 1, n))
+
+    def fill(self, scratch: tuple[np.ndarray | None, np.ndarray]) -> None:
+        """Draw each trial that no thread has claimed yet."""
         while True:
-            with self._claim:
+            with self._lock:
                 i = self._next
                 if i == len(self.seeds):
                     return
                 self._next = i + 1
-            rng = np.random.default_rng(self.seeds[i])
-            self.x0[i] = rng.uniform(*self.init, self.x0.shape[1])
-            _normal(rng, self.noise.sigma_theta, self.theta[i])
-            _normal(rng, self.noise.sigma_upsilon, upsilon)
-            self.out[i] = upsilon[self.start:]
+            self._draw(i, scratch)
+
+    def finish(self, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        """Fill, then draw again every trial another thread claimed but has not stored.
+
+        Nothing here waits on the other thread, which may be descheduled
+        in the middle of a trial; whichever copy is stored first is kept.
+        """
+        self.fill(scratch)
+        for i, stored in enumerate(self._stored):
+            if not stored:
+                self._draw(i, scratch)
+
+    def _draw(self, i: int, scratch: tuple[np.ndarray | None, np.ndarray]) -> None:
+        theta, upsilon = scratch
+        rng = np.random.default_rng(self.seeds[i])
+        x0 = rng.uniform(*self.init, self.x0.shape[1])
+        _normal(rng, self.noise.sigma_theta, self.theta[i] if theta is None else theta)
+        _normal(rng, self.noise.sigma_upsilon, upsilon)
+        with self._lock:
+            if not self._stored[i]:
+                self.x0[i] = x0
+                if theta is not None:
+                    self.theta[i] = theta
+                self.out[i] = upsilon[self.start:]
+                self._stored[i] = True
 
 
 def simulate_batch(
@@ -259,9 +287,9 @@ def simulate_batch(
     stream, as repeated ``simulate_trial`` calls on it do.  The buffers grow
     with the trial count, so callers pass ``chunk_size`` seeds at a time.
 
-    ``drawn`` takes these seeds' draws, already filled, when another thread
-    helped to draw them ahead, as the harness does; the call then only
-    propagates them, adding the states to the drawn observation noise.
+    ``drawn`` takes these seeds' draws, already finished, when another
+    thread helped to draw them ahead, as the harness does; the call then
+    only propagates them, adding the states to the drawn observation noise.
     """
     _check_init(init)
     _check_run(tm, horizon, plan)
@@ -269,7 +297,7 @@ def simulate_batch(
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
     if drawn is None:
         drawn = _Draws(init, noise, seeds, tm.n, horizon, start)
-        drawn.fill(np.empty((horizon + 1, tm.n)))
+        drawn.fill((None, np.empty((horizon + 1, tm.n))))
     states = np.empty_like(drawn.out)
     _propagate(tm, drawn.x0, drawn.theta, plan, start, states)
     drawn.out += states

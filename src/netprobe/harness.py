@@ -9,8 +9,8 @@ trial order, each on its own generator, so results are bit-reproducible
 whichever thread draws them.  With more than one chunk, one worker thread
 draws the next chunk's noise while the calling thread propagates the
 current chunk and decides it, so two chunks' buffers are alive at once;
-the calling thread then draws the trials of the next chunk that the
-worker has not reached.
+the calling thread then finishes the next chunk itself, without waiting
+on the worker.
 """
 
 from __future__ import annotations
@@ -217,11 +217,15 @@ def _trials(
 
     A single chunk is drawn and propagated inline.  Otherwise one worker
     thread draws chunk k + 1 while this thread propagates chunk k and its
-    caller decides it; this thread then draws whatever trials of chunk k + 1
-    the worker has not reached.  The worker only fills ``_Draws`` buffers
-    allocated here, so every public call, and every traced span, stays on
-    this thread.  A draw that raises on the worker re-raises here, and
-    closing the generator early waits for the worker to finish and end.
+    caller decides it; this thread then finishes chunk k + 1 itself,
+    drawing again any trial the worker has claimed but not stored, so it
+    never waits on a worker that the host has descheduled.  Such a worker
+    gets no new chunk until it is done, and the chunk after this one is
+    then allocated only once this one is released, so two chunks' buffers
+    are alive at most.  The worker only fills ``_Draws``
+    buffers allocated here, so every public call, and every traced span,
+    stays on this thread.  A worker's error re-raises here, and closing
+    the generator early waits for the worker to finish and end.
     """
     init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
@@ -234,20 +238,24 @@ def _trials(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        scratch, worker_scratch = np.empty((2, horizon + 1, tm.n))
+        scratch, worker_scratch = (_Draws.scratch(tm.n, horizon) for _ in range(2))
 
-        def draw_ahead(chunk):
-            draws = _Draws(init, noise, chunk, tm.n, horizon, start)
-            return draws, worker.submit(draws.fill, worker_scratch)
+        def draws(chunk):
+            return _Draws(init, noise, chunk, tm.n, horizon, start)
 
-        ahead = draw_ahead(chunks[0])
+        ahead = draws(chunks[0])
+        pending = worker.submit(ahead.fill, worker_scratch)
         for k, chunk in enumerate(chunks):
-            drawn, pending = ahead
-            drawn.fill(scratch)  # the trials the worker has not reached
-            pending.result()  # waits for the worker's last trial, or raises its error
-            if k + 1 < len(chunks):
-                ahead = draw_ahead(chunks[k + 1])
+            drawn, ahead = ahead, None
+            if drawn is None:  # the worker was busy, so nothing was drawn ahead
+                drawn = draws(chunk)
+            drawn.finish(scratch)
+            if k + 1 < len(chunks) and pending.done():
+                pending.result()  # raises the worker's error, if any
+                ahead = draws(chunks[k + 1])
+                pending = worker.submit(ahead.fill, worker_scratch)
             yield simulate_batch(tm, init, horizon, noise, plan, chunk, start, drawn)
+        pending.result()
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:

@@ -199,8 +199,9 @@ class TestSimulateBatch:
 
     def test_threads_sharing_a_chunk_draw_one_threads_bits(self, tm):
         # more threads than cores, tiny trials and a short switch interval
-        # interleave the claims; a trial left undrawn, or drawn into another
-        # trial's rows or through another thread's scratch, would differ
+        # interleave the claims, and finish() draws again what the others
+        # have claimed but not stored; a trial left unstored, stored twice
+        # differently, or drawn into another trial's rows would differ
         seeds = np.random.SeedSequence(9).spawn(3000)
         init, noise, plan = (-100.0, 100.0), NoiseModel(0.5, 2.0), ExcitationPlan(2, 1, 30.0)
         interval = sys.getswitchinterval()
@@ -209,15 +210,16 @@ class TestSimulateBatch:
             for start in (0, 2):
                 drawn = dynamics._Draws(init, noise, seeds, tm.n, 2, start)
                 threads = [
-                    threading.Thread(target=drawn.fill, args=(np.empty((3, tm.n)),))
-                    for _ in range(4)
+                    threading.Thread(target=drawn.fill, args=(dynamics._Draws.scratch(tm.n, 2),))
+                    for _ in range(3)
                 ]
                 for thread in threads:
                     thread.start()
+                drawn.finish(dynamics._Draws.scratch(tm.n, 2))
+                window = simulate_batch(tm, init, 2, noise, plan, seeds, start, drawn)
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                window = simulate_batch(tm, init, 2, noise, plan, seeds, start, drawn)
                 assert window is drawn.out
                 assert np.array_equal(window, simulate_batch(tm, init, 2, noise, plan, seeds, start))
         finally:

@@ -1,5 +1,6 @@
 """Experiment runners and CLI: determinism, theory columns, file formats."""
 
+import concurrent.futures
 import inspect
 import json
 import math
@@ -381,26 +382,34 @@ class TestTrialPipeline:
         assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 7 and 2 trials
 
     def test_draw_error_reraises_on_calling_thread(self, monkeypatch):
-        # this thread leaves every trial to the worker, whose fourth chunk has a bad seed
+        # the worker finishes each chunk before this thread goes on, and its
+        # draws of the fourth chunk raise; this thread draws that chunk again
+        # itself, then re-raises the worker's error
         made, raised = [], []
 
-        class WorkerOnly(dynamics._Draws):
-            def __init__(self, init, noise, seeds, *args):
+        class Joined(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                concurrent.futures.wait([future])
+                return future
+
+        class BadOnWorker(dynamics._Draws):
+            def __init__(self, *args):
                 made.append(self)
-                if len(made) == 4:
-                    seeds = [-1] * len(seeds)  # default_rng rejects a negative seed
-                super().__init__(init, noise, seeds, *args)
+                super().__init__(*args)
 
-            def fill(self, upsilon):
-                if threading.current_thread() is threading.main_thread():
-                    return
-                try:
-                    super().fill(upsilon)
-                except ValueError as exc:
-                    raised.append(exc)
-                    raise
+            def _draw(self, i, scratch):
+                on_worker = threading.current_thread() is not threading.main_thread()
+                if on_worker and made.index(self) == 3:
+                    try:
+                        np.random.default_rng(-1)  # default_rng rejects a negative seed
+                    except ValueError as exc:
+                        raised.append(exc)
+                        raise
+                super()._draw(i, scratch)
 
-        monkeypatch.setattr(harness, "_Draws", WorkerOnly)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Joined)
+        monkeypatch.setattr(harness, "_Draws", BadOnWorker)
         before = threading.active_count()
         _, _, chunks = self.trials(monkeypatch, 3)
         received = 0
@@ -447,15 +456,15 @@ class TestTrialPipeline:
         drawers = set()
 
         class Recorded(dynamics._Draws):
-            def fill(self, upsilon):
+            def fill(self, scratch):
                 drawers.add(threading.get_ident())
-                super().fill(upsilon)
+                super().fill(scratch)
 
         monkeypatch.setattr(harness, "_Draws", Recorded)
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * self.HORIZON * self.CONFIG.n)
         run_multihop_accuracy(self.CONFIG)
         here = threading.get_ident()
-        assert drawers - {here}, "no worker thread drew"
+        assert drawers - {here}, "no worker thread was given a chunk"
         assert {"netprobe.dynamics.simulate_batch", "netprobe.infer.first_hops"} <= set(callers)
         assert all(idents == {here} for idents in callers.values()), callers
 
