@@ -222,10 +222,10 @@ def _trials(
     never waits on a worker that the host has descheduled.  Such a worker
     gets no new chunk until it is done, and the chunk after this one is
     then allocated only once this one is released, so two chunks' buffers
-    are alive at most.  The worker only fills ``_Draws``
-    buffers allocated here, so every public call, and every traced span,
-    stays on this thread.  A worker's error re-raises here, and closing
-    the generator early waits for the worker to finish and end.
+    are alive at most.  The worker only fills ``_Draws`` buffers allocated
+    here, so every public call, and every traced span, stays on this
+    thread.  A worker's error re-raises here, and closing the generator
+    early waits for the worker to finish and end.
     """
     init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
