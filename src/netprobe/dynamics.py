@@ -78,8 +78,9 @@ class Trajectory:
 
 
 # Process-noise bytes in one chunk of trials: 1 MiB is 8 trials of 53
-# steps at n = 300 and 128 trials of 51 steps at n = 20.  The harness holds
-# two chunks' buffers at once, one propagating while the next is drawn.
+# steps at n = 300 and 128 trials of 51 steps at n = 20.  When the harness
+# draws ahead on a worker it holds two chunks' buffers at once, one
+# propagating while the next is drawn.
 CHUNK_BYTES = 1 << 20
 
 
@@ -195,7 +196,7 @@ def simulate_trial(
 def chunk_size(n: int, horizon: int) -> int:
     """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES.
 
-    The harness draws the next chunk while one propagates, so its trial
+    When the harness draws the next chunk while one propagates, its trial
     buffers take about twice this budget.
     """
     return max(1, CHUNK_BYTES // (8 * horizon * n))
@@ -209,29 +210,24 @@ class _Draws:
     unless it is stored already, so two threads may draw one chunk, and
     even one trial, at once.  Each trial draws from its own seed in
     ``simulate_trial``'s order, so the stored bits do not depend on which
-    thread drew them; a generator repeated in the seeds must be drawn by a
-    single thread, which takes the trials in turn.
+    thread drew them.
     """
 
     def __init__(self, init, noise: NoiseModel, seeds, n: int, horizon: int, start: int) -> None:
         self.init, self.noise, self.seeds, self.start = init, noise, seeds, start
         self.x0 = np.empty((len(seeds), n))
         self.theta = np.empty((len(seeds), horizon, n))
-        self.out = np.empty((len(seeds), horizon + 1 - start, n))
+        self.upsilon = np.empty((len(seeds), horizon + 1 - start, n))
         self._next = 0
         self._stored = [False] * len(seeds)
         self._lock = threading.Lock()
 
     @staticmethod
     def scratch(n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """One drawing thread's theta and upsilon buffers for one trial.
-
-        A sole drawing thread may pass None for theta, which it then draws
-        in place.
-        """
+        """One drawing thread's theta and upsilon buffers for one trial."""
         return np.empty((horizon, n)), np.empty((horizon + 1, n))
 
-    def fill(self, scratch: tuple[np.ndarray | None, np.ndarray]) -> None:
+    def fill(self, scratch: tuple[np.ndarray, np.ndarray]) -> None:
         """Draw each trial that no thread has claimed yet."""
         while True:
             with self._lock:
@@ -252,18 +248,17 @@ class _Draws:
             if not stored:
                 self._draw(i, scratch)
 
-    def _draw(self, i: int, scratch: tuple[np.ndarray | None, np.ndarray]) -> None:
+    def _draw(self, i: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
         theta, upsilon = scratch
         rng = np.random.default_rng(self.seeds[i])
         x0 = rng.uniform(*self.init, self.x0.shape[1])
-        _normal(rng, self.noise.sigma_theta, self.theta[i] if theta is None else theta)
+        _normal(rng, self.noise.sigma_theta, theta)
         _normal(rng, self.noise.sigma_upsilon, upsilon)
         with self._lock:
             if not self._stored[i]:
                 self.x0[i] = x0
-                if theta is not None:
-                    self.theta[i] = theta
-                self.out[i] = upsilon[self.start:]
+                self.theta[i] = theta
+                self.upsilon[i] = upsilon[self.start:]
                 self._stored[i] = True
 
 
@@ -275,7 +270,6 @@ def simulate_batch(
     plan: ExcitationPlan | None,
     seeds,
     start: int = 0,
-    drawn: _Draws | None = None,
 ) -> np.ndarray:
     """Observations y_start..y_horizon of seeded trials, shaped (trials, rows, n).
 
@@ -286,22 +280,60 @@ def simulate_batch(
     ``Generator`` repeated in ``seeds`` draws the trials in turn on its
     stream, as repeated ``simulate_trial`` calls on it do.  The buffers grow
     with the trial count, so callers pass ``chunk_size`` seeds at a time.
-
-    ``drawn`` takes these seeds' draws, already finished, when another
-    thread helped to draw them ahead, as the harness does; the call then
-    only propagates them, adding the states to the drawn observation noise.
+    When the harness draws its chunks ahead on a worker thread, it steps
+    them with ``propagate_batch``, which gives the same bits.
     """
     _check_init(init)
     _check_run(tm, horizon, plan)
     if not 0 <= start <= horizon:
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
-    if drawn is None:
-        drawn = _Draws(init, noise, seeds, tm.n, horizon, start)
-        drawn.fill((None, np.empty((horizon + 1, tm.n))))
-    states = np.empty_like(drawn.out)
-    _propagate(tm, drawn.x0, drawn.theta, plan, start, states)
-    drawn.out += states
-    return drawn.out
+    k, n = len(seeds), tm.n
+    x = np.empty((k, n))
+    theta = np.empty((k, horizon, n))
+    upsilon = np.empty((horizon + 1, n))
+    out = np.empty((k, horizon + 1 - start, n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        x[i] = rng.uniform(*init, n)
+        _normal(rng, noise.sigma_theta, theta[i])
+        _normal(rng, noise.sigma_upsilon, upsilon)
+        out[i] = upsilon[start:]
+    states = np.empty_like(out)
+    _propagate(tm, x, theta, plan, start, states)
+    out += states
+    return out
+
+
+def propagate_batch(
+    tm: TopologyMatrix,
+    x0: np.ndarray,
+    theta: np.ndarray,
+    upsilon: np.ndarray,
+    plan: ExcitationPlan | None,
+    start: int = 0,
+) -> np.ndarray:
+    """Observations y_start..y_horizon of trials whose noise is already drawn.
+
+    ``x0`` is (trials, n), ``theta`` (trials, horizon, n) and ``upsilon``
+    the kept observation noise, (trials, horizon + 1 - start, n).  The
+    trials step together as in ``simulate_batch``, and the result is a new
+    (trials, rows, n) array.
+    """
+    if np.ndim(theta) != 3:
+        raise ValueError("theta must be shaped (trials, horizon, n)")
+    k, horizon, n = theta.shape
+    _check_run(tm, horizon, plan)
+    if not 0 <= start <= horizon:
+        raise ValueError(f"first kept step {start} outside 0..{horizon}")
+    if n != tm.n or np.shape(x0) != (k, n) or np.shape(upsilon) != (k, horizon + 1 - start, n):
+        raise ValueError(
+            f"x0 {np.shape(x0)}, theta {theta.shape} and upsilon {np.shape(upsilon)} "
+            f"do not fit {tm.n} nodes from step {start}"
+        )
+    states = np.empty_like(upsilon)
+    _propagate(tm, x0, theta, plan, start, states)
+    states += upsilon
+    return states
 
 
 def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:

@@ -6,11 +6,11 @@ returns a ``ResultTable`` of named rows whose theoretical columns come
 straight from the formulas in :mod:`netprobe.detect`.  Trials draw their
 randomness from seeds spawned deterministically off the master seed in
 trial order, each on its own generator, so results are bit-reproducible
-whichever thread draws them.  With more than one chunk, one worker thread
-draws the next chunk's noise while the calling thread propagates the
-current chunk and decides it, so two chunks' buffers are alive at once;
-the calling thread then finishes the next chunk itself, without waiting
-on the worker.
+whichever thread draws them.  When a run has several chunks of large
+trials and a second CPU, one worker thread draws the next chunk's noise
+while the calling thread propagates the current chunk and decides it, so
+two chunks' buffers are alive at once; the calling thread then finishes
+the next chunk itself, without waiting on the worker.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,7 +32,14 @@ from netprobe.topology import (
     rule_weights,
     true_hop_sets,
 )
-from netprobe.dynamics import ExcitationPlan, NoiseModel, _Draws, chunk_size, simulate_batch
+from netprobe.dynamics import (
+    ExcitationPlan,
+    NoiseModel,
+    _Draws,
+    chunk_size,
+    propagate_batch,
+    simulate_batch,
+)
 from netprobe.estimate import (
     LsProblem,
     constrained_estimate,
@@ -210,31 +218,54 @@ def _network(
     return graph, tm, pick_source_node(graph, depth)
 
 
+# A trial's noise draws release the GIL, but seeding its generator and
+# storing its rows hold it.  With few draws per trial that held time
+# dominates, and a worker drawing ahead contends with the propagating thread
+# instead of overlapping it.  On two Xeon vCPUs, fig1b at horizon 53 ran
+# 0.80x as fast with the worker at n = 20 (2,140 draws per trial), 0.90x at
+# n = 30, 1.16x at n = 40 and 1.27x at n = 100; this floor, twice the
+# break-even, pipelines from n = 77 there and keeps fig1a's n = 20 inline.
+PIPELINE_DRAWS = 1 << 13
+
+
+def _pipelined(n: int, horizon: int, chunks: int) -> bool:
+    """Whether ``_trials`` draws ahead on a worker: several large-trial chunks and a second CPU.
+
+    On one CPU the worker only time-slices with the propagating thread,
+    and redrawing the trials it claimed costs more than it saves.
+    """
+    if chunks < 2 or (2 * horizon + 1) * n < PIPELINE_DRAWS:
+        return False
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
+
+
 def _trials(
     config: ExperimentConfig, tm: TopologyMatrix, horizon: int, plan: ExcitationPlan, start: int
 ):
     """(chunk, rows, n) observations y_start..y_horizon of the seeded trials, in trial order.
 
-    A single chunk is drawn and propagated inline.  Otherwise one worker
-    thread draws chunk k + 1 while this thread propagates chunk k and its
-    caller decides it; this thread then finishes chunk k + 1 itself,
-    drawing again any trial the worker has claimed but not stored, so it
-    never waits on a worker that the host has descheduled.  Such a worker
-    gets no new chunk until it is done, and the chunk after this one is
-    then allocated only once this one is released, so two chunks' buffers
-    are alive at most.  The worker only fills ``_Draws`` buffers allocated
-    here, so every public call, and every traced span, stays on this
-    thread.  A worker's error re-raises here, and closing the generator
-    early waits for the worker to finish and end.
+    Each chunk is drawn and propagated by ``simulate_batch`` here, unless
+    ``_pipelined`` holds.  Then one worker thread draws chunk k + 1 while
+    this thread propagates chunk k and its caller decides it; this thread
+    then finishes chunk k + 1 itself, drawing again any trial the worker
+    has claimed but not stored, so it never waits on a worker that the host
+    has descheduled.  Such a worker gets no new chunk until it is done, and
+    the chunk after this one is then allocated only once this one is
+    released, so two chunks' buffers are alive at most.  The worker only
+    fills ``_Draws`` buffers allocated here, so every public call, and every
+    traced span, stays on this thread.  A worker's error re-raises here, and
+    closing the generator early waits for the worker to finish and end.
     """
     init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
     size = chunk_size(tm.n, horizon)
     chunks = [seeds[first:first + size] for first in range(0, len(seeds), size)]
-    if len(chunks) == 1:
-        yield simulate_batch(tm, init, horizon, noise, plan, seeds, start)
+    if not _pipelined(tm.n, horizon, len(chunks)):
+        for chunk in chunks:
+            yield simulate_batch(tm, init, horizon, noise, plan, chunk, start)
         return
-    # imported here, so that one-chunk runs skip its import (5-10 ms with logging)
+    # imported here, so that unpipelined runs skip its import (5-10 ms with logging)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -254,7 +285,7 @@ def _trials(
                 pending.result()  # raises the worker's error, if any
                 ahead = draws(chunks[k + 1])
                 pending = worker.submit(ahead.fill, worker_scratch)
-            yield simulate_batch(tm, init, horizon, noise, plan, chunk, start, drawn)
+            yield propagate_batch(tm, drawn.x0, drawn.theta, drawn.upsilon, plan, start)
         pending.result()
 
 

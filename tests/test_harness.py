@@ -353,10 +353,18 @@ class TestRunners:
 
 
 class TestTrialPipeline:
-    """``harness._trials`` draws the next chunk on a worker thread."""
+    """``harness._trials`` draws the next chunk on a worker thread.
+
+    The small trials here would not be drawn ahead on their own, so every
+    run with more than one chunk is made to pipeline, also on one CPU.
+    """
 
     CONFIG = replace(SMALL, trial_count=20)
     HORIZON, START = 53, 50
+
+    @pytest.fixture(autouse=True)
+    def pipelined(self, monkeypatch):
+        monkeypatch.setattr(harness, "_pipelined", lambda n, horizon, chunks: chunks > 1)
 
     def trials(self, monkeypatch, per_chunk):
         _, tm = self.CONFIG.build_network()
@@ -465,8 +473,38 @@ class TestTrialPipeline:
         run_multihop_accuracy(self.CONFIG)
         here = threading.get_ident()
         assert drawers - {here}, "no worker thread was given a chunk"
-        assert {"netprobe.dynamics.simulate_batch", "netprobe.infer.first_hops"} <= set(callers)
+        assert {"netprobe.dynamics.propagate_batch", "netprobe.infer.first_hops"} <= set(callers)
         assert all(idents == {here} for idents in callers.values()), callers
+
+    def test_unpipelined_chunks_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(harness, "_pipelined", lambda n, horizon, chunks: False)
+        before = threading.active_count()
+        _, _, chunks = self.trials(monkeypatch, 3)
+        for _ in chunks:
+            assert threading.active_count() == before
+
+
+class TestPipelinedWhen:
+    """``_pipelined`` picks the worker from the trial size, chunk count and CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_large_trials_in_several_chunks(self):
+        horizon = 53  # fig1b at n = 300: 8 trials of 32,100 draws per chunk
+        assert harness._pipelined(300, horizon, 2)
+        assert not harness._pipelined(300, horizon, 1)
+
+    def test_small_trials_stay_on_one_thread(self):
+        # fig1a's shipped config: n = 20, 1,000 trials in chunks of 128
+        assert not harness._pipelined(20, 51, 8)
+        n = -(-harness.PIPELINE_DRAWS // 107)  # the fewest nodes that pipeline at horizon 53
+        assert harness._pipelined(n, 53, 2) and not harness._pipelined(n - 1, 53, 2)
+
+    def test_one_cpu_stays_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3})
+        assert not harness._pipelined(300, 53, 8)
 
 
 def parent_trials(argv):
