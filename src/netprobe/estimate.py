@@ -8,12 +8,17 @@ pattern with only zero entries is solved in one multi-right-hand-side
 least-squares call, and rows with nonnegativity constraints are solved
 exactly by an active-set method (Lawson-Hanson with the free variables
 pre-seeded into the passive set) on their pattern's shared design.
+
+The plain (unconstrained) solve is computed once per ``LsProblem`` and
+shared: ``ols_estimate`` returns it, and ``constrained_estimate`` copies it
+for the rows no constraint touches.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +59,17 @@ class LsProblem:
     def n(self) -> int:
         return self.regressors.shape[1]
 
+    @cached_property
+    def plain_solution(self) -> LsSolution:
+        """Row-wise least squares ignoring the constraints, solved on first use.
+
+        The matrix is read-only, since every estimator on this problem shares
+        it.
+        """
+        sol, _, rank, _ = np.linalg.lstsq(self.regressors, self.targets, rcond=None)
+        sol.flags.writeable = False
+        return LsSolution(sol.T, int(rank), int(rank) < self.n)
+
 
 @dataclass(frozen=True)
 class LsSolution:
@@ -82,12 +98,10 @@ def ols_estimate(problem: LsProblem) -> LsSolution:
     """Row-wise least squares over all observation pairs.
 
     Rank-deficient regressors yield the minimum-norm solution, flagged via
-    ``rank_deficient``; constraints on the problem are ignored here.
+    ``rank_deficient``; constraints on the problem are ignored here.  The
+    result is the problem's shared, read-only ``plain_solution``.
     """
-    x = problem.regressors
-    y = problem.targets
-    sol, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    return LsSolution(sol.T, int(rank), int(rank) < problem.n)
+    return problem.plain_solution
 
 
 def _nonneg_row_lstsq(a: np.ndarray, b: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -184,8 +198,8 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
     Rows are grouped by their constraint pattern and each pattern is solved
     on its shared design (see ``_solve_pattern``); zero-constrained entries
     are eliminated and positive-constrained ones solved under nonnegativity.
-    Fully unconstrained rows reproduce the plain least-squares rows bit for
-    bit.
+    Fully unconstrained rows are copied from the problem's shared
+    ``plain_solution``, so they equal ``ols_estimate``'s rows bit for bit.
     """
     x = problem.regressors
     y = problem.targets
@@ -193,14 +207,14 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
         (rows, *_solve_pattern(x, y, pattern, rows))
         for pattern, rows in _row_patterns(problem.constraints).items()
     ]
-    # The plain solve runs last: run first, its (n, n) result would sit
-    # beside each pattern's design and solver workspace and raise peak memory.
-    base, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    w = base.T  # rows of W; free rows keep the plain solution
+    plain = problem.plain_solution
+    # rows of W; free rows keep the plain solution, and the copy keeps its
+    # (column-major) memory layout
+    w = plain.matrix.copy(order="K")
     for rows, keep, values in solved:
         w[rows] = 0.0
         w[np.ix_(rows, keep)] = values
-    return LsSolution(w, int(rank), int(rank) < problem.n)
+    return LsSolution(w, plain.rank, plain.rank_deficient)
 
 
 def _thresholded_sign(m: np.ndarray) -> np.ndarray:

@@ -405,9 +405,11 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
 def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     """Paired OLS vs excitation-constrained LS errors, one row per seed.
 
-    Each row simulates n+5 noisy observation pairs, estimates the matrix by
-    plain least squares, then injects one designed excitation, converts the
-    resulting one-hop decision into column constraints, and re-estimates.
+    Each row simulates n+5 noisy observation pairs followed by one designed
+    excitation, converts the resulting one-hop decision into column
+    constraints, and estimates the matrix by plain and by constrained least
+    squares.  Both estimators read one ``LsProblem``, so the plain solve
+    runs once per row.
     """
     _, tm, source = _network(config)
     e = _onehop_excitation(
@@ -418,13 +420,12 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     rows = []
     chunks = _trials(config, tm, horizon + 1, ExcitationPlan(source, horizon, e), 0)
     for k, y in enumerate(y for chunk in chunks for y in chunk):
-        problem = LsProblem(y[:horizon], y[1:horizon + 1])
-        ols = ols_estimate(problem)
         decision = infer_one_hop(
             y[horizon], y[horizon + 1], source, e, config.weight_floor, tm.stability
         )
-        constraints = constraints_from_decision(decision)
-        constrained = constrained_estimate(replace(problem, constraints=constraints))
+        problem = LsProblem(y[:horizon], y[1:horizon + 1], constraints_from_decision(decision))
+        ols = ols_estimate(problem)
+        constrained = constrained_estimate(problem)
         m_ols = error_metrics(ols.matrix, tm.matrix)
         m_con = error_metrics(constrained.matrix, tm.matrix)
         rows.append(

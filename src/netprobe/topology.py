@@ -111,8 +111,9 @@ def generate_random_digraph(n: int, edge_probability: float, seed=None) -> Weigh
     a = (rng.random((n, n)) < edge_probability).astype(np.int64)
     np.fill_diagonal(a, 0)
     for i in np.flatnonzero(a.sum(axis=1) == 0):
-        choices = [j for j in range(n) if j != i]
-        a[i, rng.choice(choices)] = 1
+        # a uniform pick among the n - 1 other nodes, skipping i
+        j = int(rng.integers(n - 1))
+        a[i, j + (j >= i)] = 1
     return WeightedDigraph(a)
 
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from netprobe import detect
+from netprobe import detect, harness
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
 from netprobe.harness import default_config, run_ls_improvement, run_multihop_accuracy, run_onehop_accuracy
 from netprobe.infer import infer_one_hop
@@ -140,26 +140,47 @@ def test_criterion_5_multi_excitation():
     report("5 multi-excitation", elapsed, ", ".join(details))
 
 
+def ls_refinement_gate(rows):
+    """Criterion 6 on fig1c rows: strict structure-error wins and both medians.
+
+    The gate passes when the constrained estimate's structure error is
+    strictly lower on at least 45 of the 50 seeds and its median magnitude
+    error is strictly lower than plain least squares'.  Ties count as
+    losses, so constraints that change nothing cannot pass.
+    """
+    wins = sum(row["constrained_structure_error"] < row["ols_structure_error"] for row in rows)
+    med_con = float(np.median([row["constrained_magnitude_error"] for row in rows]))
+    med_ols = float(np.median([row["ols_magnitude_error"] for row in rows]))
+    return wins, med_con, med_ols, wins >= 45 and med_con < med_ols
+
+
 def test_criterion_6_ls_refinement():
     start = time.perf_counter()
     config = default_config("fig1c")
     table = run_ls_improvement(config)
     rows = table.as_dicts()
     assert len(rows) == 50
-    structure_wins = sum(
-        row["constrained_structure_error"] <= row["ols_structure_error"] for row in rows
-    )
+    structure_wins, med_con, med_ols, _ = ls_refinement_gate(rows)
     assert structure_wins >= 45
-    med_con = float(np.median([row["constrained_magnitude_error"] for row in rows]))
-    med_ols = float(np.median([row["ols_magnitude_error"] for row in rows]))
-    assert med_con <= med_ols
+    assert med_con < med_ols
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(
         "6 LS refinement",
         elapsed,
-        f"structure wins {structure_wins}/50, median eps2 {med_con:.3f} vs {med_ols:.3f}",
+        f"strict structure wins {structure_wins}/50, median eps2 {med_con:.3f} vs {med_ols:.3f}",
     )
+
+
+def test_criterion_6_fails_without_constraints(monkeypatch):
+    # negative control: with every decision turned into no constraint the
+    # constrained estimate is plain least squares, and the gate must fail
+    monkeypatch.setattr(harness, "constraints_from_decision", lambda decision: {})
+    rows = run_ls_improvement(default_config("fig1c")).as_dicts()
+    structure_wins, med_con, med_ols, passed = ls_refinement_gate(rows)
+    assert structure_wins == 0
+    assert med_con == med_ols
+    assert not passed
 
 
 def test_criterion_7_structural_invariants():

@@ -284,6 +284,37 @@ class TestGroupedSolve:
         assert np.array_equal(ordered, shuffled)
 
 
+class TestSharedPlainSolve:
+    """OLS and constrained LS on one problem share a single plain solve."""
+
+    def problem(self):
+        tm = laplacian_weights(generate_random_digraph(12, 0.3, 4), 1.0)
+        constraints = TestGroupedSolve().random_patterns(12, 2)
+        return LsProblem(*noisy_rows(tm, 30, seed=5), constraints)
+
+    def test_constrained_first_keeps_ols_bits(self):
+        problem = self.problem()
+        constrained_estimate(problem)
+        ols = ols_estimate(problem)
+        fresh = np.linalg.lstsq(problem.regressors, problem.targets, rcond=None)[0].T
+        assert np.array_equal(ols.matrix, fresh)
+        assert ols.matrix.strides == fresh.strides
+
+    def test_constrained_copy_is_private(self):
+        problem = self.problem()
+        ols = ols_estimate(problem)
+        before = ols.matrix.copy()
+        constrained = constrained_estimate(problem)
+        assert constrained.matrix.flags.writeable
+        assert constrained.matrix.strides == ols.matrix.strides
+        constrained.matrix[:] = 7.0
+        assert np.array_equal(ols.matrix, before)
+        assert ols_estimate(problem) is problem.plain_solution
+        assert not problem.plain_solution.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            problem.plain_solution.matrix[0, 0] = 1.0
+
+
 class TestErrorMetrics:
     def test_perfect_estimate(self):
         w = np.array([[0.0, 1.0], [0.5, 0.5]])

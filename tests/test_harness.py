@@ -250,6 +250,42 @@ class TestRunners:
         assert all(row["rank"] == 20 and row["rank_deficient"] == 0 for row in dicts)
         assert all(row["ols_structure_error"] <= 1.0 for row in dicts)
 
+    def test_ls_improvement_solves_plain_problem_once(self, monkeypatch):
+        # with a zero-only pattern a trial needs one plain solve and one
+        # pattern solve; OLS and constrained LS share the plain one
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        def zero_only(decision):
+            return {key: estimate.EntryConstraint.ZERO for key in estimate.constraints_from_decision(decision)}
+
+        monkeypatch.setattr(estimate.np.linalg, "lstsq", counting)
+        monkeypatch.setattr(harness, "constraints_from_decision", zero_only)
+        run_ls_improvement(replace(SMALL, trial_count=3))
+        # per trial: the full (25, 20) design, then the pattern's (25, 19)
+        assert calls == [(25, 20), (25, 19)] * 3
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_ls_improvement_matches_separate_solves(self, monkeypatch, n):
+        config = replace(SMALL, trial_count=4)
+        if n != config.n:
+            config = replace(config, n=n, edge_probability=1.6 / n)
+            config = replace(config, weight_floor=config.build_network()[1].weight_floor)
+        shared = run_ls_improvement(config)
+
+        # each estimator on a fresh problem of its own, so each solves the
+        # plain problem itself
+        def fresh(estimator):
+            return lambda p: estimator(estimate.LsProblem(p.regressors, p.targets, p.constraints))
+
+        monkeypatch.setattr(harness, "ols_estimate", fresh(estimate.ols_estimate))
+        monkeypatch.setattr(harness, "constrained_estimate", fresh(estimate.constrained_estimate))
+        assert run_ls_improvement(config).as_dicts() == shared.as_dicts()
+
     def test_runners_reject_floor_above_weights(self):
         # the default network's weights are all 0.5
         config = replace(SMALL, trial_count=1, weight_floor=0.6)

@@ -55,6 +55,23 @@ class TestGenerateRandomDigraph:
             assert g.in_degrees().min() >= 1
             assert np.diagonal(g.adjacency).sum() == 0
 
+    @pytest.mark.parametrize(
+        "n, p", [(2, 0.1), (5, 0.05), (20, 0.08), (20, 0.01), (300, 1.6 / 300), (1000, 0.003)]
+    )
+    def test_matches_list_choice_oracle(self, n, p):
+        # the repair's in-edge pick once ran rng.choice over a list of the
+        # other nodes; the same seed must still give the same graph
+        repaired = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            expected = (rng.random((n, n)) < p).astype(np.int64)
+            np.fill_diagonal(expected, 0)
+            for i in np.flatnonzero(expected.sum(axis=1) == 0):
+                expected[i, rng.choice([j for j in range(n) if j != i])] = 1
+                repaired += 1
+            assert np.array_equal(generate_random_digraph(n, p, seed=seed).adjacency, expected)
+        assert repaired > 0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             generate_random_digraph(1, 0.5)
