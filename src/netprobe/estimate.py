@@ -3,15 +3,22 @@
 The interaction matrix is estimated row by row from consecutive observation
 pairs.  An excitation round supplies sign information for one column: entries
 decided present are constrained nonnegative, entries decided absent are fixed
-to zero.  Rows are grouped by their constraint pattern: every row of a
-pattern with only zero entries is solved in one multi-right-hand-side
-least-squares call, and rows with nonnegativity constraints are solved
-exactly by an active-set method (Lawson-Hanson with the free variables
-pre-seeded into the passive set) on their pattern's shared design.
+to zero.  Rows are grouped by their constraint pattern: the rows of a
+pattern with only zero entries are refit together, and rows with
+nonnegativity constraints are solved exactly by an active-set method
+(Lawson-Hanson with the free variables pre-seeded into the passive set) on
+their pattern's shared design.
 
 The plain (unconstrained) solve is computed once per ``LsProblem`` and
 shared: ``ols_estimate`` returns it, and ``constrained_estimate`` copies it
-for the rows no constraint touches.
+for the rows no constraint touches.  When the plain design has full column
+rank, a zero-only pattern's rows come from that solution by an exact
+column-deletion downdate (Golub & Van Loan, *Matrix Computations*, sec. 6.5)
+against the triangular factor R of the design, with no new least-squares
+solve.  On a rank-deficient design, whose minimum-norm reduced solution the
+downdate does not give, each zero-only pattern is still one
+multi-right-hand-side ``lstsq`` call; the active-set solver for patterns
+with a positive entry also solves with ``lstsq``.
 """
 
 from __future__ import annotations
@@ -48,10 +55,14 @@ class LsProblem:
         y = np.asarray(self.targets, dtype=float)
         if x.ndim != 2 or x.shape != y.shape or x.shape[0] == 0:
             raise ValueError("regressors and targets must be equal-shape (T, n) arrays, T >= 1")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("regressors and targets must be finite")
         n = x.shape[1]
-        for i, j in self.constraints:
+        for (i, j), kind in self.constraints.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"constraint index ({i}, {j}) outside the matrix")
+            if not isinstance(kind, EntryConstraint):
+                raise ValueError(f"constraint ({i}, {j}) is {kind!r}, not an EntryConstraint")
         object.__setattr__(self, "regressors", _frozen(x))
         object.__setattr__(self, "targets", _frozen(y))
 
@@ -172,24 +183,52 @@ def _row_patterns(constraints: dict[tuple[int, int], EntryConstraint]) -> dict[t
     return groups
 
 
+def _downdate(
+    beta: np.ndarray, r: np.ndarray, zero: list[int], keep: np.ndarray, rows: list[int]
+) -> np.ndarray:
+    """Rows of the plain solution ``beta`` refit without the columns ``zero``.
+
+    With the design X = QR of full column rank, G = inv(X^T X) = inv(R) inv(R)^T,
+    and dropping the columns Z turns a row b of the plain solution into
+    b - G[:, Z] inv(G[Z, Z]) b[Z], which is zero on Z.  G[:, Z] takes two
+    solves against R, so the normal equations are never formed.
+    """
+    e = np.zeros((r.shape[0], len(zero)))
+    e[zero, np.arange(len(zero))] = 1.0
+    g = np.linalg.solve(r, np.linalg.solve(r.T, e))
+    # one column per row: inv(G[Z, Z]) b[Z]
+    coef = np.linalg.solve(g[zero], beta[np.ix_(rows, zero)].T)
+    return beta[np.ix_(rows, keep)] - (g[keep] @ coef).T
+
+
 def _solve_pattern(
-    x: np.ndarray, y: np.ndarray, pattern: tuple, rows: list[int]
+    x: np.ndarray,
+    y: np.ndarray,
+    pattern: tuple,
+    rows: list[int],
+    beta: np.ndarray,
+    r: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The columns a pattern keeps, and its rows' values on them, one row each.
 
     Every row of the pattern shares the design ``x[:, keep]``.  Without a
-    positive entry all rows are one multi-right-hand-side solve (minimum-norm
-    when the design is rank-deficient); otherwise each row runs the
-    active-set solver on that design.
+    positive entry the rows are downdated from the plain solution ``beta``
+    when ``r`` (the R factor of ``x``, given only for a full-rank ``x``) is
+    set, and otherwise are one multi-right-hand-side ``lstsq`` solve, which
+    is minimum-norm when the design is rank-deficient.  With a positive
+    entry each row runs the active-set solver on that design.
     """
     zero = [j for j, kind in pattern if kind is EntryConstraint.ZERO]
     keep = np.delete(np.arange(x.shape[1]), zero)
+    zero_only = len(zero) == len(pattern)
+    if zero_only and r is not None:
+        return keep, _downdate(beta, r, zero, keep, rows)
     a = x[:, keep]
+    if zero_only:
+        # solving for every column of y avoids copying y[:, rows]
+        return keep, np.linalg.lstsq(a, y, rcond=None)[0][:, rows].T
     positive = np.isin(keep, [j for j, kind in pattern if kind is EntryConstraint.POSITIVE])
-    if positive.any():
-        return keep, np.array([_nonneg_row_lstsq(a, y[:, i], positive) for i in rows])
-    # solving for every column of y avoids copying y[:, rows]
-    return keep, np.linalg.lstsq(a, y, rcond=None)[0][:, rows].T
+    return keep, np.array([_nonneg_row_lstsq(a, y[:, i], positive) for i in rows])
 
 
 def constrained_estimate(problem: LsProblem) -> LsSolution:
@@ -200,14 +239,25 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
     are eliminated and positive-constrained ones solved under nonnegativity.
     Fully unconstrained rows are copied from the problem's shared
     ``plain_solution``, so they equal ``ols_estimate``'s rows bit for bit.
+    When the plain design has full column rank, zero-only patterns are
+    downdated from that solution instead of solved again; their values agree
+    with a fresh solve of the reduced design to rounding.  A rank-deficient
+    design, patterns with a positive entry and free rows use ``lstsq``.
     """
     x = problem.regressors
     y = problem.targets
-    solved = [
-        (rows, *_solve_pattern(x, y, pattern, rows))
-        for pattern, rows in _row_patterns(problem.constraints).items()
-    ]
+    patterns = _row_patterns(problem.constraints)
     plain = problem.plain_solution
+    # R lives only for this call: zero-only patterns share it, and a
+    # rank-deficient design keeps them on lstsq
+    r = None
+    zero_only = (all(kind is EntryConstraint.ZERO for _, kind in p) for p in patterns)
+    if not plain.rank_deficient and any(zero_only):
+        r = np.linalg.qr(x, mode="r")
+    solved = [
+        (rows, *_solve_pattern(x, y, pattern, rows, plain.matrix, r))
+        for pattern, rows in patterns.items()
+    ]
     # rows of W; free rows keep the plain solution, and the copy keeps its
     # (column-major) memory layout
     w = plain.matrix.copy(order="K")
@@ -218,9 +268,9 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
 
 
 def _thresholded_sign(m: np.ndarray) -> np.ndarray:
-    s = np.sign(m)
-    s[np.abs(m) <= SIGN_TOL] = 0.0
-    return s
+    # one byte per entry: error_metrics runs on n x n matrices in fig1c's
+    # loop, and float temporaries there set the workload's peak memory
+    return (m > SIGN_TOL).view(np.int8) - (m < -SIGN_TOL).view(np.int8)
 
 
 def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> ErrorMetrics:
@@ -234,6 +284,8 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> ErrorMetrics:
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
         raise ValueError("estimate and truth must have the same shape")
+    if not (np.isfinite(est).all() and np.isfinite(tru).all()):
+        raise ValueError("estimate and truth must be finite")
     denom = float(np.linalg.norm(tru))
     if denom == 0.0:
         raise ValueError("truth matrix must be nonzero")

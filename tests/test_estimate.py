@@ -284,6 +284,52 @@ class TestGroupedSolve:
         assert np.array_equal(ordered, shuffled)
 
 
+class TestZeroOnlyDowndate:
+    """Zero-only patterns against a multi-right-hand-side solve of the reduced design."""
+
+    def reference(self, problem, zero, rows):
+        x, y = problem.regressors, problem.targets
+        keep = np.delete(np.arange(problem.n), zero)
+        return keep, np.linalg.lstsq(x[:, keep], y, rcond=None)[0][:, rows].T
+
+    def check(self, problem, zero, rows):
+        got = constrained_estimate(problem).matrix
+        keep, ref = self.reference(problem, zero, rows)
+        assert np.array_equal(got[np.ix_(rows, zero)], np.zeros((len(rows), len(zero))))
+        return got[np.ix_(rows, keep)], ref
+
+    def test_fig1c_shaped_n300(self):
+        n = 300
+        tm = laplacian_weights(generate_random_digraph(n, 1.6 / n, 7), 1.0)
+        j = 11
+        rows = [i for i in range(n) if i != j]
+        problem = LsProblem(*noisy_rows(tm, n + 5, seed=1), {(i, j): ZERO for i in rows})
+        assert not problem.plain_solution.rank_deficient
+        got, ref = self.check(problem, [j], rows)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_several_zero_columns(self):
+        tm = laplacian_weights(generate_random_digraph(40, 0.1, 3), 1.0)
+        zero = [2, 9, 17, 30]
+        rows = [0, 5, 9, 21, 39]
+        constraints = {(i, j): ZERO for i in rows for j in zero}
+        # free entries leave the pattern zero-only
+        constraints.update({(i, 4): FREE for i in rows})
+        problem = LsProblem(*noisy_rows(tm, 60, seed=2), constraints)
+        assert not problem.plain_solution.rank_deficient
+        got, ref = self.check(problem, zero, rows)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_rank_deficient_keeps_lstsq_bits(self):
+        tm = laplacian_weights(generate_random_digraph(30, 0.1, 5), 1.0)
+        zero = [3, 8]
+        rows = [i for i in range(30) if i not in zero]
+        problem = LsProblem(*noisy_rows(tm, 20, seed=4), {(i, j): ZERO for i in rows for j in zero})
+        assert problem.plain_solution.rank_deficient
+        got, ref = self.check(problem, zero, rows)
+        assert np.array_equal(got, ref)
+
+
 class TestSharedPlainSolve:
     """OLS and constrained LS on one problem share a single plain solve."""
 
@@ -334,11 +380,31 @@ class TestErrorMetrics:
         est[3, 3] = 2e-6  # just above the default sign tolerance
         assert error_metrics(est, w).structure_error == pytest.approx(1 / 25)
 
+    def test_structure_error_matches_float_sign_oracle(self):
+        def float_sign(m):
+            s = np.sign(m)
+            s[np.abs(m) <= 1e-6] = 0.0
+            return s
+
+        rng = np.random.default_rng(5)
+        edge = np.array([0.0, -0.0, 1e-6, -1e-6, np.nextafter(1e-6, 1), np.nextafter(-1e-6, -1), 0.5, -0.5])
+        for _ in range(20):
+            est = rng.choice(edge, size=(9, 9)) * rng.choice([1.0, 3e-6, 1e-7], size=(9, 9))
+            tru = rng.choice(edge, size=(9, 9))
+            tru[0, 0] = 1.0
+            expected = (float_sign(est) != float_sign(tru)).sum() / est.size
+            assert error_metrics(est, tru).structure_error == expected
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             error_metrics(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             error_metrics(np.zeros((2, 2)), np.zeros((3, 3)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                error_metrics(np.array([[0.0, bad], [0.5, 0.5]]), np.eye(2))
+            with pytest.raises(ValueError, match="finite"):
+                error_metrics(np.eye(2), np.array([[0.0, bad], [0.5, 0.5]]))
 
     def test_metrics_invariant_bounds(self):
         with pytest.raises(ValueError):
@@ -374,3 +440,13 @@ class TestConstraintPlumbing:
             LsProblem(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             LsProblem(np.zeros((1, 3)), np.zeros((1, 3)), {(5, 0): ZERO})
+        for kind in ("zero", None):
+            with pytest.raises(ValueError, match=r"\(1, 0\)"):
+                LsProblem(np.zeros((1, 3)), np.zeros((1, 3)), {(0, 0): ZERO, (1, 0): kind})
+        for bad in (np.nan, np.inf, -np.inf):
+            finite, broken = np.ones((4, 3)), np.ones((4, 3))
+            broken[2, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                LsProblem(broken, finite)
+            with pytest.raises(ValueError, match="finite"):
+                LsProblem(finite, broken)

@@ -251,8 +251,8 @@ class TestRunners:
         assert all(row["ols_structure_error"] <= 1.0 for row in dicts)
 
     def test_ls_improvement_solves_plain_problem_once(self, monkeypatch):
-        # with a zero-only pattern a trial needs one plain solve and one
-        # pattern solve; OLS and constrained LS share the plain one
+        # with a zero-only pattern a trial needs only the plain solve: OLS
+        # and constrained LS share it, and the pattern is downdated from it
         calls = []
         lstsq = np.linalg.lstsq
 
@@ -266,8 +266,8 @@ class TestRunners:
         monkeypatch.setattr(estimate.np.linalg, "lstsq", counting)
         monkeypatch.setattr(harness, "constraints_from_decision", zero_only)
         run_ls_improvement(replace(SMALL, trial_count=3))
-        # per trial: the full (25, 20) design, then the pattern's (25, 19)
-        assert calls == [(25, 20), (25, 19)] * 3
+        # per trial: the full (25, 20) design only
+        assert calls == [(25, 20)] * 3
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_ls_improvement_matches_separate_solves(self, monkeypatch, n):
