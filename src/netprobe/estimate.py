@@ -11,14 +11,18 @@ their pattern's shared design.
 
 The plain (unconstrained) solve is computed once per ``LsProblem`` and
 shared: ``ols_estimate`` returns it, and ``constrained_estimate`` copies it
-for the rows no constraint touches.  When the plain design has full column
-rank, a zero-only pattern's rows come from that solution by an exact
-column-deletion downdate (Golub & Van Loan, *Matrix Computations*, sec. 6.5)
-against the triangular factor R of the design, with no new least-squares
-solve.  On a rank-deficient design, whose minimum-norm reduced solution the
-downdate does not give, each zero-only pattern is still one
-multi-right-hand-side ``lstsq`` call; the active-set solver for patterns
-with a positive entry also solves with ``lstsq``.
+for the rows no constraint touches.  When the design X (T x n) has at least
+as many rows as columns, the problem factors it once as X = QR and keeps
+inv(R) when ||R||_F ||inv(R)||_F eps max(T, n) < 1.  That bound implies
+``lstsq``'s own rank test, so the design has full column rank, and the plain
+solution is inv(R) (Q^T Y) (Golub & Van Loan, *Matrix Computations*,
+sec. 5.3).  A zero-only pattern's rows then come from that solution by an
+exact column-deletion downdate (sec. 6.5) through the same inv(R), with no
+new least-squares solve.  A short or ill-conditioned design keeps the
+SVD-based ``lstsq``: its plain solve is minimum-norm when rank-deficient,
+and each zero-only pattern is one multi-right-hand-side ``lstsq`` call.  The
+active-set solver for patterns with a positive entry also solves with
+``lstsq``.
 """
 
 from __future__ import annotations
@@ -71,15 +75,71 @@ class LsProblem:
         return self.regressors.shape[1]
 
     @cached_property
+    def _factor(self) -> tuple[LsSolution, np.ndarray | None]:
+        """The plain solution, and inv(R) of the design when ``_full_rank_solve`` succeeds."""
+        solved = _full_rank_solve(self.regressors, self.targets)
+        if solved is None:
+            rinv = None
+            sol, _, rank, _ = np.linalg.lstsq(self.regressors, self.targets, rcond=None)
+        else:
+            rinv, sol = solved
+            rank = self.n
+        sol.flags.writeable = False
+        return LsSolution(sol.T, int(rank), int(rank) < self.n), rinv
+
+    @property
     def plain_solution(self) -> LsSolution:
         """Row-wise least squares ignoring the constraints, solved on first use.
 
+        On a design that passes the condition bound it is inv(R) (Q^T Y), of
+        rank n; otherwise it is ``lstsq``'s minimum-norm solution and rank.
         The matrix is read-only, since every estimator on this problem shares
         it.
         """
-        sol, _, rank, _ = np.linalg.lstsq(self.regressors, self.targets, rcond=None)
-        sol.flags.writeable = False
-        return LsSolution(sol.T, int(rank), int(rank) < self.n)
+        return self._factor[0]
+
+
+def _full_rank_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(inv(R), inv(R) Q^T y)`` for the reduced QR x = QR, or None.
+
+    None when x has fewer rows than columns, R is singular, or
+    ||R||_F ||inv(R)||_F eps max(T, n) < 1 fails.  Since ||R||_F ||inv(R)||_F
+    >= cond_2(x), passing the bound puts x's smallest singular value above
+    ``lstsq``'s cutoff, eps max(T, n) times the largest, so ``lstsq`` would
+    call x full rank too.  Q is freed as soon as Q^T y is formed.
+    """
+    t, n = x.shape
+    if t < n:
+        return None
+    q, r = np.linalg.qr(x)
+    qty = q.T @ y
+    del q
+    try:
+        rinv = _upper_inverse(r)
+    except np.linalg.LinAlgError:
+        return None
+    # written so that a NaN product fails too
+    if not np.linalg.norm(r) * np.linalg.norm(rinv) * np.finfo(float).eps * max(t, n) < 1.0:
+        return None
+    return rinv, rinv @ qty
+
+
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """inv(R) of an upper-triangular R from the inverses of its diagonal blocks.
+
+    [[A, B], [0, C]]^-1 = [[inv(A), -inv(A) B inv(C)], [0, inv(C)]].  ``inv``
+    copies its input and solves against a full identity; on the half-size
+    blocks those copies are a quarter the size, so the plain solve's peak
+    memory stays at the QR factorisation's own, and the zero blocks below
+    the diagonal are never solved for.  Raises ``LinAlgError`` when R is
+    singular.
+    """
+    h = r.shape[0] // 2
+    rinv = np.zeros_like(r)
+    rinv[:h, :h] = np.linalg.inv(r[:h, :h])
+    rinv[h:, h:] = np.linalg.inv(r[h:, h:])
+    rinv[:h, h:] = -(rinv[:h, :h] @ r[:h, h:]) @ rinv[h:, h:]
+    return rinv
 
 
 @dataclass(frozen=True)
@@ -108,8 +168,10 @@ class ErrorMetrics:
 def ols_estimate(problem: LsProblem) -> LsSolution:
     """Row-wise least squares over all observation pairs.
 
-    Rank-deficient regressors yield the minimum-norm solution, flagged via
-    ``rank_deficient``; constraints on the problem are ignored here.  The
+    A design that passes ``LsProblem``'s condition bound is solved through
+    its QR factor; any other design, rank-deficient ones included, gets
+    ``lstsq``'s minimum-norm solution, with ``rank_deficient`` flagged when
+    its rank is short.  Constraints on the problem are ignored here.  The
     result is the problem's shared, read-only ``plain_solution``.
     """
     return problem.plain_solution
@@ -184,18 +246,17 @@ def _row_patterns(constraints: dict[tuple[int, int], EntryConstraint]) -> dict[t
 
 
 def _downdate(
-    beta: np.ndarray, r: np.ndarray, zero: list[int], keep: np.ndarray, rows: list[int]
+    beta: np.ndarray, rinv: np.ndarray, zero: list[int], keep: np.ndarray, rows: list[int]
 ) -> np.ndarray:
     """Rows of the plain solution ``beta`` refit without the columns ``zero``.
 
     With the design X = QR of full column rank, G = inv(X^T X) = inv(R) inv(R)^T,
     and dropping the columns Z turns a row b of the plain solution into
-    b - G[:, Z] inv(G[Z, Z]) b[Z], which is zero on Z.  G[:, Z] takes two
-    solves against R, so the normal equations are never formed.
+    b - G[:, Z] inv(G[Z, Z]) b[Z], which is zero on Z.  G[:, Z] is
+    inv(R) inv(R)[Z]^T, one product with the problem's stored inverse, so
+    the normal equations are never formed.
     """
-    e = np.zeros((r.shape[0], len(zero)))
-    e[zero, np.arange(len(zero))] = 1.0
-    g = np.linalg.solve(r, np.linalg.solve(r.T, e))
+    g = rinv @ rinv[zero].T
     # one column per row: inv(G[Z, Z]) b[Z]
     coef = np.linalg.solve(g[zero], beta[np.ix_(rows, zero)].T)
     return beta[np.ix_(rows, keep)] - (g[keep] @ coef).T
@@ -207,22 +268,22 @@ def _solve_pattern(
     pattern: tuple,
     rows: list[int],
     beta: np.ndarray,
-    r: np.ndarray | None,
+    rinv: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The columns a pattern keeps, and its rows' values on them, one row each.
 
     Every row of the pattern shares the design ``x[:, keep]``.  Without a
     positive entry the rows are downdated from the plain solution ``beta``
-    when ``r`` (the R factor of ``x``, given only for a full-rank ``x``) is
-    set, and otherwise are one multi-right-hand-side ``lstsq`` solve, which
-    is minimum-norm when the design is rank-deficient.  With a positive
-    entry each row runs the active-set solver on that design.
+    when ``rinv`` (inv(R) of ``x``, given only when ``x`` passed the
+    condition bound) is set, and otherwise are one multi-right-hand-side
+    ``lstsq`` solve, which is minimum-norm when the design is rank-deficient.
+    With a positive entry each row runs the active-set solver on that design.
     """
     zero = [j for j, kind in pattern if kind is EntryConstraint.ZERO]
     keep = np.delete(np.arange(x.shape[1]), zero)
     zero_only = len(zero) == len(pattern)
-    if zero_only and r is not None:
-        return keep, _downdate(beta, r, zero, keep, rows)
+    if zero_only and rinv is not None:
+        return keep, _downdate(beta, rinv, zero, keep, rows)
     a = x[:, keep]
     if zero_only:
         # solving for every column of y avoids copying y[:, rows]
@@ -239,24 +300,18 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
     are eliminated and positive-constrained ones solved under nonnegativity.
     Fully unconstrained rows are copied from the problem's shared
     ``plain_solution``, so they equal ``ols_estimate``'s rows bit for bit.
-    When the plain design has full column rank, zero-only patterns are
-    downdated from that solution instead of solved again; their values agree
-    with a fresh solve of the reduced design to rounding.  A rank-deficient
-    design, patterns with a positive entry and free rows use ``lstsq``.
+    When the problem holds inv(R) of its design (the design passed the
+    condition bound), zero-only patterns are downdated from the plain
+    solution through it, and no factorisation runs here; their values agree
+    with a fresh solve of the reduced design to rounding.  Otherwise
+    zero-only patterns, like patterns with a positive entry, use ``lstsq``.
     """
     x = problem.regressors
     y = problem.targets
-    patterns = _row_patterns(problem.constraints)
-    plain = problem.plain_solution
-    # R lives only for this call: zero-only patterns share it, and a
-    # rank-deficient design keeps them on lstsq
-    r = None
-    zero_only = (all(kind is EntryConstraint.ZERO for _, kind in p) for p in patterns)
-    if not plain.rank_deficient and any(zero_only):
-        r = np.linalg.qr(x, mode="r")
+    plain, rinv = problem._factor
     solved = [
-        (rows, *_solve_pattern(x, y, pattern, rows, plain.matrix, r))
-        for pattern, rows in patterns.items()
+        (rows, *_solve_pattern(x, y, pattern, rows, plain.matrix, rinv))
+        for pattern, rows in _row_patterns(problem.constraints).items()
     ]
     # rows of W; free rows keep the plain solution, and the copy keeps its
     # (column-major) memory layout

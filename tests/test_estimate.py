@@ -15,6 +15,7 @@ from netprobe.estimate import (
     constraints_from_decision,
     error_metrics,
     _nonneg_row_lstsq,
+    _upper_inverse,
     ols_estimate,
     save_constraints,
 )
@@ -126,6 +127,22 @@ class TestOls:
             short.append(m_short.magnitude_error)
             long.append(m_long.magnitude_error)
         assert np.median(long) < np.median(short)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_upper_inverse_matches_inv(self, n):
+        r = np.triu(np.random.default_rng(n).normal(size=(n, n))) + 4.0 * np.eye(n)
+        got = _upper_inverse(r)
+        assert np.array_equal(np.tril(got, -1), np.zeros((n, n)))
+        expected = np.linalg.inv(r)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_upper_inverse_rejects_singular(self):
+        r = np.triu(np.ones((6, 6)))
+        for k in (0, 4):
+            singular = r.copy()
+            singular[k, k] = 0.0
+            with pytest.raises(np.linalg.LinAlgError):
+                _upper_inverse(singular)
 
 
 class TestConstrained:
@@ -329,6 +346,43 @@ class TestZeroOnlyDowndate:
         got, ref = self.check(problem, zero, rows)
         assert np.array_equal(got, ref)
 
+    def assert_keeps_lstsq_bits(self, x, y, zero):
+        rows = [i for i in range(x.shape[1]) if i not in zero]
+        problem = LsProblem(x, y, {(i, j): ZERO for i in rows for j in zero})
+        sol, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+        plain = ols_estimate(problem)
+        assert (plain.rank, plain.rank_deficient) == (rank, rank < problem.n)
+        assert np.array_equal(plain.matrix, sol.T)
+        got, ref = self.check(problem, zero, rows)
+        assert np.array_equal(got, ref)
+
+    def test_duplicated_column_keeps_lstsq_bits(self):
+        # T >= n but rank n - 1; R's last pivot is rounding noise, not zero,
+        # so only the condition bound keeps this design off the QR path
+        tm = laplacian_weights(generate_random_digraph(30, 0.1, 5), 1.0)
+        x, y = noisy_rows(tm, 40, seed=2)
+        x = x.copy()
+        x[:, 3] = x[:, 7]
+        self.assert_keeps_lstsq_bits(x, y, [5, 11])
+
+    @pytest.mark.parametrize(
+        "n, scale, lstsq_rank",
+        [
+            # full rank, but lstsq's cutoff drops the scaled column
+            (300, 1e-12, 299),
+            # full rank by lstsq's cutoff too, yet outside the bound
+            (60, 3e-13, 60),
+        ],
+    )
+    def test_scaled_column_keeps_lstsq_bits(self, n, scale, lstsq_rank):
+        tm = laplacian_weights(generate_random_digraph(n, 1.6 / n, 7), 1.0)
+        x, y = noisy_rows(tm, n + 5, seed=1)
+        x = x.copy()
+        x[:, 3] *= scale
+        assert np.linalg.matrix_rank(x, tol=0.0) == n
+        assert np.linalg.lstsq(x, y, rcond=None)[2] == lstsq_rank
+        self.assert_keeps_lstsq_bits(x, y, [11])
+
 
 class TestSharedPlainSolve:
     """OLS and constrained LS on one problem share a single plain solve."""
@@ -339,12 +393,20 @@ class TestSharedPlainSolve:
         return LsProblem(*noisy_rows(tm, 30, seed=5), constraints)
 
     def test_constrained_first_keeps_ols_bits(self):
+        # the plain solve is inv(R) (Q^T Y) whichever estimator runs first
         problem = self.problem()
         constrained_estimate(problem)
         ols = ols_estimate(problem)
-        fresh = np.linalg.lstsq(problem.regressors, problem.targets, rcond=None)[0].T
-        assert np.array_equal(ols.matrix, fresh)
-        assert ols.matrix.strides == fresh.strides
+        fresh = ols_estimate(LsProblem(problem.regressors, problem.targets, problem.constraints))
+        assert np.array_equal(ols.matrix, fresh.matrix)
+        assert ols.matrix.strides == fresh.matrix.strides
+        x, y = problem.regressors, problem.targets
+        q, r = np.linalg.qr(x)
+        assert np.array_equal(ols.matrix, (_upper_inverse(r) @ (q.T @ y)).T)
+        assert (ols.rank, ols.rank_deficient) == (problem.n, False)
+        reference = np.linalg.lstsq(x, y, rcond=None)[0].T
+        assert ols.matrix.strides == reference.strides
+        assert np.abs(ols.matrix - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_constrained_copy_is_private(self):
         problem = self.problem()

@@ -251,23 +251,29 @@ class TestRunners:
         assert all(row["ols_structure_error"] <= 1.0 for row in dicts)
 
     def test_ls_improvement_solves_plain_problem_once(self, monkeypatch):
-        # with a zero-only pattern a trial needs only the plain solve: OLS
-        # and constrained LS share it, and the pattern is downdated from it
-        calls = []
-        lstsq = np.linalg.lstsq
+        # with a zero-only pattern a trial needs one factorisation: OLS and
+        # constrained LS share the plain solve, the pattern is downdated
+        # through the same factor, and lstsq never runs
+        calls = {"qr": [], "lstsq": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return lstsq(*args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def count(*args, **kwargs):
+                calls[name].append(args[0].shape)
+                return original(*args, **kwargs)
+
+            return count
 
         def zero_only(decision):
             return {key: estimate.EntryConstraint.ZERO for key in estimate.constraints_from_decision(decision)}
 
-        monkeypatch.setattr(estimate.np.linalg, "lstsq", counting)
+        for name in calls:
+            monkeypatch.setattr(estimate.np.linalg, name, counting(name))
         monkeypatch.setattr(harness, "constraints_from_decision", zero_only)
         run_ls_improvement(replace(SMALL, trial_count=3))
         # per trial: the full (25, 20) design only
-        assert calls == [(25, 20)] * 3
+        assert calls == {"qr": [(25, 20)] * 3, "lstsq": []}
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_ls_improvement_matches_separate_solves(self, monkeypatch, n):
@@ -285,6 +291,24 @@ class TestRunners:
         monkeypatch.setattr(harness, "ols_estimate", fresh(estimate.ols_estimate))
         monkeypatch.setattr(harness, "constrained_estimate", fresh(estimate.constrained_estimate))
         assert run_ls_improvement(config).as_dicts() == shared.as_dicts()
+
+    @pytest.mark.parametrize("n, seed, trials", [(300, 21, 2), (100, 8, 4)])
+    def test_ls_improvement_agrees_with_lstsq_tables(self, monkeypatch, n, seed, trials):
+        # the reference runs every solve through lstsq (the QR path off):
+        # the plain solve and a fresh solve of each zero-only pattern's design
+        config = replace(SMALL, trial_count=trials, seed=seed, n=n, edge_probability=1.6 / n)
+        config = replace(config, weight_floor=config.build_network()[1].weight_floor)
+        got = run_ls_improvement(config).as_dicts()
+        monkeypatch.setattr(estimate, "_full_rank_solve", lambda x, y: None)
+        reference = run_ls_improvement(config).as_dicts()
+        assert len(got) == len(reference) == trials
+        for row, ref in zip(got, reference):
+            assert row["rank"] == n and not row["rank_deficient"]
+            for key in ref:
+                if key.endswith("magnitude_error"):
+                    assert row[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
+                else:
+                    assert row[key] == ref[key]
 
     def test_runners_reject_floor_above_weights(self):
         # the default network's weights are all 0.5
