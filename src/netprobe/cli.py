@@ -71,6 +71,8 @@ def _error_target(args) -> float:
 
 
 def _cmd_design(args) -> None:
+    if args.sigma is not None and args.row_stochastic:
+        raise ValueError("--row-stochastic only tightens the derived bound; drop it or --sigma")
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
     sigma = args.sigma if args.sigma is not None else detect.deviation_noise_bound(
         args.n, noise, row_stochastic=args.row_stochastic

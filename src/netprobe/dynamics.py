@@ -12,7 +12,6 @@ once, with the same draws per trial as ``simulate_trial``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +78,8 @@ class Trajectory:
 
 # Process-noise bytes in one chunk of trials: 1 MiB is 8 trials of 53
 # steps at n = 300 and 128 trials of 51 steps at n = 20.  When the harness
-# draws ahead on a worker it holds two chunks' buffers at once, one
-# propagating while the next is drawn.
+# runs every other chunk on a worker, two chunks' buffers are alive at once,
+# one on each thread.
 CHUNK_BYTES = 1 << 20
 
 
@@ -196,70 +195,38 @@ def simulate_trial(
 def chunk_size(n: int, horizon: int) -> int:
     """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES.
 
-    When the harness draws the next chunk while one propagates, its trial
-    buffers take about twice this budget.
+    When the harness runs every other chunk on a worker, its trial buffers
+    take about twice this budget.
     """
     return max(1, CHUNK_BYTES // (8 * horizon * n))
 
 
-class _Draws:
-    """One chunk's x0, theta and kept upsilon rows, drawn trial by trial.
+def _workspace(trials: int, n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Noise buffers for up to ``trials`` trials: all their theta, one trial's upsilon."""
+    return np.empty((trials, horizon, n)), np.empty((horizon + 1, n))
 
-    The thread that makes the object allocates its buffers.  A drawing
-    thread draws a trial into its own scratch and stores it under the lock
-    unless it is stored already, so two threads may draw one chunk, and
-    even one trial, at once.  Each trial draws from its own seed in
-    ``simulate_trial``'s order, so the stored bits do not depend on which
-    thread drew them.
+
+def _simulate_chunk(tm, init, noise, plan, seeds, start, workspace) -> np.ndarray:
+    """``simulate_batch`` past its checks, drawing into a ``_workspace`` that fits the seeds.
+
+    The returned window is a new array, so the workspace can draw the next
+    chunk while the caller still holds this one.
     """
-
-    def __init__(self, init, noise: NoiseModel, seeds, n: int, horizon: int, start: int) -> None:
-        self.init, self.noise, self.seeds, self.start = init, noise, seeds, start
-        self.x0 = np.empty((len(seeds), n))
-        self.theta = np.empty((len(seeds), horizon, n))
-        self.upsilon = np.empty((len(seeds), horizon + 1 - start, n))
-        self._next = 0
-        self._stored = [False] * len(seeds)
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def scratch(n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """One drawing thread's theta and upsilon buffers for one trial."""
-        return np.empty((horizon, n)), np.empty((horizon + 1, n))
-
-    def fill(self, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        """Draw each trial that no thread has claimed yet."""
-        while True:
-            with self._lock:
-                i = self._next
-                if i == len(self.seeds):
-                    return
-                self._next = i + 1
-            self._draw(i, scratch)
-
-    def finish(self, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        """Fill, then draw again every trial another thread claimed but has not stored.
-
-        Nothing here waits on the other thread, which may be descheduled
-        in the middle of a trial; whichever copy is stored first is kept.
-        """
-        self.fill(scratch)
-        for i, stored in enumerate(self._stored):
-            if not stored:
-                self._draw(i, scratch)
-
-    def _draw(self, i: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        theta, upsilon = scratch
-        rng = np.random.default_rng(self.seeds[i])
-        x0 = rng.uniform(*self.init, self.x0.shape[1])
-        _normal(rng, self.noise.sigma_theta, theta)
-        _normal(rng, self.noise.sigma_upsilon, upsilon)
-        with self._lock:
-            if not self._stored[i]:
-                self.x0[i] = x0
-                self.theta[i] = theta
-                self.upsilon[i] = upsilon[self.start:]
-                self._stored[i] = True
+    theta, upsilon = workspace
+    k, n = len(seeds), tm.n
+    theta = theta[:k]
+    x = np.empty((k, n))
+    out = np.empty((k, len(upsilon) - start, n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        x[i] = rng.uniform(*init, n)
+        _normal(rng, noise.sigma_theta, theta[i])
+        _normal(rng, noise.sigma_upsilon, upsilon)
+        out[i] = upsilon[start:]
+    states = np.empty_like(out)
+    _propagate(tm, x, theta, plan, start, states)
+    out += states
+    return out
 
 
 def simulate_batch(
@@ -280,60 +247,13 @@ def simulate_batch(
     ``Generator`` repeated in ``seeds`` draws the trials in turn on its
     stream, as repeated ``simulate_trial`` calls on it do.  The buffers grow
     with the trial count, so callers pass ``chunk_size`` seeds at a time.
-    When the harness draws its chunks ahead on a worker thread, it steps
-    them with ``propagate_batch``, which gives the same bits.
     """
     _check_init(init)
     _check_run(tm, horizon, plan)
     if not 0 <= start <= horizon:
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
-    k, n = len(seeds), tm.n
-    x = np.empty((k, n))
-    theta = np.empty((k, horizon, n))
-    upsilon = np.empty((horizon + 1, n))
-    out = np.empty((k, horizon + 1 - start, n))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        x[i] = rng.uniform(*init, n)
-        _normal(rng, noise.sigma_theta, theta[i])
-        _normal(rng, noise.sigma_upsilon, upsilon)
-        out[i] = upsilon[start:]
-    states = np.empty_like(out)
-    _propagate(tm, x, theta, plan, start, states)
-    out += states
-    return out
-
-
-def propagate_batch(
-    tm: TopologyMatrix,
-    x0: np.ndarray,
-    theta: np.ndarray,
-    upsilon: np.ndarray,
-    plan: ExcitationPlan | None,
-    start: int = 0,
-) -> np.ndarray:
-    """Observations y_start..y_horizon of trials whose noise is already drawn.
-
-    ``x0`` is (trials, n), ``theta`` (trials, horizon, n) and ``upsilon``
-    the kept observation noise, (trials, horizon + 1 - start, n).  The
-    trials step together as in ``simulate_batch``, and the result is a new
-    (trials, rows, n) array.
-    """
-    if np.ndim(theta) != 3:
-        raise ValueError("theta must be shaped (trials, horizon, n)")
-    k, horizon, n = theta.shape
-    _check_run(tm, horizon, plan)
-    if not 0 <= start <= horizon:
-        raise ValueError(f"first kept step {start} outside 0..{horizon}")
-    if n != tm.n or np.shape(x0) != (k, n) or np.shape(upsilon) != (k, horizon + 1 - start, n):
-        raise ValueError(
-            f"x0 {np.shape(x0)}, theta {theta.shape} and upsilon {np.shape(upsilon)} "
-            f"do not fit {tm.n} nodes from step {start}"
-        )
-    states = np.empty_like(upsilon)
-    _propagate(tm, x0, theta, plan, start, states)
-    states += upsilon
-    return states
+    workspace = _workspace(len(seeds), tm.n, horizon)
+    return _simulate_chunk(tm, init, noise, plan, seeds, start, workspace)
 
 
 def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:

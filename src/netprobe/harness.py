@@ -7,10 +7,10 @@ straight from the formulas in :mod:`netprobe.detect`.  Trials draw their
 randomness from seeds spawned deterministically off the master seed in
 trial order, each on its own generator, so results are bit-reproducible
 whichever thread draws them.  When a run has several chunks of large
-trials and a second CPU, one worker thread draws the next chunk's noise
-while the calling thread propagates the current chunk and decides it, so
-two chunks' buffers are alive at once; the calling thread then finishes
-the next chunk itself, without waiting on the worker.
+trials and a second CPU, one worker thread runs every other chunk while
+the calling thread runs and decides the chunk before it, so two chunks'
+buffers are alive at once; the calling thread then waits for the
+worker's chunk.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from netprobe.topology import (
 from netprobe.dynamics import (
     ExcitationPlan,
     NoiseModel,
-    _Draws,
+    _simulate_chunk,
+    _workspace,
     chunk_size,
-    propagate_batch,
     simulate_batch,
 )
 from netprobe.estimate import (
@@ -218,21 +218,21 @@ def _network(
     return graph, tm, pick_source_node(graph, depth)
 
 
-# A trial's noise draws release the GIL, but seeding its generator and
-# storing its rows hold it.  With few draws per trial that held time
-# dominates, and a worker drawing ahead contends with the propagating thread
-# instead of overlapping it.  On two Xeon vCPUs, fig1b at horizon 53 ran
-# 0.80x as fast with the worker at n = 20 (2,140 draws per trial), 0.90x at
-# n = 30, 1.16x at n = 40 and 1.27x at n = 100; this floor, twice the
-# break-even, pipelines from n = 77 there and keeps fig1a's n = 20 inline.
+# A trial's noise draws and its chunk's matrix products release the GIL, but
+# seeding its generator and storing its rows hold it.  With few draws per
+# trial that held time dominates, and the two threads contend instead of
+# overlapping.  On two Xeon vCPUs, fig1b at horizon 53 ran 0.89-1.00x as
+# fast with the worker at n = 20 (2,140 draws per trial), 1.09-1.15x at
+# n = 30, 1.17-1.26x at n = 40 and 1.40x at n = 100.  This floor, about three
+# times that break-even, pipelines from n = 77 and keeps fig1a's n = 20 inline.
 PIPELINE_DRAWS = 1 << 13
 
 
 def _pipelined(n: int, horizon: int, chunks: int) -> bool:
-    """Whether ``_trials`` draws ahead on a worker: several large-trial chunks and a second CPU.
+    """Whether ``_trials`` runs chunks on a worker: several large-trial chunks and a second CPU.
 
-    On one CPU the worker only time-slices with the propagating thread,
-    and redrawing the trials it claimed costs more than it saves.
+    On one CPU the worker only time-slices with the calling thread, and
+    gains nothing.
     """
     if chunks < 2 or (2 * horizon + 1) * n < PIPELINE_DRAWS:
         return False
@@ -246,16 +246,15 @@ def _trials(
     """(chunk, rows, n) observations y_start..y_horizon of the seeded trials, in trial order.
 
     Each chunk is drawn and propagated by ``simulate_batch`` here, unless
-    ``_pipelined`` holds.  Then one worker thread draws chunk k + 1 while
-    this thread propagates chunk k and its caller decides it; this thread
-    then finishes chunk k + 1 itself, drawing again any trial the worker
-    has claimed but not stored, so it never waits on a worker that the host
-    has descheduled.  Such a worker gets no new chunk until it is done, and
-    the chunk after this one is then allocated only once this one is
-    released, so two chunks' buffers are alive at most.  The worker only
-    fills ``_Draws`` buffers allocated here, so every public call, and every
-    traced span, stays on this thread.  A worker's error re-raises here, and
-    closing the generator early waits for the worker to finish and end.
+    ``_pipelined`` holds.  Then one worker thread runs every other chunk,
+    whole, through the same chunk core, in one workspace allocated here
+    once: it runs chunk k + 1 while this thread runs chunk k and its caller
+    decides it, and this thread then waits for chunk k + 1 instead of
+    drawing it again.  Each thread holds one chunk's buffers, so two are
+    alive at most.  The worker calls no public function, so every traced
+    span stays on this thread, where the wait shows as ``harness`` time.
+    A worker's error re-raises here, and closing the generator early waits
+    for the worker to finish and end.
     """
     init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
@@ -269,24 +268,15 @@ def _trials(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        scratch, worker_scratch = (_Draws.scratch(tm.n, horizon) for _ in range(2))
-
-        def draws(chunk):
-            return _Draws(init, noise, chunk, tm.n, horizon, start)
-
-        ahead = draws(chunks[0])
-        pending = worker.submit(ahead.fill, worker_scratch)
-        for k, chunk in enumerate(chunks):
-            drawn, ahead = ahead, None
-            if drawn is None:  # the worker was busy, so nothing was drawn ahead
-                drawn = draws(chunk)
-            drawn.finish(scratch)
-            if k + 1 < len(chunks) and pending.done():
-                pending.result()  # raises the worker's error, if any
-                ahead = draws(chunks[k + 1])
-                pending = worker.submit(ahead.fill, worker_scratch)
-            yield propagate_batch(tm, drawn.x0, drawn.theta, drawn.upsilon, plan, start)
-        pending.result()
+        workspace = _workspace(size, tm.n, horizon)
+        for k in range(0, len(chunks), 2):
+            if k + 1 < len(chunks):
+                ahead = worker.submit(
+                    _simulate_chunk, tm, init, noise, plan, chunks[k + 1], start, workspace
+                )
+            yield simulate_batch(tm, init, horizon, noise, plan, chunks[k], start)
+            if k + 1 < len(chunks):
+                yield ahead.result()  # raises the worker's error, if any
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:

@@ -161,9 +161,14 @@ def metropolis_weights(graph: WeightedDigraph) -> TopologyMatrix:
 def rule_weights(
     graph: WeightedDigraph, rule: str = "laplacian", gamma: float = 1.0, alpha: float | None = None
 ) -> TopologyMatrix:
-    """Weights by the named rule, shrunk by ``alpha`` into the stable regime when given."""
+    """Weights by the named rule, shrunk by ``alpha`` into the stable regime when given.
+
+    ``gamma`` scales the Laplacian rule only; the Metropolis rule takes none.
+    """
     if rule not in WEIGHT_RULES:
         raise ValueError(f"weight rule must be one of {WEIGHT_RULES}, got {rule!r}")
+    if rule == "metropolis" and gamma != 1.0:
+        raise ValueError(f"the metropolis rule takes no gamma, got {gamma!r}")
     tm = laplacian_weights(graph, gamma) if rule == "laplacian" else metropolis_weights(graph)
     return tm if alpha is None else scale_to_asymptotic(tm, alpha)
 

@@ -2,8 +2,6 @@
 
 import csv
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from netprobe.dynamics import (
     Trajectory,
     chunk_size,
     deviation_bound,
-    propagate_batch,
     simulate,
     simulate_batch,
     simulate_trial,
@@ -198,33 +195,6 @@ class TestSimulateBatch:
         parts = np.concatenate([simulate_batch(*args, seeds[i:i + 5], 10) for i in (0, 5, 10)])
         assert np.abs(parts - whole).max() <= 1e-12 * np.abs(whole).max()
 
-    def test_threads_sharing_a_chunk_draw_one_threads_bits(self, tm):
-        # more threads than cores, tiny trials and a short switch interval
-        # interleave the claims, and finish() draws again what the others
-        # have claimed but not stored; a trial left unstored, stored twice
-        # differently, or drawn into another trial's rows would differ
-        seeds = np.random.SeedSequence(9).spawn(3000)
-        init, noise, plan = (-100.0, 100.0), NoiseModel(0.5, 2.0), ExcitationPlan(2, 1, 30.0)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for start in (0, 2):
-                drawn = dynamics._Draws(init, noise, seeds, tm.n, 2, start)
-                threads = [
-                    threading.Thread(target=drawn.fill, args=(dynamics._Draws.scratch(tm.n, 2),))
-                    for _ in range(3)
-                ]
-                for thread in threads:
-                    thread.start()
-                drawn.finish(dynamics._Draws.scratch(tm.n, 2))
-                window = propagate_batch(tm, drawn.x0, drawn.theta, drawn.upsilon, plan, start)
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert np.array_equal(window, simulate_batch(tm, init, 2, noise, plan, seeds, start))
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_draws_match_normal(self):
         # standard_normal scaled in place draws what normal(0, sigma) draws
         for sigma in (1.7, 1.0, 0.0):
@@ -251,31 +221,6 @@ class TestSimulateBatch:
         with pytest.raises(ValueError):
             simulate_batch(*args, 5, NoiseModel(), ExcitationPlan(99, 2, 1.0), [1])
         assert simulate_batch(*args, 5, NoiseModel(), None, [], 2).shape == (0, 4, 10)
-
-    def test_propagate_batch_rejects_mismatched_draws(self, tm):
-        x0, theta, upsilon = np.zeros((3, 10)), np.zeros((3, 5, 10)), np.zeros((3, 4, 10))
-        assert propagate_batch(tm, x0, theta, upsilon, None, 2).shape == (3, 4, 10)
-        with pytest.raises(ValueError, match="do not fit"):
-            propagate_batch(tm, x0, theta, upsilon, None, 0)  # 6 rows kept from step 0
-        with pytest.raises(ValueError, match="do not fit"):
-            propagate_batch(tm, x0[:2], theta, upsilon, None, 2)
-        with pytest.raises(ValueError, match="do not fit"):
-            propagate_batch(tm, x0[:, :4], theta[..., :4], upsilon[..., :4], None, 2)
-        with pytest.raises(ValueError, match="first kept step"):
-            propagate_batch(tm, x0, theta, upsilon, None, 6)
-        with pytest.raises(ValueError, match="shaped"):
-            propagate_batch(tm, x0, theta[0], upsilon, None, 2)
-        with pytest.raises(ValueError, match="excited node"):
-            propagate_batch(tm, x0, theta, upsilon, ExcitationPlan(99, 2, 1.0), 2)
-
-    def test_propagate_batch_steps_drawn_noise_as_simulate_batch(self, tm):
-        seeds = np.random.SeedSequence(4).spawn(6)
-        init, noise, plan = (-3.0, 9.0), NoiseModel(0.5, 2.0), ExcitationPlan(2, 3, 30.0)
-        for start in (0, 3, 7):
-            drawn = dynamics._Draws(init, noise, seeds, tm.n, 7, start)
-            drawn.finish(dynamics._Draws.scratch(tm.n, 7))
-            window = propagate_batch(tm, drawn.x0, drawn.theta, drawn.upsilon, plan, start)
-            assert np.array_equal(window, simulate_batch(tm, init, 7, noise, plan, seeds, start))
 
 
 class TestDeviationBound:

@@ -1,6 +1,5 @@
 """Experiment runners and CLI: determinism, theory columns, file formats."""
 
-import concurrent.futures
 import inspect
 import json
 import math
@@ -413,10 +412,10 @@ class TestRunners:
 
 
 class TestTrialPipeline:
-    """``harness._trials`` draws the next chunk on a worker thread.
+    """``harness._trials`` runs every other chunk on a worker thread.
 
-    The small trials here would not be drawn ahead on their own, so every
-    run with more than one chunk is made to pipeline, also on one CPU.
+    The small trials here would not pipeline on their own, so every run
+    with more than one chunk is made to pipeline, also on one CPU.
     """
 
     CONFIG = replace(SMALL, trial_count=20)
@@ -433,7 +432,9 @@ class TestTrialPipeline:
         plan = ExcitationPlan(0, self.START, 30.0)
         return tm, plan, harness._trials(self.CONFIG, tm, self.HORIZON, plan, self.START)
 
-    @pytest.mark.parametrize("per_chunk", [20, 13, 3], ids=["1-chunk", "2-chunks", "7-chunks"])
+    @pytest.mark.parametrize(
+        "per_chunk", [20, 13, 6, 3], ids=["1-chunk", "2-chunks", "4-chunks", "7-chunks"]
+    )
     def test_chunks_equal_per_chunk_simulate_batch(self, monkeypatch, per_chunk):
         tm, plan, chunks = self.trials(monkeypatch, per_chunk)
         chunks = list(chunks)
@@ -447,37 +448,25 @@ class TestTrialPipeline:
                 seeds[first:first + per_chunk], self.START,
             )
             assert np.array_equal(chunk, want)
-        assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 7 and 2 trials
+        assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 7, 2 and 2 trials
 
     def test_draw_error_reraises_on_calling_thread(self, monkeypatch):
-        # the worker finishes each chunk before this thread goes on, and its
-        # draws of the fourth chunk raise; this thread draws that chunk again
-        # itself, then re-raises the worker's error
-        made, raised = [], []
+        # the worker runs chunks 1, 3 and 5; its run of the fourth chunk
+        # raises inside the chunk core, and this thread re-raises that error
+        # once it has yielded the three chunks before it
+        core, raised = harness._simulate_chunk, []
 
-        class Joined(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                future = super().submit(fn, *args)
-                concurrent.futures.wait([future])
-                return future
+        def bad_fourth(tm, init, noise, plan, seeds, start, workspace):
+            assert threading.current_thread() is not threading.main_thread()
+            if seeds[0].spawn_key == (9,):  # chunk 3's first trial
+                seeds = [-1]  # default_rng rejects a negative seed
+            try:
+                return core(tm, init, noise, plan, seeds, start, workspace)
+            except ValueError as exc:
+                raised.append(exc)
+                raise
 
-        class BadOnWorker(dynamics._Draws):
-            def __init__(self, *args):
-                made.append(self)
-                super().__init__(*args)
-
-            def _draw(self, i, scratch):
-                on_worker = threading.current_thread() is not threading.main_thread()
-                if on_worker and made.index(self) == 3:
-                    try:
-                        np.random.default_rng(-1)  # default_rng rejects a negative seed
-                    except ValueError as exc:
-                        raised.append(exc)
-                        raise
-                super()._draw(i, scratch)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Joined)
-        monkeypatch.setattr(harness, "_Draws", BadOnWorker)
+        monkeypatch.setattr(harness, "_simulate_chunk", bad_fourth)
         before = threading.active_count()
         _, _, chunks = self.trials(monkeypatch, 3)
         received = 0
@@ -493,7 +482,7 @@ class TestTrialPipeline:
         before = threading.active_count()
         _, _, chunks = self.trials(monkeypatch, per_chunk)
         for _ in chunks:
-            # one chunk is drawn inline; more keep one worker until the end
+            # one chunk runs inline; more keep one worker until the end
             assert threading.active_count() == before + (per_chunk < 20)
             break
         del chunks
@@ -521,19 +510,18 @@ class TestTrialPipeline:
                 for holder in holders:
                     if vars(holder).get(attr) is fn:
                         monkeypatch.setattr(holder, attr, recorded(name, fn))
-        drawers = set()
+        core, workers = harness._simulate_chunk, set()
 
-        class Recorded(dynamics._Draws):
-            def fill(self, scratch):
-                drawers.add(threading.get_ident())
-                super().fill(scratch)
+        def recorded_core(*args):
+            workers.add(threading.get_ident())
+            return core(*args)
 
-        monkeypatch.setattr(harness, "_Draws", Recorded)
+        monkeypatch.setattr(harness, "_simulate_chunk", recorded_core)
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * self.HORIZON * self.CONFIG.n)
         run_multihop_accuracy(self.CONFIG)
         here = threading.get_ident()
-        assert drawers - {here}, "no worker thread was given a chunk"
-        assert {"netprobe.dynamics.propagate_batch", "netprobe.infer.first_hops"} <= set(callers)
+        assert workers - {here}, "no worker thread was given a chunk"
+        assert {"netprobe.dynamics.simulate_batch", "netprobe.infer.first_hops"} <= set(callers)
         assert all(idents == {here} for idents in callers.values()), callers
 
     def test_unpipelined_chunks_start_no_thread(self, monkeypatch):
@@ -856,6 +844,15 @@ class TestCli:
         "design-zero-sigma": (
             "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1", "--sigma", "0",
         ),
+        "design-sigma-with-row-stochastic": (
+            "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1", "--sigma", "2",
+            "--row-stochastic",
+        ),
+        "generate-metropolis-gamma": (
+            "generate", "--n", "6", "--p", "0.4", "--rule", "metropolis", "--gamma", "0.5",
+            "--weights-out", "{d}/m.txt",
+        ),
+        "config-metropolis-gamma": ("experiment", "fig1b", "--config", "{d}/metrogamma.cfg"),
         "unstable-weights": ("simulate", "--weights", "{d}/unstable.txt", "--out", "{d}/t.csv"),
         "experiment-odd-extension": ("experiment", "fig1a", "--trials", "2", "--out", "{d}/r.xml"),
         "simulate-reversed-init": (
@@ -896,6 +893,9 @@ class TestCli:
         (tmp_path / "infinit.cfg").write_text("init_high = inf\ntrial_count = 3\n")
         (tmp_path / "twice.cfg").write_text("n = 12\nn = 14\ntrial_count = 3\n")
         (tmp_path / "unstable.txt").write_text("2\n0 2\n2 0\n")
+        (tmp_path / "metrogamma.cfg").write_text(
+            "weight_rule = metropolis\ngamma = 0.3\ntrial_count = 3\n"
+        )
         argv = [a.format(w=w, d=tmp_path) for a in argv]
         with pytest.raises(SystemExit) as info:
             cli.main(argv)

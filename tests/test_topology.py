@@ -185,6 +185,16 @@ class TestRuleWeights:
         with pytest.raises(ValueError):
             rule_weights(graph, "ring")
 
+    def test_metropolis_rejects_gamma(self):
+        # the metropolis rule has no gamma, so one other than 1 would be ignored
+        graph = generate_random_digraph(10, 0.3, 8)
+        assert np.array_equal(
+            rule_weights(graph, "metropolis", 1.0).matrix, metropolis_weights(graph).matrix
+        )
+        for gamma in (0.5, 0.3, float("nan")):
+            with pytest.raises(ValueError, match="metropolis rule takes no gamma"):
+                rule_weights(graph, "metropolis", gamma)
+
 
 class TestClassifyStability:
     def test_contraction(self):
