@@ -26,7 +26,6 @@ from netprobe.dynamics import (
     ExcitationPlan,
     Trajectory,
     simulate,
-    simulate_trial,
     simulate_batch,
     chunk_size,
     deviation_bound,

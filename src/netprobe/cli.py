@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from netprobe import detect, dynamics, estimate, harness, infer, topology
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate_batch, simulate_trial
+from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate, simulate_batch
 
 
 def _positive_int(text: str) -> int:
@@ -34,12 +34,26 @@ def _load_network(path: str) -> topology.TopologyMatrix:
     return tm
 
 
+def _given(args, *names) -> dict:
+    """The named options given on the command line: parsed as neither None nor False."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in values.items() if value is not None and value is not False}
+
+
+def _reject_given(given: dict, reason: str) -> None:
+    if given:
+        raise ValueError(f"{', '.join('--' + name.replace('_', '-') for name in given)}: {reason}")
+
+
 def _cmd_generate(args) -> None:
+    weight_options = _given(args, "rule", "gamma", "alpha")
+    if not args.weights_out:
+        _reject_given(weight_options, "ignored without --weights-out")
     graph = topology.generate_random_digraph(args.n, args.p, args.seed)
     if args.adjacency_out:
         topology.save_matrix(args.adjacency_out, graph.adjacency)
     if args.weights_out:
-        tm = topology.rule_weights(graph, args.rule, args.gamma, args.alpha)
+        tm = topology.rule_weights(graph, **weight_options)
         topology.save_matrix(args.weights_out, tm.matrix)
     print(
         json.dumps(
@@ -58,8 +72,14 @@ def _cmd_simulate(args) -> None:
     if args.excite_node is not None:
         time = args.excite_time if args.excite_time is not None else args.steps - 1
         plan = ExcitationPlan(args.excite_node, time, args.excite_magnitude)
+    elif args.excite_time is not None or args.excite_magnitude != 0.0:
+        raise ValueError("--excite-time and --excite-magnitude need --excite-node")
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
-    traj = simulate_trial(tm, (args.init_low, args.init_high), args.steps, noise, plan, args.seed)
+    init = (args.init_low, args.init_high)
+    dynamics._check_init(init)
+    # x0 ~ U(init) first, then the dynamics on the same generator
+    rng = np.random.default_rng(args.seed)
+    traj = simulate(tm, rng.uniform(*init, tm.n), args.steps, noise, plan, rng)
     dynamics.write_trajectory_csv(args.out, traj)
     print(json.dumps({"steps": traj.horizon, "nodes": traj.n, "out": args.out}))
 
@@ -71,12 +91,14 @@ def _error_target(args) -> float:
 
 
 def _cmd_design(args) -> None:
-    if args.sigma is not None and args.row_stochastic:
-        raise ValueError("--row-stochastic only tightens the derived bound; drop it or --sigma")
-    noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
-    sigma = args.sigma if args.sigma is not None else detect.deviation_noise_bound(
-        args.n, noise, row_stochastic=args.row_stochastic
-    )
+    bound_options = _given(args, "n", "sigma_theta", "sigma_upsilon", "row_stochastic")
+    if args.sigma is not None:
+        _reject_given(bound_options, "ignored when --sigma gives the bound")
+        sigma = args.sigma
+    else:
+        noise = NoiseModel(**_given(args, "sigma_theta", "sigma_upsilon"))
+        n = bound_options.get("n", 20)
+        sigma = detect.deviation_noise_bound(n, noise, row_stochastic=args.row_stochastic)
     budget = _error_target(args)
     if sigma <= 0.0:
         raise ValueError(f"noise std bound must be > 0, got {sigma}")
@@ -231,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--p", type=float, default=0.2, help="edge probability")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rule", choices=topology.WEIGHT_RULES, default="laplacian")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--rule", choices=topology.WEIGHT_RULES, default=None, help="default: laplacian")
+    p.add_argument("--gamma", type=float, default=None, help="laplacian scale (default 1)")
     p.add_argument("--alpha", type=float, default=None, help="rescale into the stable regime")
     p.add_argument("--adjacency-out", default=None)
     p.add_argument("--weights-out", default=None)
@@ -246,12 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "design-excitation", parents=[noise], help="critical excitation for a target error"
-    )
+    p = sub.add_parser("design-excitation", help="critical excitation for a target error")
+    # unset options stay None, so that --sigma can reject the ones it overrides
+    p.add_argument("--sigma-theta", type=float, default=None, help="process noise std (default 1)")
+    p.add_argument("--sigma-upsilon", type=float, default=None, help="measurement noise std (default 1)")
     p.add_argument("--weight-floor", type=float, required=True)
     p.add_argument("--error-target", type=float, required=True)
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--n", type=int, default=None, help="node count (default 20)")
     p.add_argument("--sigma", type=float, default=None, help="explicit noise std bound")
     p.add_argument("--row-stochastic", action="store_true")
     p.set_defaults(func=_cmd_design)

@@ -5,8 +5,9 @@ y_t = x_t + upsilon_t.  An excitation adds a scalar to one node's state
 immediately before the W-multiplication of its injection step, so its first
 observable effect at a downstream neighbor i is w_ij * e one step later.
 The excited node's recorded state and observation at the injection step are
-taken before the injection.  ``simulate_batch`` runs many seeded trials at
-once, with the same draws per trial as ``simulate_trial``.
+taken before the injection.  ``simulate`` runs one trajectory from a given
+x0; ``simulate_batch`` runs many seeded trials at once, each drawing
+x0 ~ U(init), then theta, then upsilon from its own generator.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def simulate(
 
     All noise draws are made up front in a fixed order, so two runs with the
     same seed share identical noise whether or not an excitation is applied;
-    their difference is then exactly the propagated excitation.
+    their difference is then exactly the propagated excitation.  A
+    ``Generator`` passed as ``seed`` draws on from where its stream stands.
     """
     x0 = np.asarray(x0, dtype=float)
     n = tm.n
@@ -174,24 +176,6 @@ def simulate(
     return Trajectory(states[0], states[0] + upsilon, applied)
 
 
-def simulate_trial(
-    tm: TopologyMatrix,
-    init: tuple[float, float],
-    horizon: int,
-    noise: NoiseModel,
-    plan: ExcitationPlan | None = None,
-    seed=None,
-) -> Trajectory:
-    """One seeded trial: draw x0 ~ U(init) first, then ``simulate`` on the same generator.
-
-    Passing one ``Generator`` to several calls runs the trials in turn on its
-    stream.
-    """
-    _check_init(init)
-    rng = np.random.default_rng(seed)
-    return simulate(tm, rng.uniform(*init, tm.n), horizon, noise, plan, seed=rng)
-
-
 def chunk_size(n: int, horizon: int) -> int:
     """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES.
 
@@ -209,6 +193,7 @@ def _workspace(trials: int, n: int, horizon: int) -> tuple[np.ndarray, np.ndarra
 def _simulate_chunk(tm, init, noise, plan, seeds, start, workspace) -> np.ndarray:
     """``simulate_batch`` past its checks, drawing into a ``_workspace`` that fits the seeds.
 
+    Each seed's generator draws x0 ~ U(init), then theta, then upsilon.
     The returned window is a new array, so the workspace can draw the next
     chunk while the caller still holds this one.
     """
@@ -240,12 +225,12 @@ def simulate_batch(
 ) -> np.ndarray:
     """Observations y_start..y_horizon of seeded trials, shaped (trials, rows, n).
 
-    Trial k draws exactly what ``simulate_trial(..., seed=seeds[k])`` draws,
-    in the same order; then all trials step together, one (n, n) @
-    (n, trials) product per step.  That product may round the last bits
-    differently from the matrix-vector product of ``simulate_trial``.  One
-    ``Generator`` repeated in ``seeds`` draws the trials in turn on its
-    stream, as repeated ``simulate_trial`` calls on it do.  The buffers grow
+    Trial k draws x0 ~ U(init) from ``default_rng(seeds[k])`` and then, on
+    the same generator, the theta and upsilon that ``simulate`` draws; then
+    all trials step together, one (n, n) @ (n, trials) product per step.
+    That product may round the last bits differently from the
+    matrix-vector product of ``simulate``.  One ``Generator`` repeated in
+    ``seeds`` draws the trials in turn on its stream.  The buffers grow
     with the trial count, so callers pass ``chunk_size`` seeds at a time.
     """
     _check_init(init)

@@ -87,17 +87,6 @@ class LsProblem:
         sol.flags.writeable = False
         return LsSolution(sol.T, int(rank), int(rank) < self.n), rinv
 
-    @property
-    def plain_solution(self) -> LsSolution:
-        """Row-wise least squares ignoring the constraints, solved on first use.
-
-        On a design that passes the condition bound it is inv(R) (Q^T Y), of
-        rank n; otherwise it is ``lstsq``'s minimum-norm solution and rank.
-        The matrix is read-only, since every estimator on this problem shares
-        it.
-        """
-        return self._factor[0]
-
 
 def _full_rank_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """``(inv(R), inv(R) Q^T y)`` for the reduced QR x = QR, or None.
@@ -172,9 +161,10 @@ def ols_estimate(problem: LsProblem) -> LsSolution:
     its QR factor; any other design, rank-deficient ones included, gets
     ``lstsq``'s minimum-norm solution, with ``rank_deficient`` flagged when
     its rank is short.  Constraints on the problem are ignored here.  The
-    result is the problem's shared, read-only ``plain_solution``.
+    plain solve runs once per problem, on first use; the result is shared
+    with ``constrained_estimate``, so its matrix is read-only.
     """
-    return problem.plain_solution
+    return problem._factor[0]
 
 
 def _nonneg_row_lstsq(a: np.ndarray, b: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -298,8 +288,8 @@ def constrained_estimate(problem: LsProblem) -> LsSolution:
     Rows are grouped by their constraint pattern and each pattern is solved
     on its shared design (see ``_solve_pattern``); zero-constrained entries
     are eliminated and positive-constrained ones solved under nonnegativity.
-    Fully unconstrained rows are copied from the problem's shared
-    ``plain_solution``, so they equal ``ols_estimate``'s rows bit for bit.
+    Fully unconstrained rows are copied from the problem's shared plain
+    solution, so they equal ``ols_estimate``'s rows bit for bit.
     When the problem holds inv(R) of its design (the design passed the
     condition bound), zero-only patterns are downdated from the plain
     solution through it, and no factorisation runs here; their values agree

@@ -16,7 +16,6 @@ from netprobe.dynamics import (
     deviation_bound,
     simulate,
     simulate_batch,
-    simulate_trial,
     write_trajectory_csv,
 )
 from netprobe.topology import (
@@ -25,6 +24,16 @@ from netprobe.topology import (
     laplacian_weights,
     scale_to_asymptotic,
 )
+
+
+def seeded_trial(tm, init, horizon, noise, plan, seed):
+    """One trial on its own: x0 ~ U(init) first, then ``simulate`` on the same generator.
+
+    The single-trial oracle of the batch engine and of ``netprobe simulate``;
+    passing one ``Generator`` to several calls runs the trials in turn on it.
+    """
+    rng = np.random.default_rng(seed)
+    return simulate(tm, rng.uniform(*init, tm.n), horizon, noise, plan, rng)
 
 
 @pytest.fixture(scope="module")
@@ -119,42 +128,17 @@ class TestSimulate:
 
 
 class TestSimulateTrial:
-    def test_int_seed_matches_hand_rolled(self, tm):
-        plan = ExcitationPlan(2, 5, 3.0)
-        rng = np.random.default_rng(4)
-        x0 = rng.uniform(-100.0, 100.0, tm.n)
-        expected = simulate(tm, x0, 8, NoiseModel(1.0, 0.5), plan, seed=rng)
-        traj = simulate_trial(tm, (-100.0, 100.0), 8, NoiseModel(1.0, 0.5), plan, seed=4)
-        assert np.array_equal(traj.states, expected.states)
-        assert np.array_equal(traj.observations, expected.observations)
-        assert traj.excitations_applied == expected.excitations_applied
-
-    def test_shared_generator_runs_trials_in_turn(self, tm):
-        hand = np.random.default_rng(9)
-        expected = []
-        for _ in range(2):
-            x0 = hand.uniform(-5.0, 5.0, tm.n)
-            expected.append(simulate(tm, x0, 6, NoiseModel(), seed=hand))
-        shared = np.random.default_rng(9)
-        for want in expected:
-            traj = simulate_trial(tm, (-5.0, 5.0), 6, NoiseModel(), seed=shared)
-            assert np.array_equal(traj.states, want.states)
-            assert np.array_equal(traj.observations, want.observations)
-
+    """A seeded trial's initial-state interval U(init)."""
 
     @pytest.mark.parametrize(
         "init", [(-100.0, math.inf), (-math.inf, 100.0), (math.nan, 1.0), (0.0, math.nan)]
     )
     def test_rejects_non_finite_interval(self, tm, init):
         with pytest.raises(ValueError, match="finite"):
-            simulate_trial(tm, init, 4, NoiseModel(), seed=1)
-        with pytest.raises(ValueError, match="finite"):
             simulate_batch(tm, init, 4, NoiseModel(), None, [1])
 
     @pytest.mark.parametrize("init", [(50.0, -50.0), (5.0, 5.0)])
     def test_rejects_empty_interval(self, tm, init):
-        with pytest.raises(ValueError, match="initial-state interval is empty"):
-            simulate_trial(tm, init, 4, NoiseModel(), seed=1)
         with pytest.raises(ValueError, match="initial-state interval is empty"):
             simulate_batch(tm, init, 4, NoiseModel(), None, [1])
 
@@ -172,19 +156,18 @@ class TestSimulateBatch:
             noise = NoiseModel(1.0, 0.5)
             windows = simulate_batch(net, (-100.0, 100.0), 23, noise, plan, seeds, 20)
             expected = np.array([
-                simulate_trial(net, (-100.0, 100.0), 23, noise, plan, s)
-                .observations[20:]
+                seeded_trial(net, (-100.0, 100.0), 23, noise, plan, s).observations[20:]
                 for s in seeds
             ])
             assert windows.shape == (11, 4, net.n)
             assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_one_trial_is_simulate_trial(self, tm_wide):
+    def test_one_trial_is_seeded_trial(self, tm_wide):
         # one trial steps as one column, the same recursion as ``simulate``
         plan, noise = ExcitationPlan(3, 4, -7.5), NoiseModel(0.5, 2.0)
         for start in (0, 5, 9):
             window = simulate_batch(tm_wide, (-3.0, 9.0), 9, noise, plan, [8], start)
-            traj = simulate_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8)
+            traj = seeded_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8)
             assert np.array_equal(window[0], traj.observations[start:])
 
     def test_chunks_give_the_same_rows(self, tm_wide):

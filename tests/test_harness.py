@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from netprobe import cli, detect, dynamics, estimate, harness, infer, topology
-from netprobe.dynamics import ExcitationPlan, simulate_trial
+from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
 from netprobe.harness import (
     ExperimentConfig,
     ResultTable,
@@ -27,6 +27,8 @@ from netprobe.harness import (
 from netprobe.infer import decide, infer_one_hop
 from netprobe.topology import WeightedDigraph, generate_random_digraph, load_weights, true_hop_sets
 
+from test_dynamics import seeded_trial
+
 
 SMALL = ExperimentConfig(trial_count=20)
 
@@ -35,7 +37,7 @@ def per_trial_observations(config, tm, horizon, plan):
     """Each seeded trial simulated on its own, as the batch engine's oracle."""
     init, noise = (config.init_low, config.init_high), config.noise()
     for ss in np.random.SeedSequence(config.seed).spawn(config.trial_count):
-        yield simulate_trial(tm, init, horizon, noise, plan, ss).observations
+        yield seeded_trial(tm, init, horizon, noise, plan, ss).observations
 
 
 class TestConfig:
@@ -558,7 +560,7 @@ class TestPipelinedWhen:
 def parent_trials(argv):
     """The observations infer/estimate drew before the batch engine.
 
-    One ``simulate_trial`` per round, every round on one generator; estimate
+    One ``seeded_trial`` per round, every round on one generator; estimate
     draws its single run from the seed.  Shaped like ``simulate_batch``'s
     return, so it can stand in for it.
     """
@@ -568,13 +570,13 @@ def parent_trials(argv):
     if args.command == "estimate":
         constrained = args.mode == "constrained"
         plan = ExcitationPlan(args.excite_node, args.pairs, e) if constrained else None
-        return simulate_trial(tm, init, args.pairs + constrained, noise, plan, args.seed).observations[None]
+        return seeded_trial(tm, init, args.pairs + constrained, noise, plan, args.seed).observations[None]
     hops = args.max_hop if args.mode == "multihop" else 1
     rounds = args.rounds if args.mode == "multi" else 1
     plan = ExcitationPlan(args.excite_node, args.burn_in, e)
     rng = np.random.default_rng(args.seed)
     return np.array([
-        simulate_trial(tm, init, args.burn_in + hops, noise, plan, rng).observations[args.burn_in:]
+        seeded_trial(tm, init, args.burn_in + hops, noise, plan, rng).observations[args.burn_in:]
         for _ in range(rounds)
     ])
 
@@ -607,8 +609,9 @@ class TestCli:
                  "constraints_out": None, "out": None},
             ),
             (
+                # unset, so that --sigma can reject them; the bound uses n = 20 and unit noise
                 ["design-excitation", "--weight-floor", "0.4", "--error-target", "0.05"],
-                {"sigma_theta": 1.0, "sigma_upsilon": 1.0, "n": 20, "sigma": None,
+                {"sigma_theta": None, "sigma_upsilon": None, "n": None, "sigma": None,
                  "row_stochastic": False},
             ),
         ],
@@ -700,11 +703,23 @@ class TestCli:
         self.run(
             "simulate", "--weights", str(w), "--steps", "10", "--seed", "2",
             "--excite-node", "1", "--excite-time", "5", "--excite-magnitude", "4.0",
+            "--init-low", "-3", "--init-high", "9", "--sigma-theta", "0.5", "--sigma-upsilon", "2",
             "--out", str(out),
         )
         text = out.read_text()
         assert text.startswith("t,node,state,observation")
         assert "# excite node=1 t=5" in text
+        # x0 ~ U(init) is drawn first, then the dynamics on the same generator;
+        # %.17g round-trips every value, so the columns match bit for bit
+        tm = load_weights(w)
+        rng = np.random.default_rng(2)
+        x0 = rng.uniform(-3.0, 9.0, tm.n)
+        want = simulate(tm, x0, 10, NoiseModel(0.5, 2.0), ExcitationPlan(1, 5, 4.0), rng)
+        rows = [line.split(",") for line in text.splitlines()[1:] if not line.startswith("#")]
+        assert [(int(t), int(i)) for t, i, _, _ in rows] == [(t, i) for t in range(11) for i in range(6)]
+        got = np.array([[float(x), float(y)] for _, _, x, y in rows]).reshape(11, 6, 2)
+        assert np.array_equal(got[..., 0], want.states)
+        assert np.array_equal(got[..., 1], want.observations)
 
     def test_design_excitation_value(self, capsys):
         self.run(
@@ -848,6 +863,20 @@ class TestCli:
             "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1", "--sigma", "2",
             "--row-stochastic",
         ),
+        "generate-weight-options-without-weights-out": (
+            "generate", "--n", "6", "--rule", "metropolis", "--gamma", "0.5", "--alpha", "0.9",
+        ),
+        "design-sigma-with-bound-options": (
+            "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1", "--sigma", "2",
+            "--n", "50", "--sigma-theta", "7",
+        ),
+        "simulate-excite-time-without-node": (
+            "simulate", "--steps", "10", "--excite-time", "5", "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "simulate-excite-magnitude-without-node": (
+            "simulate", "--steps", "10", "--excite-magnitude", "4", "--weights", "{w}",
+            "--out", "{d}/t.csv",
+        ),
         "generate-metropolis-gamma": (
             "generate", "--n", "6", "--p", "0.4", "--rule", "metropolis", "--gamma", "0.5",
             "--weights-out", "{d}/m.txt",
@@ -932,11 +961,47 @@ class TestCli:
                 ["estimate", "ols", "--weights", str(w), "--excite-node", "6"],
                 "netprobe estimate: excited node 6 outside 0..5",
             ),
+            (
+                ["generate", "--rule", "metropolis", "--gamma", "0.5", "--alpha", "0.9",
+                 "--adjacency-out", str(tmp_path / "a.txt")],
+                "netprobe generate: --rule, --gamma, --alpha: ignored without --weights-out",
+            ),
+            (
+                ["design-excitation", "--weight-floor", "0.5", "--error-target", "0.1",
+                 "--sigma", "2", "--n", "50", "--sigma-theta", "7"],
+                "netprobe design-excitation: --n, --sigma-theta: ignored when --sigma gives the bound",
+            ),
+            (
+                ["design-excitation", "--weight-floor", "0.5", "--error-target", "0.1",
+                 "--sigma", "2", "--row-stochastic"],
+                "netprobe design-excitation: --row-stochastic: ignored when --sigma gives the bound",
+            ),
+            (
+                ["simulate", "--weights", str(w), "--steps", "10", "--excite-magnitude", "4",
+                 "--out", str(tmp_path / "t.csv")],
+                "netprobe simulate: --excite-time and --excite-magnitude need --excite-node",
+            ),
         ):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv)
             assert str(info.value.code).startswith(message)
         assert not (tmp_path / "c.txt").exists()
+        assert not (tmp_path / "a.txt").exists()
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_unset_options_keep_effective_defaults(self, tmp_path, capsys):
+        # generate and design-excitation parse these options as None when unset
+        design = ("design-excitation", "--weight-floor", "0.4", "--error-target", "0.05")
+        outputs = []
+        for extra in ((), ("--n", "20", "--sigma-theta", "1", "--sigma-upsilon", "1")):
+            self.run(*design, *extra)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["sigma_bound"] == math.sqrt(22.0)  # sqrt((1 + n) + 1), n = 20
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        self.run("generate", "--weights-out", str(a))
+        self.run("generate", "--rule", "laplacian", "--gamma", "1", "--weights-out", str(b))
+        assert a.read_text() == b.read_text()
 
     def test_estimate_constrained(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
