@@ -27,6 +27,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_network(path: str) -> topology.TopologyMatrix:
     tm = topology.load_weights(path)
     if tm.stability is topology.StabilityClass.UNSTABLE:
@@ -148,10 +155,15 @@ def _trial_setup(args):
 
 
 def _cmd_infer(args) -> None:
+    if args.mode != "multihop":
+        _reject_given(_given(args, "max_hop"), "ignored outside multihop mode")
+    if args.mode != "multi":
+        _reject_given(_given(args, "rounds"), "ignored outside multi mode")
     tm, floor, noise, e = _trial_setup(args)
     source = args.excite_node
-    hops = args.max_hop if args.mode == "multihop" else 1
-    rounds = args.rounds if args.mode == "multi" else 1
+    # a given value parses as >= 1, so ``or`` only fills in an unset option
+    hops = (args.max_hop or 3) if args.mode == "multihop" else 1
+    rounds = (args.rounds or 4) if args.mode == "multi" else 1
     plan = ExcitationPlan(source, args.burn_in, e)
     # one generator for every round, so the rounds draw in turn on its stream
     windows = simulate_batch(
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trial = argparse.ArgumentParser(add_help=False, parents=[noise])
     trial.add_argument("--weights", required=True)
-    trial.add_argument("--seed", type=int, default=0)
+    trial.add_argument("--seed", type=_seed, default=0)
     trial.add_argument("--init-low", type=float, default=-100.0)
     trial.add_argument("--init-high", type=float, default=100.0)
 
@@ -252,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="random digraph and weight matrix files")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--p", type=float, default=0.2, help="edge probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rule", choices=topology.WEIGHT_RULES, default=None, help="default: laplacian")
     p.add_argument("--gamma", type=float, default=None, help="laplacian scale (default 1)")
     p.add_argument("--alpha", type=float, default=None, help="rescale into the stable regime")
@@ -282,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", parents=[trial, design], help="simulate and decide neighbor sets")
     p.add_argument("mode", choices=("onehop", "multihop", "multi"))
     p.add_argument("--excite-node", type=int, required=True)
-    p.add_argument("--max-hop", type=_positive_int, default=3)
-    p.add_argument("--rounds", type=_positive_int, default=4, help="excitation count for multi")
+    # unset options stay None, so that the modes that ignore them can reject them
+    p.add_argument("--max-hop", type=_positive_int, default=None, help="multihop depth (default 3)")
+    p.add_argument("--rounds", type=_positive_int, default=None, help="multi's rounds (default 4)")
     p.add_argument("--burn-in", type=int, default=50)
     p.add_argument("--out", default=None, help="decision JSON path (default stdout)")
     p.set_defaults(func=_cmd_infer)

@@ -6,8 +6,12 @@ immediately before the W-multiplication of its injection step, so its first
 observable effect at a downstream neighbor i is w_ij * e one step later.
 The excited node's recorded state and observation at the injection step are
 taken before the injection.  ``simulate`` runs one trajectory from a given
-x0; ``simulate_batch`` runs many seeded trials at once, each drawing
-x0 ~ U(init), then theta, then upsilon from its own generator.
+x0; ``simulate_batch`` runs many seeded trials at once and keeps the rows
+from a first step s on.  Each trial draws, from its own generator,
+x0 ~ U(init), then (when s > 0) z ~ N(0, I), then theta for its kept steps,
+then upsilon for its kept rows.  Its state at step s is sampled exactly as
+W^s x0 + L z, with L the Cholesky factor of the process noise's covariance
+at step s, so the steps before s are never simulated.
 """
 
 from __future__ import annotations
@@ -77,10 +81,10 @@ class Trajectory:
         return self.states.shape[1]
 
 
-# Process-noise bytes in one chunk of trials: 1 MiB is 8 trials of 53
-# steps at n = 300 and 128 trials of 51 steps at n = 20.  When the harness
-# runs every other chunk on a worker, two chunks' buffers are alive at once,
-# one on each thread.
+# Bytes of one chunk's process noise, counted over the whole horizon: 1 MiB
+# is 8 trials of 53 steps at n = 300 and 128 trials of 51 steps at n = 20.
+# A chunk that samples its start state draws theta for its kept steps only,
+# so its buffers stay well inside this budget.
 CHUNK_BYTES = 1 << 20
 
 
@@ -115,23 +119,21 @@ def _propagate(
     x0: np.ndarray,
     theta: np.ndarray,
     plan: ExcitationPlan | None,
-    start: int,
     states: np.ndarray,
 ) -> None:
-    """Run x_{t+1} = W x_t + theta_t from every row of ``x0`` at once.
+    """Run x_{t+1} = W x_t + theta_t from every column of ``x0`` at once.
 
-    ``x0`` is (k, n) and ``theta`` (k, horizon, n).  State x_t goes to
-    ``states[:, t - start]`` for t >= start, taken before that step's
-    injection.  The states step as the columns of one (n, k) array: that is
-    the faster product, and with one column it gives the bits of ``W @ x``.
+    ``x0`` is (n, k) and ``theta`` (k, steps, n).  State x_t goes to
+    ``states[:, t]``, taken before that step's injection.  The states step
+    as the columns of one (n, k) array: that is the faster product, and
+    with one column it gives the bits of ``W @ x``.
     """
     w = tm.matrix
-    x = np.array(x0.T, order="C")
+    x = np.array(x0, order="C")
     nxt = np.empty_like(x)
     horizon = theta.shape[1]
     for t in range(horizon + 1):
-        if t >= start:
-            states[:, t - start] = x.T
+        states[:, t] = x.T
         if t == horizon:
             break
         if plan is not None and t == plan.time:
@@ -170,46 +172,64 @@ def simulate(
     _normal(rng, noise.sigma_theta, theta[0])
     _normal(rng, noise.sigma_upsilon, upsilon)
     states = np.empty((1, horizon + 1, n))
-    _propagate(tm, x0[None], theta, plan, 0, states)
+    _propagate(tm, x0[:, None], theta, plan, states)
 
     applied = () if plan is None else ((plan.node, plan.time, plan.magnitude),)
     return Trajectory(states[0], states[0] + upsilon, applied)
 
 
 def chunk_size(n: int, horizon: int) -> int:
-    """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES.
-
-    When the harness runs every other chunk on a worker, its trial buffers
-    take about twice this budget.
-    """
+    """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // (8 * horizon * n))
 
 
-def _workspace(trials: int, n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Noise buffers for up to ``trials`` trials: all their theta, one trial's upsilon."""
-    return np.empty((trials, horizon, n)), np.empty((horizon + 1, n))
+def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """(W^s, L) for s = ``start``: given x0, x_s = W^s x0 + L z with z ~ N(0, I).
 
-
-def _simulate_chunk(tm, init, noise, plan, seeds, start, workspace) -> np.ndarray:
-    """``simulate_batch`` past its checks, drawing into a ``_workspace`` that fits the seeds.
-
-    Each seed's generator draws x0 ~ U(init), then theta, then upsilon.
-    The returned window is a new array, so the workspace can draw the next
-    chunk while the caller still holds this one.
+    L is the Cholesky factor of the process noise's covariance at step s,
+    C_s = sigma_theta^2 G_s with G_s = sum_{k<s} W^k W^k^T (Anderson & Moore,
+    *Optimal Filtering*, 1979); G_s >= I for s >= 1, also at a marginally
+    stable W.  Doubling, W^(r+a) = W^r W^a and G_(r+a) = G_r + W^r G_a W^r^T,
+    takes about 3 log2(s) products.  L is zero when s or sigma_theta is.
     """
-    theta, upsilon = workspace
-    k, n = len(seeds), tm.n
-    theta = theta[:k]
-    x = np.empty((k, n))
-    out = np.empty((k, len(upsilon) - start, n))
+    n = tm.n
+    power, gram = np.eye(n), np.zeros((n, n))  # W^r and G_r over the bits of s read so far
+    step, step_gram = tm.matrix, np.eye(n)  # W^a and G_a, a the next bit's value
+    bits = start
+    while bits:
+        if bits & 1:
+            gram += power @ step_gram @ power.T
+            power = power @ step
+        bits >>= 1
+        if bits:
+            step_gram = step_gram + step @ step_gram @ step.T
+            step = step @ step
+    if not start or noise.sigma_theta == 0.0:
+        return power, np.zeros((n, n))
+    return power, noise.sigma_theta * np.linalg.cholesky(gram)
+
+
+def _simulate_chunk(tm, init, horizon, noise, plan, seeds, start, law) -> np.ndarray:
+    """``simulate_batch`` past its checks; ``law`` is ``_start_law``'s, None at ``start`` 0."""
+    k, n, steps = len(seeds), tm.n, horizon - start
+    out = np.empty((k, steps + 1, n))  # first, below the buffers freed on return
+    x0, z = np.empty((k, n)), np.empty((k, n))
+    theta = np.empty((k, steps, n))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        x[i] = rng.uniform(*init, n)
+        x0[i] = rng.uniform(*init, n)
+        if law is not None:
+            rng.standard_normal(out=z[i])
         _normal(rng, noise.sigma_theta, theta[i])
-        _normal(rng, noise.sigma_upsilon, upsilon)
-        out[i] = upsilon[start:]
+        _normal(rng, noise.sigma_upsilon, out[i])
+    x = x0.T
+    if law is not None:
+        power, factor = law
+        x = power @ x + factor @ z.T
+    if plan is not None:
+        plan = ExcitationPlan(plan.node, plan.time - start, plan.magnitude)
     states = np.empty_like(out)
-    _propagate(tm, x, theta, plan, start, states)
+    _propagate(tm, x, theta, plan, states)
     out += states
     return out
 
@@ -225,20 +245,23 @@ def simulate_batch(
 ) -> np.ndarray:
     """Observations y_start..y_horizon of seeded trials, shaped (trials, rows, n).
 
-    Trial k draws x0 ~ U(init) from ``default_rng(seeds[k])`` and then, on
-    the same generator, the theta and upsilon that ``simulate`` draws; then
-    all trials step together, one (n, n) @ (n, trials) product per step.
-    That product may round the last bits differently from the
-    matrix-vector product of ``simulate``.  One ``Generator`` repeated in
-    ``seeds`` draws the trials in turn on its stream.  The buffers grow
-    with the trial count, so callers pass ``chunk_size`` seeds at a time.
+    Trial k draws from ``default_rng(seeds[k])`` in the module's order: with
+    ``start`` = 0, x0 ~ U(init) and then what ``simulate`` draws.  The
+    state at ``start`` is sampled, so an excitation must not precede it.
+    All trials step together, one (n, n) @ (n, trials) product per step,
+    which may round the last bits differently from the matrix-vector
+    product of ``simulate``.  One ``Generator`` repeated in ``seeds`` draws
+    the trials in turn on its stream.  The buffers grow with the trial
+    count, so callers pass ``chunk_size`` seeds at a time.
     """
     _check_init(init)
     _check_run(tm, horizon, plan)
     if not 0 <= start <= horizon:
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
-    workspace = _workspace(len(seeds), tm.n, horizon)
-    return _simulate_chunk(tm, init, noise, plan, seeds, start, workspace)
+    if plan is not None and plan.time < start:
+        raise ValueError(f"excitation time {plan.time} precedes the first kept step {start}")
+    law = _start_law(tm, start, noise) if start else None
+    return _simulate_chunk(tm, init, horizon, noise, plan, seeds, start, law)
 
 
 def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:

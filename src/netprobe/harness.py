@@ -1,16 +1,14 @@
 """Experiment runners: designed-excitation accuracy sweeps and LS refinement.
 
 Each runner builds the network from an ``ExperimentConfig``, runs seeded
-independent trials chunk by chunk through ``dynamics.simulate_batch``, and
-returns a ``ResultTable`` of named rows whose theoretical columns come
-straight from the formulas in :mod:`netprobe.detect`.  Trials draw their
-randomness from seeds spawned deterministically off the master seed in
-trial order, each on its own generator, so results are bit-reproducible
-whichever thread draws them.  When a run has several chunks of large
-trials and a second CPU, one worker thread runs every other chunk while
-the calling thread runs and decides the chunk before it, so two chunks'
-buffers are alive at once; the calling thread then waits for the
-worker's chunk.
+independent trials chunk by chunk through ``dynamics.simulate_batch``'s
+chunk core, and returns a ``ResultTable`` of named rows whose theoretical
+columns come straight from the formulas in :mod:`netprobe.detect`.  Trials
+draw their randomness from seeds spawned deterministically off the master
+seed in trial order, each on its own generator, so results are
+bit-reproducible and do not depend on how the trials are chunked.  A run that keeps its rows
+from the injection step on samples each trial's state there exactly, from
+one start-state law built once per run, so no burn-in step is simulated.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -36,9 +33,8 @@ from netprobe.dynamics import (
     ExcitationPlan,
     NoiseModel,
     _simulate_chunk,
-    _workspace,
+    _start_law,
     chunk_size,
-    simulate_batch,
 )
 from netprobe.estimate import (
     LsProblem,
@@ -83,6 +79,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        for name in ("seed", "graph_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.trial_count < 1:
             raise ValueError("trial count must be >= 1")
         if not 0.0 < self.edge_probability <= 1.0:
@@ -218,65 +217,22 @@ def _network(
     return graph, tm, pick_source_node(graph, depth)
 
 
-# A trial's noise draws and its chunk's matrix products release the GIL, but
-# seeding its generator and storing its rows hold it.  With few draws per
-# trial that held time dominates, and the two threads contend instead of
-# overlapping.  On two Xeon vCPUs, fig1b at horizon 53 ran 0.89-1.00x as
-# fast with the worker at n = 20 (2,140 draws per trial), 1.09-1.15x at
-# n = 30, 1.17-1.26x at n = 40 and 1.40x at n = 100.  This floor, about three
-# times that break-even, pipelines from n = 77 and keeps fig1a's n = 20 inline.
-PIPELINE_DRAWS = 1 << 13
-
-
-def _pipelined(n: int, horizon: int, chunks: int) -> bool:
-    """Whether ``_trials`` runs chunks on a worker: several large-trial chunks and a second CPU.
-
-    On one CPU the worker only time-slices with the calling thread, and
-    gains nothing.
-    """
-    if chunks < 2 or (2 * horizon + 1) * n < PIPELINE_DRAWS:
-        return False
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
-
-
 def _trials(
     config: ExperimentConfig, tm: TopologyMatrix, horizon: int, plan: ExcitationPlan, start: int
 ):
     """(chunk, rows, n) observations y_start..y_horizon of the seeded trials, in trial order.
 
-    Each chunk is drawn and propagated by ``simulate_batch`` here, unless
-    ``_pipelined`` holds.  Then one worker thread runs every other chunk,
-    whole, through the same chunk core, in one workspace allocated here
-    once: it runs chunk k + 1 while this thread runs chunk k and its caller
-    decides it, and this thread then waits for chunk k + 1 instead of
-    drawing it again.  Each thread holds one chunk's buffers, so two are
-    alive at most.  The worker calls no public function, so every traced
-    span stays on this thread, where the wait shows as ``harness`` time.
-    A worker's error re-raises here, and closing the generator early waits
-    for the worker to finish and end.
+    Each chunk of ``chunk_size`` seeds goes through the chunk core of
+    ``simulate_batch``, so it holds what that call returns for the same
+    seeds; the start-state law is built here once per run, not per chunk.
     """
     init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
     size = chunk_size(tm.n, horizon)
-    chunks = [seeds[first:first + size] for first in range(0, len(seeds), size)]
-    if not _pipelined(tm.n, horizon, len(chunks)):
-        for chunk in chunks:
-            yield simulate_batch(tm, init, horizon, noise, plan, chunk, start)
-        return
-    # imported here, so that unpipelined runs skip its import (5-10 ms with logging)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        workspace = _workspace(size, tm.n, horizon)
-        for k in range(0, len(chunks), 2):
-            if k + 1 < len(chunks):
-                ahead = worker.submit(
-                    _simulate_chunk, tm, init, noise, plan, chunks[k + 1], start, workspace
-                )
-            yield simulate_batch(tm, init, horizon, noise, plan, chunks[k], start)
-            if k + 1 < len(chunks):
-                yield ahead.result()  # raises the worker's error, if any
+    law = _start_law(tm, start, noise) if start else None
+    for first in range(0, len(seeds), size):
+        chunk = seeds[first:first + size]
+        yield _simulate_chunk(tm, init, horizon, noise, plan, chunk, start, law)
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:

@@ -36,6 +36,23 @@ def seeded_trial(tm, init, horizon, noise, plan, seed):
     return simulate(tm, rng.uniform(*init, tm.n), horizon, noise, plan, rng)
 
 
+def sampled_trial(tm, init, horizon, noise, plan, seed, start):
+    """Observations y_start..y_horizon of one trial whose state at ``start`` > 0 is sampled.
+
+    The single-trial oracle of ``simulate_batch`` with ``start`` > 0: draw
+    x0 ~ U(init) and z ~ N(0, I), then run ``simulate`` from
+    W^start x0 + L z on the same generator, with the excitation time
+    counted from ``start``.
+    """
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(*init, tm.n)
+    z = rng.standard_normal(tm.n)
+    power, factor = dynamics._start_law(tm, start, noise)
+    if plan is not None:
+        plan = ExcitationPlan(plan.node, plan.time - start, plan.magnitude)
+    return simulate(tm, power @ x0 + factor @ z, horizon - start, noise, plan, rng).observations
+
+
 @pytest.fixture(scope="module")
 def tm():
     return laplacian_weights(generate_random_digraph(10, 0.3, 17), 1.0)
@@ -150,25 +167,57 @@ class TestSimulateBatch:
         return laplacian_weights(generate_random_digraph(120, 0.02, 4), 1.0)
 
     def test_matches_per_trial_observations(self, tm, tm_wide):
+        # 11 trials step as one (n, n) @ (n, 11) product, which may round
+        # the last bits apart from simulate's matrix-vector product
         seeds = np.random.SeedSequence(3).spawn(11)
         for net in (tm, tm_wide):
             plan = ExcitationPlan(1, 20, 40.0)
             noise = NoiseModel(1.0, 0.5)
-            windows = simulate_batch(net, (-100.0, 100.0), 23, noise, plan, seeds, 20)
-            expected = np.array([
-                seeded_trial(net, (-100.0, 100.0), 23, noise, plan, s).observations[20:]
-                for s in seeds
-            ])
-            assert windows.shape == (11, 4, net.n)
-            assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
+            for start in (0, 20):
+                windows = simulate_batch(net, (-100.0, 100.0), 23, noise, plan, seeds, start)
+                if start:
+                    expected = np.array([
+                        sampled_trial(net, (-100.0, 100.0), 23, noise, plan, s, start)
+                        for s in seeds
+                    ])
+                else:
+                    expected = np.array([
+                        seeded_trial(net, (-100.0, 100.0), 23, noise, plan, s).observations
+                        for s in seeds
+                    ])
+                assert windows.shape == (11, 24 - start, net.n)
+                assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_one_trial_is_seeded_trial(self, tm_wide):
-        # one trial steps as one column, the same recursion as ``simulate``
-        plan, noise = ExcitationPlan(3, 4, -7.5), NoiseModel(0.5, 2.0)
-        for start in (0, 5, 9):
+        # one trial steps as one column, the same recursion as ``simulate``,
+        # and its start state is the oracle's matrix-vector products: bit for bit
+        plan, noise = ExcitationPlan(3, 6, -7.5), NoiseModel(0.5, 2.0)
+        for start in (0, 5, 6):
             window = simulate_batch(tm_wide, (-3.0, 9.0), 9, noise, plan, [8], start)
-            traj = seeded_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8)
-            assert np.array_equal(window[0], traj.observations[start:])
+            if start:
+                expected = sampled_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8, start)
+            else:
+                expected = seeded_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8).observations
+            assert np.array_equal(window[0], expected)
+
+    def test_start_at_horizon_keeps_one_row(self, tm):
+        seeds = np.random.SeedSequence(6).spawn(3)
+        windows = simulate_batch(tm, (-1.0, 1.0), 7, NoiseModel(), None, seeds, 7)
+        assert windows.shape == (3, 1, 10)
+        for window, seed in zip(windows, seeds):
+            rng = np.random.default_rng(seed)
+            x0 = rng.uniform(-1.0, 1.0, 10)
+            power, factor = dynamics._start_law(tm, 7, NoiseModel())
+            state = power @ x0 + factor @ rng.standard_normal(10)
+            want = state + rng.standard_normal(10)
+            # three columns: the start state's products may round apart from the oracle's
+            assert np.abs(window[0] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_rejects_excitation_before_start(self, tm):
+        plan = ExcitationPlan(0, 3, 1.0)
+        with pytest.raises(ValueError, match="excitation time 3 precedes the first kept step 4"):
+            simulate_batch(tm, (-1.0, 1.0), 6, NoiseModel(), plan, [1], 4)
+        assert simulate_batch(tm, (-1.0, 1.0), 6, NoiseModel(), plan, [1], 3).shape == (1, 4, 10)
 
     def test_chunks_give_the_same_rows(self, tm_wide):
         # 13 trials as chunks of 5, 5 and 3 against one call
@@ -204,6 +253,70 @@ class TestSimulateBatch:
         with pytest.raises(ValueError):
             simulate_batch(*args, 5, NoiseModel(), ExcitationPlan(99, 2, 1.0), [1])
         assert simulate_batch(*args, 5, NoiseModel(), None, [], 2).shape == (0, 4, 10)
+
+
+class TestStartLaw:
+    """``_start_law``'s (W^s, L), and the start states ``simulate_batch`` samples from it."""
+
+    @staticmethod
+    def plain_law(w, s, sigma):
+        # the recursion step by step: x_{t+1} = W x_t + theta_t from x_0 = x0
+        power, cov = np.eye(len(w)), np.zeros_like(w)
+        for _ in range(s):
+            power = w @ power
+            cov = w @ cov @ w.T + sigma**2 * np.eye(len(w))
+        return power, cov
+
+    @pytest.mark.parametrize("stable", ["marginal", "asymptotic"])
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 50])
+    def test_matches_plain_recursion(self, tm, stable, s):
+        net = tm if stable == "marginal" else scale_to_asymptotic(tm, 0.9)
+        power, factor = dynamics._start_law(net, s, NoiseModel(1.3, 1.0))
+        want_power, want_cov = self.plain_law(net.matrix, s, 1.3)
+        assert np.abs(power - want_power).max() <= 1e-12
+        assert np.array_equal(factor, np.tril(factor))
+        scale = max(np.abs(want_cov).max(), 1.0)
+        assert np.abs(factor @ factor.T - want_cov).max() <= 1e-12 * scale
+
+    def test_no_process_noise_gives_the_propagated_x0(self, tm):
+        power, factor = dynamics._start_law(tm, 50, NoiseModel(0.0, 1.0))
+        assert not factor.any()
+        assert np.abs(power - np.linalg.matrix_power(tm.matrix, 50)).max() <= 1e-12
+        # noiseless: the sampled window is the full run's rows from step 50 on
+        seeds = np.random.SeedSequence(4).spawn(5)
+        windows = simulate_batch(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), None, seeds, 50)
+        for window, seed in zip(windows, seeds):
+            full = seeded_trial(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), None, seed)
+            want = full.observations[50:]
+            assert np.abs(window - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_sampled_state_matches_full_burn_in(self):
+        # the shipped network and burn-in: x_50 of 10^4 trials, sampled and
+        # stepped.  A trial draws its x0 first either way, so both runs share
+        # each seed's x0, and x_50 - W^50 x0 carries the process noise alone.
+        tm20 = laplacian_weights(generate_random_digraph(20, 0.08, 102), 1.0)
+        s, count, init = 50, 10**4, (-100.0, 100.0)
+        noise = NoiseModel(1.0, 0.0)  # no measurement noise: the rows are the states
+        seeds = np.random.SeedSequence(7).spawn(count)
+        size = chunk_size(20, s)
+
+        def states(start):
+            return np.concatenate([
+                simulate_batch(tm20, init, s, noise, None, seeds[k:k + size], start)[:, -1]
+                for k in range(0, count, size)
+            ])
+
+        sampled, stepped = states(s), states(0)
+        spread = np.sqrt((sampled.var(axis=0) + stepped.var(axis=0)) / count)
+        assert (np.abs(sampled.mean(axis=0) - stepped.mean(axis=0)) <= 4 * spread).all()
+        x0 = np.array([np.random.default_rng(seed).uniform(*init, 20) for seed in seeds])
+        drift = x0 @ np.linalg.matrix_power(tm20.matrix, s).T
+        residual = sampled - drift
+        assert (np.abs(residual.mean(axis=0)) <= 4 * residual.std(axis=0) / np.sqrt(count)).all()
+        # each sample covariance is off by about sqrt(2 / count) = 1.4% in norm
+        want = np.cov(stepped - drift, rowvar=False)
+        got = np.cov(residual, rowvar=False)
+        assert np.linalg.norm(got - want) <= 0.06 * np.linalg.norm(want)
 
 
 class TestDeviationBound:

@@ -1,6 +1,5 @@
 """Experiment runners and CLI: determinism, theory columns, file formats."""
 
-import inspect
 import json
 import math
 import re
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netprobe import cli, detect, dynamics, estimate, harness, infer, topology
+from netprobe import cli, detect, dynamics, estimate, harness, infer
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
 from netprobe.harness import (
     ExperimentConfig,
@@ -27,17 +26,17 @@ from netprobe.harness import (
 from netprobe.infer import decide, infer_one_hop
 from netprobe.topology import WeightedDigraph, generate_random_digraph, load_weights, true_hop_sets
 
-from test_dynamics import seeded_trial
+from test_dynamics import sampled_trial, seeded_trial
 
 
 SMALL = ExperimentConfig(trial_count=20)
 
 
-def per_trial_observations(config, tm, horizon, plan):
-    """Each seeded trial simulated on its own, as the batch engine's oracle."""
+def per_trial_observations(config, tm, horizon, plan, start):
+    """Each seeded trial's rows y_start..y_horizon on its own, as the batch engine's oracle."""
     init, noise = (config.init_low, config.init_high), config.noise()
     for ss in np.random.SeedSequence(config.seed).spawn(config.trial_count):
-        yield seeded_trial(tm, init, horizon, noise, plan, ss).observations
+        yield sampled_trial(tm, init, horizon, noise, plan, ss, start)
 
 
 class TestConfig:
@@ -329,9 +328,9 @@ class TestRunners:
         for row in run_onehop_accuracy(config).as_dicts():
             e = row["excitation"]
             pair_ok = set_ok = 0
-            for y in per_trial_observations(config, tm, t + 1, ExcitationPlan(source, t, e)):
+            for y in per_trial_observations(config, tm, t + 1, ExcitationPlan(source, t, e), t):
                 estimated = infer_one_hop(
-                    y[t], y[t + 1], source, e, config.weight_floor, tm.stability
+                    y[0], y[1], source, e, config.weight_floor, tm.stability
                 ).first_hop == 1
                 correct = (estimated == truth)[others]
                 pair_ok += int(correct.sum())
@@ -348,8 +347,8 @@ class TestRunners:
         e, t = rows[0]["excitation"], config.burn_in
         hits = {row["hop"]: 0 for row in rows}
         plan = ExcitationPlan(source, t, e)
-        for y in per_trial_observations(config, tm, t + config.max_hop, plan):
-            decision = decide(y[None, t:], source, e, config.weight_floor, tm.stability)
+        for y in per_trial_observations(config, tm, t + config.max_hop, plan, t):
+            decision = decide(y[None], source, e, config.weight_floor, tm.stability)
             for row in rows:
                 hits[row["hop"]] += row["target_node"] in decision.at_hop(row["hop"])
         assert [row["empirical_probability"] for row in rows] == [
@@ -414,18 +413,10 @@ class TestRunners:
 
 
 class TestTrialPipeline:
-    """``harness._trials`` runs every other chunk on a worker thread.
-
-    The small trials here would not pipeline on their own, so every run
-    with more than one chunk is made to pipeline, also on one CPU.
-    """
+    """``harness._trials`` yields the run's chunks in trial order, on the calling thread."""
 
     CONFIG = replace(SMALL, trial_count=20)
     HORIZON, START = 53, 50
-
-    @pytest.fixture(autouse=True)
-    def pipelined(self, monkeypatch):
-        monkeypatch.setattr(harness, "_pipelined", lambda n, horizon, chunks: chunks > 1)
 
     def trials(self, monkeypatch, per_chunk):
         _, tm = self.CONFIG.build_network()
@@ -438,8 +429,14 @@ class TestTrialPipeline:
         "per_chunk", [20, 13, 6, 3], ids=["1-chunk", "2-chunks", "4-chunks", "7-chunks"]
     )
     def test_chunks_equal_per_chunk_simulate_batch(self, monkeypatch, per_chunk):
+        # the run builds its start-state law once; simulate_batch builds it per call
+        laws = []
+        monkeypatch.setattr(
+            harness, "_start_law", lambda *args: laws.append(args) or dynamics._start_law(*args)
+        )
         tm, plan, chunks = self.trials(monkeypatch, per_chunk)
         chunks = list(chunks)
+        assert len(laws) == 1
         config = self.CONFIG
         seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
         firsts = range(0, config.trial_count, per_chunk)
@@ -452,117 +449,20 @@ class TestTrialPipeline:
             assert np.array_equal(chunk, want)
         assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 7, 2 and 2 trials
 
-    def test_draw_error_reraises_on_calling_thread(self, monkeypatch):
-        # the worker runs chunks 1, 3 and 5; its run of the fourth chunk
-        # raises inside the chunk core, and this thread re-raises that error
-        # once it has yielded the three chunks before it
-        core, raised = harness._simulate_chunk, []
-
-        def bad_fourth(tm, init, noise, plan, seeds, start, workspace):
-            assert threading.current_thread() is not threading.main_thread()
-            if seeds[0].spawn_key == (9,):  # chunk 3's first trial
-                seeds = [-1]  # default_rng rejects a negative seed
-            try:
-                return core(tm, init, noise, plan, seeds, start, workspace)
-            except ValueError as exc:
-                raised.append(exc)
-                raise
-
-        monkeypatch.setattr(harness, "_simulate_chunk", bad_fourth)
-        before = threading.active_count()
-        _, _, chunks = self.trials(monkeypatch, 3)
-        received = 0
-        with pytest.raises(ValueError, match="non-negative") as info:
-            for _ in chunks:
-                received += 1
-        assert received == 3
-        assert info.value is raised[0]
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("per_chunk", [20, 3], ids=["1-chunk", "7-chunks"])
-    def test_abandoned_iteration_ends_the_worker(self, monkeypatch, per_chunk):
-        before = threading.active_count()
-        _, _, chunks = self.trials(monkeypatch, per_chunk)
-        for _ in chunks:
-            # one chunk runs inline; more keep one worker until the end
-            assert threading.active_count() == before + (per_chunk < 20)
-            break
-        del chunks
-        assert threading.active_count() == before
-
-    def test_public_calls_stay_on_calling_thread(self, monkeypatch):
-        # a tracer keeps one span stack, so no public function may run on the worker
-        callers: dict[str, set] = {}
-
-        def recorded(name, fn):
-            def call(*args, **kwargs):
-                callers.setdefault(name, set()).add(threading.get_ident())
-                return fn(*args, **kwargs)
-
-            return call
-
-        holders = (dynamics, infer, harness, detect, estimate, topology, cli)
-        for module in (dynamics, infer):
-            for attr, fn in list(vars(module).items()):
-                if attr.startswith("_") or not inspect.isfunction(fn):
-                    continue
-                if fn.__module__ != module.__name__:
-                    continue
-                name = f"{module.__name__}.{attr}"
-                for holder in holders:
-                    if vars(holder).get(attr) is fn:
-                        monkeypatch.setattr(holder, attr, recorded(name, fn))
-        core, workers = harness._simulate_chunk, set()
-
-        def recorded_core(*args):
-            workers.add(threading.get_ident())
-            return core(*args)
-
-        monkeypatch.setattr(harness, "_simulate_chunk", recorded_core)
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * self.HORIZON * self.CONFIG.n)
-        run_multihop_accuracy(self.CONFIG)
-        here = threading.get_ident()
-        assert workers - {here}, "no worker thread was given a chunk"
-        assert {"netprobe.dynamics.simulate_batch", "netprobe.infer.first_hops"} <= set(callers)
-        assert all(idents == {here} for idents in callers.values()), callers
-
     def test_unpipelined_chunks_start_no_thread(self, monkeypatch):
-        monkeypatch.setattr(harness, "_pipelined", lambda n, horizon, chunks: False)
         before = threading.active_count()
         _, _, chunks = self.trials(monkeypatch, 3)
         for _ in chunks:
             assert threading.active_count() == before
 
 
-class TestPipelinedWhen:
-    """``_pipelined`` picks the worker from the trial size, chunk count and CPUs."""
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
-
-    def test_large_trials_in_several_chunks(self):
-        horizon = 53  # fig1b at n = 300: 8 trials of 32,100 draws per chunk
-        assert harness._pipelined(300, horizon, 2)
-        assert not harness._pipelined(300, horizon, 1)
-
-    def test_small_trials_stay_on_one_thread(self):
-        # fig1a's shipped config: n = 20, 1,000 trials in chunks of 128
-        assert not harness._pipelined(20, 51, 8)
-        n = -(-harness.PIPELINE_DRAWS // 107)  # the fewest nodes that pipeline at horizon 53
-        assert harness._pipelined(n, 53, 2) and not harness._pipelined(n - 1, 53, 2)
-
-    def test_one_cpu_stays_on_one_thread(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3})
-        assert not harness._pipelined(300, 53, 8)
-
-
 def parent_trials(argv):
     """The observations infer/estimate drew before the batch engine.
 
-    One ``seeded_trial`` per round, every round on one generator; estimate
-    draws its single run from the seed.  Shaped like ``simulate_batch``'s
-    return, so it can stand in for it.
+    One ``sampled_trial`` per round from the burn-in on, every round on one
+    generator; estimate keeps every row, so it draws its single run with
+    ``seeded_trial`` from the seed.  Shaped like ``simulate_batch``'s return,
+    so it can stand in for it.
     """
     args = cli.build_parser().parse_args(argv)
     tm, _, noise, e = cli._trial_setup(args)
@@ -571,12 +471,12 @@ def parent_trials(argv):
         constrained = args.mode == "constrained"
         plan = ExcitationPlan(args.excite_node, args.pairs, e) if constrained else None
         return seeded_trial(tm, init, args.pairs + constrained, noise, plan, args.seed).observations[None]
-    hops = args.max_hop if args.mode == "multihop" else 1
-    rounds = args.rounds if args.mode == "multi" else 1
+    hops = (args.max_hop or 3) if args.mode == "multihop" else 1
+    rounds = (args.rounds or 4) if args.mode == "multi" else 1
     plan = ExcitationPlan(args.excite_node, args.burn_in, e)
     rng = np.random.default_rng(args.seed)
     return np.array([
-        seeded_trial(tm, init, args.burn_in + hops, noise, plan, rng).observations[args.burn_in:]
+        sampled_trial(tm, init, args.burn_in + hops, noise, plan, rng, args.burn_in)
         for _ in range(rounds)
     ])
 
@@ -600,8 +500,9 @@ class TestCli:
             ),
             (
                 ["infer", "onehop", "--weights", "w.txt", "--excite-node", "2"],
-                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "max_hop": 3, "rounds": 4, "burn_in": 50,
-                 "out": None},
+                # unset, so that the modes that ignore them can reject them; 3 and 4 apply
+                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "max_hop": None, "rounds": None,
+                 "burn_in": 50, "out": None},
             ),
             (
                 ["estimate", "ols", "--weights", "w.txt"],
@@ -903,6 +804,12 @@ class TestCli:
         "estimate-ols-constraints-out": (
             "estimate", "ols", "--constraints-out", "{d}/c.txt", "--weights", "{w}",
         ),
+        "infer-max-hop-outside-multihop": (
+            "infer", "multi", "--excite-node", "0", "--max-hop", "3", "--weights", "{w}",
+        ),
+        "infer-rounds-outside-multi": (
+            "infer", "multihop", "--excite-node", "0", "--rounds", "3", "--weights", "{w}",
+        ),
         "infer-error-target-one": (
             "infer", "onehop", "--excite-node", "0", "--error-target", "1", "--weights", "{w}",
         ),
@@ -981,6 +888,20 @@ class TestCli:
                  "--out", str(tmp_path / "t.csv")],
                 "netprobe simulate: --excite-time and --excite-magnitude need --excite-node",
             ),
+            (
+                ["infer", "onehop", "--weights", str(w), "--excite-node", "1", "--max-hop", "2",
+                 "--rounds", "2"],
+                "netprobe infer: --max-hop: ignored outside multihop mode",
+            ),
+            (
+                ["infer", "multi", "--weights", str(w), "--excite-node", "1", "--max-hop", "2",
+                 "--rounds", "2"],
+                "netprobe infer: --max-hop: ignored outside multihop mode",
+            ),
+            (
+                ["infer", "multihop", "--weights", str(w), "--excite-node", "1", "--rounds", "2"],
+                "netprobe infer: --rounds: ignored outside multi mode",
+            ),
         ):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv)
@@ -1002,6 +923,45 @@ class TestCli:
         self.run("generate", "--weights-out", str(a))
         self.run("generate", "--rule", "laplacian", "--gamma", "1", "--weights-out", str(b))
         assert a.read_text() == b.read_text()
+        # infer parses --max-hop and --rounds as None when unset; they default to 3 and 4
+        capsys.readouterr()
+        infer = ("infer", "--weights", str(a), "--excite-node", "1", "--seed", "4")
+        for mode, option in (("multihop", ("--max-hop", "3")), ("multi", ("--rounds", "4"))):
+            outputs = []
+            for extra in ((), option):
+                self.run(*infer[:1], mode, *infer[1:], *extra)
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], mode
+
+    NEGATIVE_SEEDS = {
+        "generate": ("generate", "--n", "6", "--seed", "-1"),
+        "simulate": ("simulate", "--weights", "{w}", "--seed", "-1", "--out", "{d}/t.csv"),
+        "infer": ("infer", "onehop", "--weights", "{w}", "--excite-node", "0", "--seed", "-1"),
+        "estimate": ("estimate", "ols", "--weights", "{w}", "--seed", "-1"),
+        "experiment": ("experiment", "fig1a", "--trials", "2", "--seed", "-1"),
+        "config-seed": ("experiment", "fig1a", "--config", "{d}/seed.cfg"),
+        "config-graph-seed": ("experiment", "fig1a", "--config", "{d}/graphseed.cfg"),
+    }
+
+    @pytest.mark.parametrize("argv", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS.keys())
+    def test_negative_seed_named(self, tmp_path, capsys, argv):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        (tmp_path / "seed.cfg").write_text("trial_count = 2\nseed = -1\n")
+        (tmp_path / "graphseed.cfg").write_text("trial_count = 2\ngraph_seed = -3\n")
+        argv = [a.format(w=w, d=tmp_path) for a in argv]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        if argv[0] == "experiment":
+            # the config rejects it, from the command line and from a file alike
+            name, value = ("graph_seed", -3) if "graphseed" in argv[-1] else ("seed", -1)
+            assert info.value.code == f"netprobe experiment: {name} must be >= 0, got {value}"
+        else:
+            # the parser rejects it before the command runs
+            assert info.value.code == 2
+            assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_estimate_constrained(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
