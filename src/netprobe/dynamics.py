@@ -1,17 +1,18 @@
 """Forward simulation of the noisy network dynamics with excitation inputs.
 
 The state recursion is x_t = W x_{t-1} + theta_{t-1} with observations
-y_t = x_t + upsilon_t.  An excitation adds a scalar to one node's state
-immediately before the W-multiplication of its injection step, so its first
-observable effect at a downstream neighbor i is w_ij * e one step later.
-The excited node's recorded state and observation at the injection step are
-taken before the injection.  ``simulate`` runs one trajectory from a given
-x0; ``simulate_batch`` runs many seeded trials at once and keeps the rows
-from a first step s on.  Each trial draws, from its own generator,
-x0 ~ U(init), then (when s > 0) z ~ N(0, I), then theta for its kept steps,
-then upsilon for its kept rows.  Its state at step s is sampled exactly as
-W^s x0 + L z, with L the Cholesky factor of the process noise's covariance
-at step s, so the steps before s are never simulated.
+y_t = x_t + upsilon_t.  An input e at node j at step t acts as e added to
+x_t[j] before the W-multiplication: the model is linear and its noise does
+not depend on the input, so it adds exactly e (W^k)[:, j] to the state k
+steps later (superposition).  Both simulators run the noise recursion
+unexcited and add that response to the states, before the measurement
+noise; the rows up to the injection step are untouched.  ``simulate`` runs
+one trajectory from a given x0; ``simulate_batch`` runs many seeded trials
+and keeps the rows from a first step s on.  Each trial draws, from its own
+generator, x0 ~ U(init), then (when s > 0) z ~ N(0, I), then theta for its
+kept steps, then upsilon for its kept rows; its state at step s is sampled
+exactly as W^s x0 + L z, L the Cholesky factor of the process noise's
+covariance at s, so the steps before s are never simulated.
 """
 
 from __future__ import annotations
@@ -114,19 +115,13 @@ def _normal(rng: np.random.Generator, sigma: float, out: np.ndarray) -> None:
         out *= sigma
 
 
-def _propagate(
-    tm: TopologyMatrix,
-    x0: np.ndarray,
-    theta: np.ndarray,
-    plan: ExcitationPlan | None,
-    states: np.ndarray,
-) -> None:
-    """Run x_{t+1} = W x_t + theta_t from every column of ``x0`` at once.
+def _propagate(tm: TopologyMatrix, x0: np.ndarray, theta: np.ndarray, states: np.ndarray) -> None:
+    """Run the unexcited noise recursion x_{t+1} = W x_t + theta_t from every column of ``x0``.
 
-    ``x0`` is (n, k) and ``theta`` (k, steps, n).  State x_t goes to
-    ``states[:, t]``, taken before that step's injection.  The states step
-    as the columns of one (n, k) array: that is the faster product, and
-    with one column it gives the bits of ``W @ x``.
+    ``x0`` is (n, k) and ``theta`` (k, steps, n); state x_t goes to
+    ``states[:, t]``.  The states step as the columns of one (n, k) array:
+    that is the faster product, and with one column it gives the bits of
+    ``W @ x``.  An excitation's ``_response`` is added afterwards.
     """
     w = tm.matrix
     x = np.array(x0, order="C")
@@ -136,11 +131,17 @@ def _propagate(
         states[:, t] = x.T
         if t == horizon:
             break
-        if plan is not None and t == plan.time:
-            x[plan.node] += plan.magnitude
         np.matmul(w, x, out=nxt)
         nxt += theta[:, t].T
         x, nxt = nxt, x
+
+
+def _response(tm: TopologyMatrix, node: int, steps: int) -> np.ndarray:
+    """(steps + 1, n) unit response to an input at ``node``: row 0 zero, row k (W^k)[:, node]."""
+    rows = np.zeros((steps + 1, tm.n))
+    for k in range(1, steps + 1):
+        rows[k] = tm.matrix[:, node] if k == 1 else tm.matrix @ rows[k - 1]
+    return rows
 
 
 def simulate(
@@ -155,7 +156,7 @@ def simulate(
 
     All noise draws are made up front in a fixed order, so two runs with the
     same seed share identical noise whether or not an excitation is applied;
-    their difference is then exactly the propagated excitation.  A
+    their difference is the added response, to rounding.  A
     ``Generator`` passed as ``seed`` draws on from where its stream stands.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -172,7 +173,9 @@ def simulate(
     _normal(rng, noise.sigma_theta, theta[0])
     _normal(rng, noise.sigma_upsilon, upsilon)
     states = np.empty((1, horizon + 1, n))
-    _propagate(tm, x0[:, None], theta, plan, states)
+    _propagate(tm, x0[:, None], theta, states)
+    if plan is not None:
+        states[0, plan.time:] += plan.magnitude * _response(tm, plan.node, horizon - plan.time)
 
     applied = () if plan is None else ((plan.node, plan.time, plan.magnitude),)
     return Trajectory(states[0], states[0] + upsilon, applied)
@@ -226,10 +229,10 @@ def _simulate_chunk(tm, init, horizon, noise, plan, seeds, start, law) -> np.nda
     if law is not None:
         power, factor = law
         x = power @ x + factor @ z.T
-    if plan is not None:
-        plan = ExcitationPlan(plan.node, plan.time - start, plan.magnitude)
     states = np.empty_like(out)
-    _propagate(tm, x, theta, plan, states)
+    _propagate(tm, x, theta, states)
+    if plan is not None:
+        states[:, plan.time - start:] += plan.magnitude * _response(tm, plan.node, horizon - plan.time)
     out += states
     return out
 

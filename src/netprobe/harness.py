@@ -1,14 +1,14 @@
 """Experiment runners: designed-excitation accuracy sweeps and LS refinement.
 
-Each runner builds the network from an ``ExperimentConfig``, runs seeded
-independent trials chunk by chunk through ``dynamics.simulate_batch``'s
-chunk core, and returns a ``ResultTable`` of named rows whose theoretical
-columns come straight from the formulas in :mod:`netprobe.detect`.  Trials
-draw their randomness from seeds spawned deterministically off the master
-seed in trial order, each on its own generator, so results are
-bit-reproducible and do not depend on how the trials are chunked.  A run that keeps its rows
-from the injection step on samples each trial's state there exactly, from
-one start-state law built once per run, so no burn-in step is simulated.
+Each runner builds the network from an ``ExperimentConfig``, draws seeded
+independent trials, unexcited, chunk by chunk through the chunk core of
+``dynamics.simulate_batch``, adds each input by superposition (e times the
+unit response (W^k)[:, source]), so fig1a decides every error target on one
+draw, and returns a ``ResultTable`` of named rows whose theoretical columns
+come straight from :mod:`netprobe.detect`.  Each trial draws from its own
+generator, seeded off the master seed in trial order, so results are
+bit-reproducible and do not depend on chunking.  fig1a and fig1b sample each
+trial's state at the injection step from a law built once per run.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from netprobe.topology import (
     rule_weights,
     true_hop_sets,
 )
-from netprobe.dynamics import (
-    ExcitationPlan,
-    NoiseModel,
-    _simulate_chunk,
-    _start_law,
-    chunk_size,
-)
+from netprobe.dynamics import NoiseModel, _response, _simulate_chunk, _start_law, chunk_size
 from netprobe.estimate import (
     LsProblem,
     constrained_estimate,
@@ -79,6 +73,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.excited_node is not None and not 0 <= self.excited_node < self.n:
+            raise ValueError(f"excited_node {self.excited_node} outside 0..{self.n - 1}")
         for name in ("seed", "graph_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -217,14 +213,12 @@ def _network(
     return graph, tm, pick_source_node(graph, depth)
 
 
-def _trials(
-    config: ExperimentConfig, tm: TopologyMatrix, horizon: int, plan: ExcitationPlan, start: int
-):
-    """(chunk, rows, n) observations y_start..y_horizon of the seeded trials, in trial order.
+def _trials(config: ExperimentConfig, tm: TopologyMatrix, horizon: int, start: int):
+    """(chunk, rows, n) unexcited observations y_start..y_horizon of the seeded trials, in order.
 
-    Each chunk of ``chunk_size`` seeds goes through the chunk core of
-    ``simulate_batch``, so it holds what that call returns for the same
-    seeds; the start-state law is built here once per run, not per chunk.
+    Each chunk of ``chunk_size`` seeds holds what ``simulate_batch`` returns
+    for them without a plan; the start-state law is built once per run.  A
+    caller adds e times an input's ``_response`` from the injection row on.
     """
     init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
@@ -232,7 +226,7 @@ def _trials(
     law = _start_law(tm, start, noise) if start else None
     for first in range(0, len(seeds), size):
         chunk = seeds[first:first + size]
-        yield _simulate_chunk(tm, init, horizon, noise, plan, chunk, start, law)
+        yield _simulate_chunk(tm, init, horizon, noise, None, chunk, start, law)
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:
@@ -248,29 +242,30 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     """Designed one-hop tests vs their theoretical accuracy floor.
 
     For every error target, the excitation is sized by the critical-magnitude
-    formula (unless overridden), ``trial_count`` independent burn-in/excite/
-    decide rounds are run, and the fraction of correct per-pair decisions is
-    reported next to one minus the designed misjudgement probability.  The
-    guarantee presumes every positive weight reaches the configured floor.
+    formula (unless overridden) and the fraction of correct per-pair
+    decisions is reported next to one minus the designed misjudgement
+    probability.  The ``trial_count`` trials are drawn once, unexcited, and
+    every target's input is added to that draw by superposition and decided.
+    The guarantee presumes every positive weight reaches the configured floor.
     """
     graph, tm, source = _network(config)
     n, t = config.n, config.burn_in
     truth = true_hop_sets(graph, source, 1) == 1
     others = np.arange(n) != source
     sigma_bar = detect.onehop_noise_std(tm, config.noise())
-
-    rows = []
-    for target in config.error_targets:
-        e = _onehop_excitation(config, sigma_bar, target)
-        pair_ok = 0
-        set_ok = 0
-        for y in _trials(config, tm, t + 1, ExcitationPlan(source, t, e), t):
-            estimated = first_hops(y, source, e, config.weight_floor, tm.stability) == 1
+    excitations = [_onehop_excitation(config, sigma_bar, target) for target in config.error_targets]
+    response = _response(tm, source, 1)
+    counts = np.zeros((len(excitations), 2), dtype=np.int64)  # correct pairs, correct sets
+    for y in _trials(config, tm, t + 1, t):
+        for m, e in enumerate(excitations):
+            estimated = first_hops(y + e * response, source, e, config.weight_floor, tm.stability) == 1
             correct = (estimated == truth)[:, others]
-            pair_ok += int(correct.sum())
-            set_ok += int(correct.all(axis=1).sum())
-        decisions = config.trial_count * (n - 1)
-        pair_acc = pair_ok / decisions
+            counts[m] += correct.sum(), correct.all(axis=1).sum()
+
+    decisions = config.trial_count * (n - 1)
+    rows = []
+    for target, e, (pairs, sets) in zip(config.error_targets, excitations, counts.tolist()):
+        pair_acc = pairs / decisions
         rows.append(
             {
                 "error_target": target,
@@ -278,7 +273,7 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
                 "theory_accuracy": 1.0
                 - detect.misjudgement_probability(sigma_bar, config.weight_floor, e),
                 "pair_accuracy": pair_acc,
-                "set_accuracy": set_ok / config.trial_count,
+                "set_accuracy": sets / config.trial_count,
                 "decision_count": decisions,
                 "ci_half_width": binomial_half_width(pair_acc, decisions),
             }
@@ -304,12 +299,9 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     targets = (hop_truth == hops[:, None]).argmax(axis=1).tolist()  # first node of each level
     # A target first reached at hop h has no shorter walk from the source and
     # W >= 0, so (W^k)[target, source] is 0 for k < h: its one positive gain
-    # over horizons 1..h is (W^h)[target, source], read off the column W^h e_source.
-    column = tm.matrix[:, source]
-    gains = [float(column[targets[0]])]
-    for target in targets[1:]:
-        column = tm.matrix @ column
-        gains.append(float(column[target]))
+    # over horizons 1..h is (W^h)[target, source]: the response the decisions add.
+    response = _response(tm, source, config.max_hop)
+    gains = response[hops, targets].tolist()
     table = detect.deviation_noise_std(tm, hops.size, config.noise())
     # each target's largest std over horizons 1..h
     sigma = np.maximum.accumulate(table)[hops - 1, targets].tolist()
@@ -323,8 +315,8 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
 
     t = config.burn_in
     hits = np.zeros(hops.size, dtype=np.int64)
-    for y in _trials(config, tm, t + config.max_hop, ExcitationPlan(source, t, e), t):
-        first = first_hops(y, source, e, config.weight_floor, tm.stability)
+    for y in _trials(config, tm, t + config.max_hop, t):
+        first = first_hops(y + e * response, source, e, config.weight_floor, tm.stability)
         hits += (first[:, targets] == hops).sum(axis=0)
 
     rows = []
@@ -364,11 +356,11 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     horizon = config.n + 5
 
     rows = []
-    chunks = _trials(config, tm, horizon + 1, ExcitationPlan(source, horizon, e), 0)
+    chunks = _trials(config, tm, horizon + 1, 0)
     for k, y in enumerate(y for chunk in chunks for y in chunk):
-        decision = infer_one_hop(
-            y[horizon], y[horizon + 1], source, e, config.weight_floor, tm.stability
-        )
+        # the input at the last pair's step reaches only the decision row
+        after = y[horizon + 1] + e * tm.matrix[:, source]
+        decision = infer_one_hop(y[horizon], after, source, e, config.weight_floor, tm.stability)
         problem = LsProblem(y[:horizon], y[1:horizon + 1], constraints_from_decision(decision))
         ols = ols_estimate(problem)
         constrained = constrained_estimate(problem)

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from netprobe import detect, harness
 from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
@@ -70,16 +71,47 @@ def test_criterion_2_two_gaussian_monte_carlo():
     report("2 two-gaussian core", elapsed, "empirical-theory " + ", ".join(details))
 
 
+def onehop_gate(rows, trial_count):
+    """Criterion 3 on fig1a rows: each pair accuracy at or above its floor.
+
+    An error target beta's floor is 1 - beta less three binomial standard
+    deviations at beta over ``trial_count`` trials.  Returns the
+    (beta, accuracy, floor) checks and whether every one holds.
+    """
+    checks = []
+    for row in rows:
+        budget = row["error_target"]
+        floor = (1.0 - budget) - 3.0 * math.sqrt(budget * (1.0 - budget) / trial_count)
+        checks.append((budget, row["pair_accuracy"], floor))
+    return checks, all(accuracy >= floor for _, accuracy, floor in checks)
+
+
+def multihop_gate(rows, trial_count):
+    """Criterion 4 on fig1b rows: every hop placed at least as often as its bound.
+
+    Each row's input must reach its critical magnitude and its placement
+    probability its theory lower bound, and a deeper hop may be placed more
+    often than the hop before by at most two binomial standard deviations.
+    """
+    passed = all(
+        row["excitation"] >= row["critical_excitation"]
+        and row["empirical_probability"] >= row["theory_lower_bound"]
+        for row in rows
+    )
+    for prev, nxt in zip(rows, rows[1:]):
+        p = prev["empirical_probability"]
+        step_sigma = math.sqrt(max(p * (1 - p), 0.25 / trial_count) / trial_count)
+        passed = passed and nxt["empirical_probability"] <= p + 2.0 * step_sigma
+    return passed
+
+
 def test_criterion_3_end_to_end_onehop():
     start = time.perf_counter()
     config = default_config("fig1a")
     table = run_onehop_accuracy(config)
-    details = []
-    for row in table.as_dicts():
-        budget = row["error_target"]
-        floor = (1.0 - budget) - 3.0 * math.sqrt(budget * (1.0 - budget) / config.trial_count)
-        assert row["pair_accuracy"] >= floor
-        details.append(f"{budget}:{row['pair_accuracy']:.4f}>={floor:.4f}")
+    checks, passed = onehop_gate(table.as_dicts(), config.trial_count)
+    details = [f"{budget}:{accuracy:.4f}>={floor:.4f}" for budget, accuracy, floor in checks]
+    assert passed, details
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report("3 one-hop end-to-end", elapsed, ", ".join(details))
@@ -91,13 +123,7 @@ def test_criterion_4_multihop():
     table = run_multihop_accuracy(config)
     rows = table.as_dicts()
     assert [row["hop"] for row in rows] == [1, 2, 3]
-    for row in rows:
-        assert row["excitation"] >= row["critical_excitation"]
-        assert row["empirical_probability"] >= row["theory_lower_bound"]
-    for prev, nxt in zip(rows, rows[1:]):
-        p = prev["empirical_probability"]
-        step_sigma = math.sqrt(max(p * (1 - p), 0.25 / config.trial_count) / config.trial_count)
-        assert nxt["empirical_probability"] <= p + 2.0 * step_sigma
+    assert multihop_gate(rows, config.trial_count), rows
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     detail = ", ".join(
@@ -181,6 +207,48 @@ def test_criterion_6_fails_without_constraints(monkeypatch):
     assert structure_wins == 0
     assert med_con == med_ols
     assert not passed
+
+
+def always(answer):
+    """A stand-in for ``first_hops`` that places every node but the source at ``answer``."""
+    def decide(windows, source, *args):
+        first = np.full((len(windows), windows.shape[2]), answer)
+        first[:, source] = 0
+        return first
+    return decide
+
+
+ITEM_2 = (
+    "ROADMAP item 2: the paper's rule leaves the drift term out of its design, so fig1a's "
+    "pair accuracy is about 18/19 whatever the true edge's decisions are"
+)
+
+
+@pytest.mark.parametrize(
+    "figure, control",
+    [
+        pytest.param("fig1a", "always-no", marks=pytest.mark.xfail(strict=True, reason=ITEM_2)),
+        ("fig1a", "always-yes"),
+        pytest.param("fig1a", "half-input", marks=pytest.mark.xfail(strict=True, reason=ITEM_2)),
+        ("fig1b", "always-no"),
+        ("fig1b", "always-yes"),
+        ("fig1b", "half-input"),
+    ],
+)
+def test_negative_controls_fail_their_gate(monkeypatch, figure, control):
+    # the real runner with one piece swapped: a decider that always answers
+    # no edge, one that always answers yes, or half the designed input
+    if control == "half-input":
+        applied = detect.applied_excitation
+        monkeypatch.setattr(detect, "applied_excitation", lambda designed: 0.5 * applied(designed))
+    else:
+        monkeypatch.setattr(harness, "first_hops", always(int(control == "always-yes")))
+    config = default_config(figure)
+    rows = harness.run_experiment(figure, config).as_dicts()
+    if figure == "fig1a":
+        assert not onehop_gate(rows, config.trial_count)[1]
+    else:
+        assert not multihop_gate(rows, config.trial_count)
 
 
 def test_criterion_7_structural_invariants():

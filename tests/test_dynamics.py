@@ -188,6 +188,41 @@ class TestSimulateBatch:
                 assert windows.shape == (11, 24 - start, net.n)
                 assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @staticmethod
+    def injected_trial(tm, init, horizon, noise, plan, seed):
+        """One trial stepped with the input inside the recursion, x[node] += e before the W step.
+
+        The draws replay ``simulate_batch``'s order at start 0: x0, theta, upsilon.
+        """
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(*init, tm.n)
+        theta = rng.normal(0.0, noise.sigma_theta, (horizon, tm.n))
+        upsilon = rng.normal(0.0, noise.sigma_upsilon, (horizon + 1, tm.n))
+        states = [x]
+        for t in range(horizon):
+            x = x.copy()
+            if t == plan.time:
+                x[plan.node] += plan.magnitude
+            x = tm.matrix @ x + theta[t]
+            states.append(x)
+        return np.array(states) + upsilon
+
+    @pytest.mark.parametrize("start", [0, 20])
+    def test_superposed_input_matches_injection_oracle(self, tm, tm_wide, start):
+        # the batch adds the input's response to an unexcited run; the oracle
+        # injects it inside the recursion.  Start 0 replays the noisy draws;
+        # a start past 0 samples its state, so it is checked noiselessly.
+        seeds = np.random.SeedSequence(9).spawn(6)
+        noise = NoiseModel(1.0, 0.5) if start == 0 else NoiseModel.noiseless()
+        for net in (tm, tm_wide):
+            for plan in (ExcitationPlan(1, 20, 40.0), ExcitationPlan(net.n - 1, 22, -3.5)):
+                windows = simulate_batch(net, (-100.0, 100.0), 23, noise, plan, seeds, start)
+                expected = np.array([
+                    self.injected_trial(net, (-100.0, 100.0), 23, noise, plan, s)[start:]
+                    for s in seeds
+                ])
+                assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_one_trial_is_seeded_trial(self, tm_wide):
         # one trial steps as one column, the same recursion as ``simulate``,
         # and its start state is the oracle's matrix-vector products: bit for bit

@@ -413,7 +413,7 @@ class TestRunners:
 
 
 class TestTrialPipeline:
-    """``harness._trials`` yields the run's chunks in trial order, on the calling thread."""
+    """``harness._trials`` yields the run's unexcited chunks in trial order, on the calling thread."""
 
     CONFIG = replace(SMALL, trial_count=20)
     HORIZON, START = 53, 50
@@ -422,8 +422,7 @@ class TestTrialPipeline:
         _, tm = self.CONFIG.build_network()
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * self.HORIZON * self.CONFIG.n)
         assert dynamics.chunk_size(self.CONFIG.n, self.HORIZON) == per_chunk
-        plan = ExcitationPlan(0, self.START, 30.0)
-        return tm, plan, harness._trials(self.CONFIG, tm, self.HORIZON, plan, self.START)
+        return tm, harness._trials(self.CONFIG, tm, self.HORIZON, self.START)
 
     @pytest.mark.parametrize(
         "per_chunk", [20, 13, 6, 3], ids=["1-chunk", "2-chunks", "4-chunks", "7-chunks"]
@@ -434,7 +433,7 @@ class TestTrialPipeline:
         monkeypatch.setattr(
             harness, "_start_law", lambda *args: laws.append(args) or dynamics._start_law(*args)
         )
-        tm, plan, chunks = self.trials(monkeypatch, per_chunk)
+        tm, chunks = self.trials(monkeypatch, per_chunk)
         chunks = list(chunks)
         assert len(laws) == 1
         config = self.CONFIG
@@ -443,7 +442,7 @@ class TestTrialPipeline:
         assert len(chunks) == len(firsts)
         for first, chunk in zip(firsts, chunks):
             want = dynamics.simulate_batch(
-                tm, (config.init_low, config.init_high), self.HORIZON, config.noise(), plan,
+                tm, (config.init_low, config.init_high), self.HORIZON, config.noise(), None,
                 seeds[first:first + per_chunk], self.START,
             )
             assert np.array_equal(chunk, want)
@@ -451,9 +450,23 @@ class TestTrialPipeline:
 
     def test_unpipelined_chunks_start_no_thread(self, monkeypatch):
         before = threading.active_count()
-        _, _, chunks = self.trials(monkeypatch, 3)
+        _, chunks = self.trials(monkeypatch, 3)
         for _ in chunks:
             assert threading.active_count() == before
+
+    def test_onehop_draws_each_chunk_once(self, monkeypatch):
+        # fig1a decides its four error targets on one draw: one chunk-core
+        # call per chunk, not one per chunk and target
+        config = replace(SMALL, trial_count=20)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * config.n)
+        calls = []
+        draw = harness._simulate_chunk
+        monkeypatch.setattr(
+            harness, "_simulate_chunk", lambda *args: calls.append(args[5]) or draw(*args)
+        )
+        table = run_onehop_accuracy(config)
+        assert len(table.rows) == len(config.error_targets) == 4
+        assert [len(seeds) for seeds in calls] == [3] * 6 + [2]
 
 
 def parent_trials(argv):
@@ -962,6 +975,16 @@ class TestCli:
             assert info.value.code == 2
             assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("figure", ["fig1a", "fig1b", "fig1c"])
+    @pytest.mark.parametrize("node", [-1, 20])
+    def test_config_excited_node_outside_network_named(self, tmp_path, figure, node):
+        # the config rejects it before any trial runs, for every runner
+        cfg = tmp_path / "node.cfg"
+        cfg.write_text(f"trial_count = 2\nexcited_node = {node}\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["experiment", figure, "--config", str(cfg)])
+        assert info.value.code == f"netprobe experiment: excited_node {node} outside 0..19"
 
     def test_estimate_constrained(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
