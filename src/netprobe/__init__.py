@@ -27,7 +27,6 @@ from netprobe.dynamics import (
     Trajectory,
     simulate,
     simulate_batch,
-    chunk_size,
     deviation_bound,
 )
 from netprobe.detect import (

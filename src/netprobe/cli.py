@@ -27,7 +27,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -146,8 +146,8 @@ def _trial_setup(args):
     if not 0 <= args.excite_node < tm.n:
         raise ValueError(f"excited node {args.excite_node} outside 0..{tm.n - 1}")
     e = args.excite_magnitude
-    if e is not None and not math.isfinite(e):
-        raise ValueError(f"excitation magnitude must be finite, got {e}")
+    if e is not None and not (math.isfinite(e) and e != 0.0):
+        raise ValueError(f"--excite-magnitude must be finite and nonzero, got {e}")
     if e is None:
         sigma = detect.onehop_noise_std(tm, noise)
         e = detect.applied_excitation(detect.critical_excitation(sigma, floor, budget))
@@ -164,12 +164,12 @@ def _cmd_infer(args) -> None:
     # a given value parses as >= 1, so ``or`` only fills in an unset option
     hops = (args.max_hop or 3) if args.mode == "multihop" else 1
     rounds = (args.rounds or 4) if args.mode == "multi" else 1
-    plan = ExcitationPlan(source, args.burn_in, e)
     # one generator for every round, so the rounds draw in turn on its stream
-    windows = simulate_batch(
-        tm, (args.init_low, args.init_high), args.burn_in + hops, noise, plan,
+    chunks = simulate_batch(
+        tm, (args.init_low, args.init_high), args.burn_in + hops, noise,
         [np.random.default_rng(args.seed)] * rounds, args.burn_in,
     )
+    windows = np.concatenate(list(chunks)) + e * dynamics._response(tm, source, hops)
     decision = infer.decide(windows, source, e, floor, tm.stability)
     text = json.dumps(decision.to_records(), indent=2)
     if args.out is None:
@@ -185,15 +185,14 @@ def _cmd_estimate(args) -> None:
         raise ValueError("--constraints-out needs constrained mode")
     tm, floor, noise, e = _trial_setup(args)
     horizon = args.pairs
-    plan = ExcitationPlan(args.excite_node, horizon, e) if constrained else None
     # the constrained run also observes the step after its injection
     steps = horizon + 1 if constrained else horizon
-    y = simulate_batch(tm, (args.init_low, args.init_high), steps, noise, plan, [args.seed])[0]
+    y = next(simulate_batch(tm, (args.init_low, args.init_high), steps, noise, [args.seed]))[0]
     constraints = {}
     if constrained:
-        decision = infer.infer_one_hop(
-            y[horizon], y[horizon + 1], args.excite_node, e, floor, tm.stability
-        )
+        # the input at the last pair's step reaches only the decision row
+        after = y[horizon + 1] + e * tm.matrix[:, args.excite_node]
+        decision = infer.infer_one_hop(y[horizon], after, args.excite_node, e, floor, tm.stability)
         constraints = estimate.constraints_from_decision(decision)
         if args.constraints_out:
             estimate.save_constraints(args.constraints_out, constraints)
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trial = argparse.ArgumentParser(add_help=False, parents=[noise])
     trial.add_argument("--weights", required=True)
-    trial.add_argument("--seed", type=_seed, default=0)
+    trial.add_argument("--seed", type=_non_negative_int, default=0)
     trial.add_argument("--init-low", type=float, default=-100.0)
     trial.add_argument("--init-high", type=float, default=100.0)
 
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="random digraph and weight matrix files")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--p", type=float, default=0.2, help="edge probability")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--rule", choices=topology.WEIGHT_RULES, default=None, help="default: laplacian")
     p.add_argument("--gamma", type=float, default=None, help="laplacian scale (default 1)")
     p.add_argument("--alpha", type=float, default=None, help="rescale into the stable regime")
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     # unset options stay None, so that the modes that ignore them can reject them
     p.add_argument("--max-hop", type=_positive_int, default=None, help="multihop depth (default 3)")
     p.add_argument("--rounds", type=_positive_int, default=None, help="multi's rounds (default 4)")
-    p.add_argument("--burn-in", type=int, default=50)
+    p.add_argument("--burn-in", type=_non_negative_int, default=50)
     p.add_argument("--out", default=None, help="decision JSON path (default stdout)")
     p.set_defaults(func=_cmd_infer)
 

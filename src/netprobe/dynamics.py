@@ -4,20 +4,22 @@ The state recursion is x_t = W x_{t-1} + theta_{t-1} with observations
 y_t = x_t + upsilon_t.  An input e at node j at step t acts as e added to
 x_t[j] before the W-multiplication: the model is linear and its noise does
 not depend on the input, so it adds exactly e (W^k)[:, j] to the state k
-steps later (superposition).  Both simulators run the noise recursion
-unexcited and add that response to the states, before the measurement
-noise; the rows up to the injection step are untouched.  ``simulate`` runs
-one trajectory from a given x0; ``simulate_batch`` runs many seeded trials
-and keeps the rows from a first step s on.  Each trial draws, from its own
-generator, x0 ~ U(init), then (when s > 0) z ~ N(0, I), then theta for its
-kept steps, then upsilon for its kept rows; its state at step s is sampled
-exactly as W^s x0 + L z, L the Cholesky factor of the process noise's
-covariance at s, so the steps before s are never simulated.
+steps later (superposition), and the rows up to the injection step are
+untouched.  ``simulate`` runs one trajectory from a given x0 and adds an
+``ExcitationPlan``'s response to its states.  ``simulate_batch`` runs many
+seeded trials unexcited, chunk by chunk, and keeps the rows from a first
+step s on; its callers add e times ``_response`` to the rows they excite.
+Each trial draws, from its own generator, x0 ~ U(init), then (when s > 0)
+z ~ N(0, I), then theta for its kept steps, then upsilon for its kept rows;
+its state at step s is sampled exactly as W^s x0 + L z, L the Cholesky
+factor of the process noise's covariance at s, so the steps before s are
+never simulated.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,11 +183,6 @@ def simulate(
     return Trajectory(states[0], states[0] + upsilon, applied)
 
 
-def chunk_size(n: int, horizon: int) -> int:
-    """Trials per ``simulate_batch`` call that keep its process noise within CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // (8 * horizon * n))
-
-
 def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """(W^s, L) for s = ``start``: given x0, x_s = W^s x0 + L z with z ~ N(0, I).
 
@@ -212,8 +209,8 @@ def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.nd
     return power, noise.sigma_theta * np.linalg.cholesky(gram)
 
 
-def _simulate_chunk(tm, init, horizon, noise, plan, seeds, start, law) -> np.ndarray:
-    """``simulate_batch`` past its checks; ``law`` is ``_start_law``'s, None at ``start`` 0."""
+def _simulate_chunk(tm, init, horizon, noise, seeds, start, law) -> np.ndarray:
+    """One chunk of ``simulate_batch``; ``law`` is ``_start_law``'s, None at ``start`` 0."""
     k, n, steps = len(seeds), tm.n, horizon - start
     out = np.empty((k, steps + 1, n))  # first, below the buffers freed on return
     x0, z = np.empty((k, n)), np.empty((k, n))
@@ -231,8 +228,6 @@ def _simulate_chunk(tm, init, horizon, noise, plan, seeds, start, law) -> np.nda
         x = power @ x + factor @ z.T
     states = np.empty_like(out)
     _propagate(tm, x, theta, states)
-    if plan is not None:
-        states[:, plan.time - start:] += plan.magnitude * _response(tm, plan.node, horizon - plan.time)
     out += states
     return out
 
@@ -242,29 +237,33 @@ def simulate_batch(
     init: tuple[float, float],
     horizon: int,
     noise: NoiseModel,
-    plan: ExcitationPlan | None,
     seeds,
     start: int = 0,
-) -> np.ndarray:
-    """Observations y_start..y_horizon of seeded trials, shaped (trials, rows, n).
+) -> Iterator[np.ndarray]:
+    """Unexcited observations y_start..y_horizon of seeded trials, as (chunk, rows, n) arrays.
 
-    Trial k draws from ``default_rng(seeds[k])`` in the module's order: with
-    ``start`` = 0, x0 ~ U(init) and then what ``simulate`` draws.  The
-    state at ``start`` is sampled, so an excitation must not precede it.
-    All trials step together, one (n, n) @ (n, trials) product per step,
-    which may round the last bits differently from the matrix-vector
-    product of ``simulate``.  One ``Generator`` repeated in ``seeds`` draws
-    the trials in turn on its stream.  The buffers grow with the trial
-    count, so callers pass ``chunk_size`` seeds at a time.
+    The arguments are checked and the start-state law is built when called;
+    the returned iterator then draws the ``seeds`` in order, as many per
+    chunk as keep a chunk's process noise, counted over the whole horizon,
+    within CHUNK_BYTES.  Trial k draws from ``default_rng(seeds[k])`` in the
+    module's order: with ``start`` = 0, x0 ~ U(init) and then what
+    ``simulate`` draws.  A caller adds an input e at node j and step
+    t >= ``start`` as e times ``_response(tm, j, horizon - t)`` on the rows
+    from t on.  The trials of a chunk step together, one (n, n) @ (n, trials)
+    product per step, which may round the last bits differently from the
+    matrix-vector product of ``simulate``.  One ``Generator`` repeated in
+    ``seeds`` draws the trials in turn on its stream.
     """
     _check_init(init)
-    _check_run(tm, horizon, plan)
+    _check_run(tm, horizon, None)
     if not 0 <= start <= horizon:
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
-    if plan is not None and plan.time < start:
-        raise ValueError(f"excitation time {plan.time} precedes the first kept step {start}")
     law = _start_law(tm, start, noise) if start else None
-    return _simulate_chunk(tm, init, horizon, noise, plan, seeds, start, law)
+    size = max(1, CHUNK_BYTES // (8 * horizon * tm.n))
+    return (
+        _simulate_chunk(tm, init, horizon, noise, seeds[first:first + size], start, law)
+        for first in range(0, len(seeds), size)
+    )
 
 
 def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:

@@ -1,11 +1,11 @@
 """Experiment runners: designed-excitation accuracy sweeps and LS refinement.
 
 Each runner builds the network from an ``ExperimentConfig``, draws seeded
-independent trials, unexcited, chunk by chunk through the chunk core of
-``dynamics.simulate_batch``, adds each input by superposition (e times the
-unit response (W^k)[:, source]), so fig1a decides every error target on one
-draw, and returns a ``ResultTable`` of named rows whose theoretical columns
-come straight from :mod:`netprobe.detect`.  Each trial draws from its own
+independent trials, unexcited, chunk by chunk from ``dynamics.simulate_batch``,
+adds each input by superposition (e times the unit response
+(W^k)[:, source]), so fig1a decides every error target on one draw, and
+returns a ``ResultTable`` of named rows whose theoretical columns come
+straight from :mod:`netprobe.detect`.  Each trial draws from its own
 generator, seeded off the master seed in trial order, so results are
 bit-reproducible and do not depend on chunking.  fig1a and fig1b sample each
 trial's state at the injection step from a law built once per run.
@@ -29,7 +29,7 @@ from netprobe.topology import (
     rule_weights,
     true_hop_sets,
 )
-from netprobe.dynamics import NoiseModel, _response, _simulate_chunk, _start_law, chunk_size
+from netprobe.dynamics import NoiseModel, _response, simulate_batch
 from netprobe.estimate import (
     LsProblem,
     constrained_estimate,
@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("burn-in must be >= 1")
         if self.max_hop < 1:
             raise ValueError("max hop must be >= 1")
+        if self.excitation_magnitude == 0.0:
+            raise ValueError(f"excitation_magnitude must be nonzero, got {self.excitation_magnitude!r}")
         if not self.excitation_scale > 0.0:
             raise ValueError("excitation scale must be > 0")
         if not self.weight_floor > 0.0:
@@ -216,17 +218,11 @@ def _network(
 def _trials(config: ExperimentConfig, tm: TopologyMatrix, horizon: int, start: int):
     """(chunk, rows, n) unexcited observations y_start..y_horizon of the seeded trials, in order.
 
-    Each chunk of ``chunk_size`` seeds holds what ``simulate_batch`` returns
-    for them without a plan; the start-state law is built once per run.  A
-    caller adds e times an input's ``_response`` from the injection row on.
+    A caller adds e times an input's ``_response`` from the injection row on.
     """
-    init, noise = (config.init_low, config.init_high), config.noise()
     seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
-    size = chunk_size(tm.n, horizon)
-    law = _start_law(tm, start, noise) if start else None
-    for first in range(0, len(seeds), size):
-        chunk = seeds[first:first + size]
-        yield _simulate_chunk(tm, init, horizon, noise, None, chunk, start, law)
+    init = (config.init_low, config.init_high)
+    return simulate_batch(tm, init, horizon, config.noise(), seeds, start)
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:

@@ -12,7 +12,6 @@ from netprobe.dynamics import (
     ExcitationPlan,
     NoiseModel,
     Trajectory,
-    chunk_size,
     deviation_bound,
     simulate,
     simulate_batch,
@@ -152,12 +151,12 @@ class TestSimulateTrial:
     )
     def test_rejects_non_finite_interval(self, tm, init):
         with pytest.raises(ValueError, match="finite"):
-            simulate_batch(tm, init, 4, NoiseModel(), None, [1])
+            simulate_batch(tm, init, 4, NoiseModel(), [1])
 
     @pytest.mark.parametrize("init", [(50.0, -50.0), (5.0, 5.0)])
     def test_rejects_empty_interval(self, tm, init):
         with pytest.raises(ValueError, match="initial-state interval is empty"):
-            simulate_batch(tm, init, 4, NoiseModel(), None, [1])
+            simulate_batch(tm, init, 4, NoiseModel(), [1])
 
 
 class TestSimulateBatch:
@@ -174,7 +173,8 @@ class TestSimulateBatch:
             plan = ExcitationPlan(1, 20, 40.0)
             noise = NoiseModel(1.0, 0.5)
             for start in (0, 20):
-                windows = simulate_batch(net, (-100.0, 100.0), 23, noise, plan, seeds, start)
+                [windows] = simulate_batch(net, (-100.0, 100.0), 23, noise, seeds, start)
+                windows[:, plan.time - start:] += plan.magnitude * dynamics._response(net, plan.node, 3)
                 if start:
                     expected = np.array([
                         sampled_trial(net, (-100.0, 100.0), 23, noise, plan, s, start)
@@ -209,35 +209,38 @@ class TestSimulateBatch:
 
     @pytest.mark.parametrize("start", [0, 20])
     def test_superposed_input_matches_injection_oracle(self, tm, tm_wide, start):
-        # the batch adds the input's response to an unexcited run; the oracle
-        # injects it inside the recursion.  Start 0 replays the noisy draws;
-        # a start past 0 samples its state, so it is checked noiselessly.
+        # an unexcited chunk plus e times the unit response from the injection
+        # row on, against an oracle that injects the input inside the
+        # recursion.  Start 0 replays the noisy draws; a start past 0 samples
+        # its state, so it is checked noiselessly.
         seeds = np.random.SeedSequence(9).spawn(6)
         noise = NoiseModel(1.0, 0.5) if start == 0 else NoiseModel.noiseless()
         for net in (tm, tm_wide):
             for plan in (ExcitationPlan(1, 20, 40.0), ExcitationPlan(net.n - 1, 22, -3.5)):
-                windows = simulate_batch(net, (-100.0, 100.0), 23, noise, plan, seeds, start)
+                [chunk] = simulate_batch(net, (-100.0, 100.0), 23, noise, seeds, start)
+                response = dynamics._response(net, plan.node, 23 - plan.time)
+                chunk[:, plan.time - start:] += plan.magnitude * response
                 expected = np.array([
                     self.injected_trial(net, (-100.0, 100.0), 23, noise, plan, s)[start:]
                     for s in seeds
                 ])
-                assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
+                assert np.abs(chunk - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_one_trial_is_seeded_trial(self, tm_wide):
         # one trial steps as one column, the same recursion as ``simulate``,
         # and its start state is the oracle's matrix-vector products: bit for bit
-        plan, noise = ExcitationPlan(3, 6, -7.5), NoiseModel(0.5, 2.0)
+        noise = NoiseModel(0.5, 2.0)
         for start in (0, 5, 6):
-            window = simulate_batch(tm_wide, (-3.0, 9.0), 9, noise, plan, [8], start)
+            [window] = simulate_batch(tm_wide, (-3.0, 9.0), 9, noise, [8], start)
             if start:
-                expected = sampled_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8, start)
+                expected = sampled_trial(tm_wide, (-3.0, 9.0), 9, noise, None, 8, start)
             else:
-                expected = seeded_trial(tm_wide, (-3.0, 9.0), 9, noise, plan, 8).observations
+                expected = seeded_trial(tm_wide, (-3.0, 9.0), 9, noise, None, 8).observations
             assert np.array_equal(window[0], expected)
 
     def test_start_at_horizon_keeps_one_row(self, tm):
         seeds = np.random.SeedSequence(6).spawn(3)
-        windows = simulate_batch(tm, (-1.0, 1.0), 7, NoiseModel(), None, seeds, 7)
+        [windows] = simulate_batch(tm, (-1.0, 1.0), 7, NoiseModel(), seeds, 7)
         assert windows.shape == (3, 1, 10)
         for window, seed in zip(windows, seeds):
             rng = np.random.default_rng(seed)
@@ -248,19 +251,19 @@ class TestSimulateBatch:
             # three columns: the start state's products may round apart from the oracle's
             assert np.abs(window[0] - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_rejects_excitation_before_start(self, tm):
-        plan = ExcitationPlan(0, 3, 1.0)
-        with pytest.raises(ValueError, match="excitation time 3 precedes the first kept step 4"):
-            simulate_batch(tm, (-1.0, 1.0), 6, NoiseModel(), plan, [1], 4)
-        assert simulate_batch(tm, (-1.0, 1.0), 6, NoiseModel(), plan, [1], 3).shape == (1, 4, 10)
-
-    def test_chunks_give_the_same_rows(self, tm_wide):
-        # 13 trials as chunks of 5, 5 and 3 against one call
-        seeds = np.random.SeedSequence(21).spawn(13)
-        args = (tm_wide, (-100.0, 100.0), 12, NoiseModel(), ExcitationPlan(0, 10, 25.0))
-        whole = simulate_batch(*args, seeds, 10)
-        parts = np.concatenate([simulate_batch(*args, seeds[i:i + 5], 10) for i in (0, 5, 10)])
-        assert np.abs(parts - whole).max() <= 1e-12 * np.abs(whole).max()
+    def test_chunks_give_the_same_rows(self, monkeypatch, tm_wide):
+        # 13 trials in chunks of 5, 5 and 3 against one seed at a time; one
+        # Generator repeated in the seeds draws the trials in turn either way
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 5 * 8 * 12 * tm_wide.n)
+        args = (tm_wide, (-100.0, 100.0), 12, NoiseModel())
+        spawned = np.random.SeedSequence(21).spawn(13)
+        rng, one_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for seeds, singles in ((spawned, [[seed] for seed in spawned]), ([rng] * 13, [[one_rng]] * 13)):
+            chunks = list(simulate_batch(*args, seeds, 10))
+            assert [len(chunk) for chunk in chunks] == [5, 5, 3]
+            single = np.concatenate([next(simulate_batch(*args, seed, 10)) for seed in singles])
+            parts = np.concatenate(chunks)
+            assert np.abs(parts - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_draws_match_normal(self):
         # standard_normal scaled in place draws what normal(0, sigma) draws
@@ -271,23 +274,32 @@ class TestSimulateBatch:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_chunk_size_from_byte_budget(self):
-        assert chunk_size(300, 53) == 8
-        assert chunk_size(20, 51) == 128
-        assert chunk_size(300, 10**6) == 1
-        assert chunk_size(20, 51) * 8 * 51 * 20 <= dynamics.CHUNK_BYTES
+    def test_chunk_size_from_byte_budget(self, tm):
+        # a chunk's process noise over the whole horizon stays within CHUNK_BYTES:
+        # 128 trials of 51 steps at n = 20, 8 of 53 at n = 300, at least one
+        budget = dynamics.CHUNK_BYTES
+        assert budget == 1 << 20
+        tm20 = laplacian_weights(generate_random_digraph(20, 0.08, 102), 1.0)
+        seeds = np.random.SeedSequence(2).spawn(300)
+        chunks = simulate_batch(tm20, (-1.0, 1.0), 51, NoiseModel(), seeds, 50)
+        assert [len(chunk) for chunk in chunks] == [128, 128, 44]
+        assert 128 * 8 * 51 * 20 <= budget < 129 * 8 * 51 * 20
+        tm300 = laplacian_weights(generate_random_digraph(300, 0.005, 3), 1.0)
+        chunks = simulate_batch(tm300, (-1.0, 1.0), 53, NoiseModel(), seeds[:20], 53)
+        assert [chunk.shape for chunk in chunks] == [(8, 1, 300), (8, 1, 300), (4, 1, 300)]
+        chunks = simulate_batch(tm, (-1.0, 1.0), 10**6, NoiseModel(), seeds[:3], 10**6)
+        assert [chunk.shape for chunk in chunks] == [(1, 1, 10)] * 3
 
     def test_rejects_bad_inputs(self, tm):
+        # the call raises, before any chunk is asked for
         args = (tm, (-1.0, 1.0))
         with pytest.raises(ValueError, match="first kept step"):
-            simulate_batch(*args, 5, NoiseModel(), None, [1], 6)
-        with pytest.raises(ValueError):
-            simulate_batch(*args, 0, NoiseModel(), None, [1])
-        with pytest.raises(ValueError):
-            simulate_batch(*args, 5, NoiseModel(), ExcitationPlan(0, 5, 1.0), [1])
-        with pytest.raises(ValueError):
-            simulate_batch(*args, 5, NoiseModel(), ExcitationPlan(99, 2, 1.0), [1])
-        assert simulate_batch(*args, 5, NoiseModel(), None, [], 2).shape == (0, 4, 10)
+            simulate_batch(*args, 5, NoiseModel(), [1], 6)
+        with pytest.raises(ValueError, match="first kept step"):
+            simulate_batch(*args, 5, NoiseModel(), [1], -1)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_batch(*args, 0, NoiseModel(), [1])
+        assert list(simulate_batch(*args, 5, NoiseModel(), [], 2)) == []
 
 
 class TestStartLaw:
@@ -319,7 +331,7 @@ class TestStartLaw:
         assert np.abs(power - np.linalg.matrix_power(tm.matrix, 50)).max() <= 1e-12
         # noiseless: the sampled window is the full run's rows from step 50 on
         seeds = np.random.SeedSequence(4).spawn(5)
-        windows = simulate_batch(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), None, seeds, 50)
+        [windows] = simulate_batch(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), seeds, 50)
         for window, seed in zip(windows, seeds):
             full = seeded_trial(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), None, seed)
             want = full.observations[50:]
@@ -333,13 +345,10 @@ class TestStartLaw:
         s, count, init = 50, 10**4, (-100.0, 100.0)
         noise = NoiseModel(1.0, 0.0)  # no measurement noise: the rows are the states
         seeds = np.random.SeedSequence(7).spawn(count)
-        size = chunk_size(20, s)
 
         def states(start):
-            return np.concatenate([
-                simulate_batch(tm20, init, s, noise, None, seeds[k:k + size], start)[:, -1]
-                for k in range(0, count, size)
-            ])
+            chunks = simulate_batch(tm20, init, s, noise, seeds, start)
+            return np.concatenate([chunk[:, -1] for chunk in chunks])
 
         sampled, stepped = states(s), states(0)
         spread = np.sqrt((sampled.var(axis=0) + stepped.var(axis=0)) / count)
@@ -402,12 +411,7 @@ class TestObservationDeviation:
         noise = NoiseModel(1.0, 1.0)
         target = deviation_noise_std(tm_small, h, noise)[h - 1, i] ** 2
         gh = np.linalg.matrix_power(tm_small.matrix, h)
-        seeds = range(10**5)
-        size = chunk_size(6, h)
-        y = np.concatenate([
-            simulate_batch(tm_small, (1.0, 3.0), h, noise, None, seeds[k:k + size])
-            for k in range(0, len(seeds), size)
-        ])
+        y = np.concatenate(list(simulate_batch(tm_small, (1.0, 3.0), h, noise, range(10**5))))
         y0 = y[:, 0]
         samples = (y[:, h, i] - y0[:, i]) - ((y0 @ gh.T)[:, i] - y0[:, i])
         assert abs(samples.var(ddof=1) - target) / target <= 0.05

@@ -390,7 +390,8 @@ class TestRunners:
         runners = (run_onehop_accuracy, run_multihop_accuracy, run_ls_improvement)
         whole = [runner(config) for runner in runners]
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * 20)
-        assert dynamics.chunk_size(20, 51) == 3
+        _, tm = config.build_network()
+        assert [len(chunk) for chunk in harness._trials(config, tm, 51, 50)] == [3, 3, 3, 3, 1]
         chunked = [runner(config) for runner in runners]
         assert chunked[:2] == whole[:2]
         for a, b in zip(chunked[2].rows, whole[2].rows):
@@ -421,19 +422,18 @@ class TestTrialPipeline:
     def trials(self, monkeypatch, per_chunk):
         _, tm = self.CONFIG.build_network()
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * self.HORIZON * self.CONFIG.n)
-        assert dynamics.chunk_size(self.CONFIG.n, self.HORIZON) == per_chunk
         return tm, harness._trials(self.CONFIG, tm, self.HORIZON, self.START)
 
     @pytest.mark.parametrize(
         "per_chunk", [20, 13, 6, 3], ids=["1-chunk", "2-chunks", "4-chunks", "7-chunks"]
     )
     def test_chunks_equal_per_chunk_simulate_batch(self, monkeypatch, per_chunk):
-        # the run builds its start-state law once; simulate_batch builds it per call
+        # the run builds its start-state law once, at the simulate_batch call
         laws = []
-        monkeypatch.setattr(
-            harness, "_start_law", lambda *args: laws.append(args) or dynamics._start_law(*args)
-        )
+        law = dynamics._start_law
+        monkeypatch.setattr(dynamics, "_start_law", lambda *args: laws.append(args) or law(*args))
         tm, chunks = self.trials(monkeypatch, per_chunk)
+        assert len(laws) == 1
         chunks = list(chunks)
         assert len(laws) == 1
         config = self.CONFIG
@@ -441,8 +441,8 @@ class TestTrialPipeline:
         firsts = range(0, config.trial_count, per_chunk)
         assert len(chunks) == len(firsts)
         for first, chunk in zip(firsts, chunks):
-            want = dynamics.simulate_batch(
-                tm, (config.init_low, config.init_high), self.HORIZON, config.noise(), None,
+            [want] = dynamics.simulate_batch(
+                tm, (config.init_low, config.init_high), self.HORIZON, config.noise(),
                 seeds[first:first + per_chunk], self.START,
             )
             assert np.array_equal(chunk, want)
@@ -460,9 +460,9 @@ class TestTrialPipeline:
         config = replace(SMALL, trial_count=20)
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * config.n)
         calls = []
-        draw = harness._simulate_chunk
+        draw = dynamics._simulate_chunk
         monkeypatch.setattr(
-            harness, "_simulate_chunk", lambda *args: calls.append(args[5]) or draw(*args)
+            dynamics, "_simulate_chunk", lambda *args: calls.append(args[4]) or draw(*args)
         )
         table = run_onehop_accuracy(config)
         assert len(table.rows) == len(config.error_targets) == 4
@@ -470,26 +470,24 @@ class TestTrialPipeline:
 
 
 def parent_trials(argv):
-    """The observations infer/estimate drew before the batch engine.
+    """The unexcited observations infer/estimate drew before the batch engine.
 
     One ``sampled_trial`` per round from the burn-in on, every round on one
     generator; estimate keeps every row, so it draws its single run with
-    ``seeded_trial`` from the seed.  Shaped like ``simulate_batch``'s return,
-    so it can stand in for it.
+    ``seeded_trial`` from the seed.  Shaped like a ``simulate_batch`` chunk,
+    so that ``iter([parent_trials(argv)])`` can stand in for it.
     """
     args = cli.build_parser().parse_args(argv)
-    tm, _, noise, e = cli._trial_setup(args)
+    tm, _, noise, _ = cli._trial_setup(args)
     init = (args.init_low, args.init_high)
     if args.command == "estimate":
-        constrained = args.mode == "constrained"
-        plan = ExcitationPlan(args.excite_node, args.pairs, e) if constrained else None
-        return seeded_trial(tm, init, args.pairs + constrained, noise, plan, args.seed).observations[None]
+        steps = args.pairs + (args.mode == "constrained")
+        return seeded_trial(tm, init, steps, noise, None, args.seed).observations[None]
     hops = (args.max_hop or 3) if args.mode == "multihop" else 1
     rounds = (args.rounds or 4) if args.mode == "multi" else 1
-    plan = ExcitationPlan(args.excite_node, args.burn_in, e)
     rng = np.random.default_rng(args.seed)
     return np.array([
-        sampled_trial(tm, init, args.burn_in + hops, noise, plan, rng, args.burn_in)
+        sampled_trial(tm, init, args.burn_in + hops, noise, None, rng, args.burn_in)
         for _ in range(rounds)
     ])
 
@@ -539,6 +537,17 @@ class TestCli:
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv[:at] + argv[at + 2:])
 
+    @staticmethod
+    def assert_decisions_agree(batch_text, loop_text):
+        # several rounds step as one (n, n) @ (n, rounds) product: the last bits may move
+        batch, loop = json.loads(batch_text), json.loads(loop_text)
+        for got, want in zip(batch, loop, strict=True):
+            assert got["members"] == want["members"]
+            want_values = [want["threshold"], *want["deviations"].values()]
+            got_values = [got["threshold"], *got["deviations"].values()]
+            scale = max(abs(v) for v in want_values)
+            assert got_values == pytest.approx(want_values, rel=0, abs=1e-12 * scale)
+
     @pytest.mark.parametrize(
         "network",
         [("--n", "20", "--p", "0.08", "--seed", "102"), ("--n", "150", "--p", "0.02", "--seed", "5")],
@@ -557,22 +566,34 @@ class TestCli:
             texts = []
             for draws in (None, parent_trials(argv)):
                 if draws is not None:
-                    monkeypatch.setattr(cli, "simulate_batch", lambda *args: draws)
+                    monkeypatch.setattr(cli, "simulate_batch", lambda *args: iter([draws]))
                 capsys.readouterr()
                 self.run(*argv)
                 texts.append(capsys.readouterr().out + out.read_text())
                 monkeypatch.undo()
-            if command[-1] != "8":
+            if command[-1] == "8":
+                self.assert_decisions_agree(*texts)
+            else:
                 assert texts[0] == texts[1], command
-                continue
-            # eight rounds step as one (n, n) @ (n, 8) product: the last bits may move
-            batch, loop = (json.loads(text) for text in texts)
-            for got, want in zip(batch, loop, strict=True):
-                assert got["members"] == want["members"]
-                want_values = [want["threshold"], *want["deviations"].values()]
-                got_values = [got["threshold"], *got["deviations"].values()]
-                scale = max(abs(v) for v in want_values)
-                assert got_values == pytest.approx(want_values, rel=0, abs=1e-12 * scale)
+
+    def test_multi_rounds_over_chunks_match_per_round_loop(self, tmp_path, monkeypatch):
+        # 8 rounds of 51 steps in chunks of 3, 3 and 2
+        w, out = tmp_path / "w.txt", tmp_path / "out"
+        self.run("generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", str(w))
+        argv = ["infer", "multi", "--rounds", "8", "--weights", str(w), "--excite-node", "1",
+                "--seed", "3", "--out", str(out)]
+        chunks = []
+        draw = dynamics._simulate_chunk
+        monkeypatch.setattr(dynamics, "_simulate_chunk", lambda *args: chunks.append(args[4]) or draw(*args))
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * 20)
+        self.run(*argv)
+        chunked = out.read_text()
+        assert [len(seeds) for seeds in chunks] == [3, 3, 2]
+        monkeypatch.undo()
+        draws = parent_trials(argv)
+        monkeypatch.setattr(cli, "simulate_batch", lambda *args: iter([draws]))
+        self.run(*argv)
+        self.assert_decisions_agree(chunked, out.read_text())
 
     def test_design_covers_rows_beyond_unit_norm(self, tmp_path):
         # stable, yet row 1's squared sum is 1.53 > 1, so the tight bound
@@ -722,9 +743,6 @@ class TestCli:
         "simulate-excite-after-horizon": (
             "simulate", "--steps", "5", "--excite-node", "1", "--excite-time", "9",
             "--weights", "{w}", "--out", "{d}/t.csv",
-        ),
-        "infer-negative-burn-in": (
-            "infer", "onehop", "--excite-node", "0", "--burn-in", "-1", "--weights", "{w}",
         ),
         "experiment-zero-trials": ("experiment", "fig1a", "--trials", "0"),
         "config-unknown-key": ("experiment", "fig1a", "--config", "{d}/unknown.cfg"),
@@ -975,6 +993,48 @@ class TestCli:
             assert info.value.code == 2
             assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_negative_burn_in_named(self, tmp_path, capsys):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["infer", "onehop", "--excite-node", "0", "--burn-in", "-1", "--weights", str(w)])
+        # the parser rejects it before the command runs
+        assert info.value.code == 2
+        assert "argument --burn-in: must be >= 0, got -1" in capsys.readouterr().err
+
+    ZERO_INPUTS = {
+        "infer": ("infer", "multi", "--excite-node", "0", "--excite-magnitude", "0", "--weights", "{w}"),
+        "estimate-ols": ("estimate", "ols", "--excite-magnitude", "0", "--weights", "{w}"),
+        "estimate-constrained": (
+            "estimate", "constrained", "--excite-magnitude", "-0", "--weights", "{w}",
+        ),
+        "fig1a": ("experiment", "fig1a", "--config", "{d}/zero.cfg"),
+        "fig1b": ("experiment", "fig1b", "--config", "{d}/zero.cfg"),
+        "fig1c": ("experiment", "fig1c", "--config", "{d}/zero.cfg"),
+    }
+
+    @pytest.mark.parametrize("argv", ZERO_INPUTS.values(), ids=ZERO_INPUTS.keys())
+    def test_zero_excitation_named_before_any_trial(self, tmp_path, monkeypatch, argv):
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        (tmp_path / "zero.cfg").write_text("excitation_magnitude = 0\ntrial_count = 3\n")
+        argv = [a.format(w=w, d=tmp_path) for a in argv]
+
+        def draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(dynamics, "_simulate_chunk", draw)
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        if argv[0] == "experiment":
+            assert info.value.code == "netprobe experiment: excitation_magnitude must be nonzero, got 0.0"
+        else:
+            value = argv[argv.index("--excite-magnitude") + 1]
+            assert info.value.code == (
+                f"netprobe {argv[0]}: --excite-magnitude must be finite and nonzero, got {float(value)}"
+            )
 
     @pytest.mark.parametrize("figure", ["fig1a", "fig1b", "fig1c"])
     @pytest.mark.parametrize("node", [-1, 20])
