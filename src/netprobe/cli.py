@@ -78,9 +78,9 @@ def _cmd_simulate(args) -> None:
     plan = None
     if args.excite_node is not None:
         time = args.excite_time if args.excite_time is not None else args.steps - 1
-        plan = ExcitationPlan(args.excite_node, time, args.excite_magnitude)
-    elif args.excite_time is not None or args.excite_magnitude != 0.0:
-        raise ValueError("--excite-time and --excite-magnitude need --excite-node")
+        plan = ExcitationPlan(args.excite_node, time, _excite_magnitude(args.excite_magnitude))
+    else:
+        _reject_given(_given(args, "excite_time", "excite_magnitude"), "ignored without --excite-node")
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
     init = (args.init_low, args.init_high)
     dynamics._check_init(init)
@@ -89,6 +89,12 @@ def _cmd_simulate(args) -> None:
     traj = simulate(tm, rng.uniform(*init, tm.n), args.steps, noise, plan, rng)
     dynamics.write_trajectory_csv(args.out, traj)
     print(json.dumps({"steps": traj.horizon, "nodes": traj.n, "out": args.out}))
+
+
+def _excite_magnitude(e: float | None) -> float:
+    if e is None or not (math.isfinite(e) and e != 0.0):
+        raise ValueError(f"--excite-magnitude must be finite and nonzero, got {e}")
+    return e
 
 
 def _error_target(args) -> float:
@@ -145,13 +151,10 @@ def _trial_setup(args):
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
     if not 0 <= args.excite_node < tm.n:
         raise ValueError(f"excited node {args.excite_node} outside 0..{tm.n - 1}")
-    e = args.excite_magnitude
-    if e is not None and not (math.isfinite(e) and e != 0.0):
-        raise ValueError(f"--excite-magnitude must be finite and nonzero, got {e}")
-    if e is None:
-        sigma = detect.onehop_noise_std(tm, noise)
-        e = detect.applied_excitation(detect.critical_excitation(sigma, floor, budget))
-    return tm, floor, noise, e
+    if args.excite_magnitude is not None:
+        return tm, floor, noise, _excite_magnitude(args.excite_magnitude)
+    e = detect.critical_excitation(detect.onehop_noise_std(tm, noise), floor, budget)
+    return tm, floor, noise, detect.applied_excitation(e)
 
 
 def _cmd_infer(args) -> None:
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--excite-node", type=int, default=None)
     p.add_argument("--excite-time", type=int, default=None)
-    p.add_argument("--excite-magnitude", type=float, default=0.0)
+    p.add_argument("--excite-magnitude", type=float, default=None, help="needed with --excite-node")
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
 

@@ -272,8 +272,8 @@ def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:
     Marginally stable dynamics keep every propagated value inside the convex
     hull of the current entries, so the max pairwise spread bounds the drift;
     asymptotically stable dynamics contract toward zero, so the max absolute
-    entry does.  A vector gives a float; an (m, n) array of m snapshots gives
-    one bound per row.
+    entry does.  A vector gives a float; an (..., n) stack of snapshots gives
+    one bound per snapshot.
     """
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():

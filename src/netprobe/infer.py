@@ -3,10 +3,12 @@
 One rule decides everything: a node is declared influenced at hop h when
 its absolute observed deviation reaches the natural-drift bound plus half
 the least discriminable h-step influence, weight_floor**h * |e| / 2.
-Equality decides inclusion.  The one-hop test is the case h = 1, and
-repeated excitations average deviations and drift bounds over rounds.  The
-excited node itself is never a candidate.  ``first_hops`` applies the rule
-to many trials at once and returns only their first-hop arrays.
+Equality decides inclusion, and the excited node itself is never a
+candidate.  Repeated excitations average deviations and drift bounds over
+their rounds before the same test.  ``_decide`` is the one implementation,
+over (trials, rounds, h+1, n) windows; ``first_hops`` (many trials of one
+round), ``decide`` (one trial of many rounds) and ``infer_one_hop`` (h = 1
+from before/after rows) only check and reshape their inputs for it.
 """
 
 from __future__ import annotations
@@ -74,30 +76,38 @@ class NeighborDecision:
         ]
 
 
-def _first_hops(
-    deviations: np.ndarray,
-    drift: np.ndarray,
-    source: int,
-    excitation: float,
-    weight_floor: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The threshold rule: first hops (trials, n) and thresholds (trials, h).
+def _decide(
+    windows, source: int, excitation: float, weight_floor: float, stability: StabilityClass
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The threshold rule over (trials, rounds, h+1, n) windows.
 
-    ``deviations`` (trials, h, n) and ``drift`` (trials,) belong to one
-    decision per trial.  Node i's first hop is the smallest h where
-    |deviation| >= drift + weight_floor**h * |e| / 2, and 0 where no hop
-    accepts; the source's is always 0.
+    Row 0 of each round is the snapshot at the injection step.  Drift bounds
+    and deviations y_{t+h} - y_t are averaged over each trial's rounds, and
+    node i's first hop is the smallest h where its mean |deviation| reaches
+    the mean drift bound plus weight_floor**h * |e| / 2; 0 where no hop
+    accepts, and always 0 for the source.  Returns first hops (trials, n),
+    mean deviations (trials, h, n) and thresholds (trials, h).
     """
+    _, rounds, rows, n = windows.shape
+    if rounds < 1 or rows < 2:
+        raise ValueError("windows need at least one round of h+1 >= 2 rows")
     if excitation == 0.0 or not math.isfinite(excitation):
         raise ValueError(f"excitation must be finite and nonzero, got {excitation}")
-    _, hops, n = deviations.shape
+    if not (math.isfinite(weight_floor) and weight_floor > 0.0):
+        raise ValueError(f"weight floor must be finite and > 0, got {weight_floor}")
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside 0..{n - 1}")
-    floors = [weight_floor ** h * abs(excitation) / 2.0 for h in range(1, hops + 1)]
+    if not np.isfinite(windows).all():
+        raise ValueError("windows must hold finite observations only")
+    # sum / rounds is np.mean's arithmetic without its call overhead
+    drift = deviation_bound(windows[:, :, 0], stability).sum(axis=1) / rounds
+    deviations = (windows[:, :, 1:] - windows[:, :, :1]).sum(axis=1) / rounds
+    floors = [weight_floor ** h * abs(excitation) / 2.0 for h in range(1, rows)]
     thresholds = np.add.outer(drift, floors)
     accepted = np.abs(deviations) >= thresholds[:, :, None]
     accepted[:, :, source] = False
-    return np.where(accepted.any(axis=1), accepted.argmax(axis=1) + 1, 0), thresholds
+    first = np.where(accepted.any(axis=1), accepted.argmax(axis=1) + 1, 0)
+    return first, deviations, thresholds
 
 
 def first_hops(
@@ -110,14 +120,12 @@ def first_hops(
     """Each trial's first accepting hop per node, shaped (trials, n); 0 = never.
 
     ``windows`` is (trials, h+1, n): per trial, the observations from the
-    injection step on.  Every trial is decided on its own, as
-    ``decide`` decides one round.
+    injection step on.  Every trial is decided on its own, as one round.
     """
     y = np.asarray(windows, dtype=float)
-    if y.ndim != 3 or y.shape[1] < 2:
-        raise ValueError("windows must be (trials, h+1, n) with h >= 1")
-    drift = deviation_bound(y[:, 0], stability)
-    return _first_hops(y[:, 1:] - y[:, :1], drift, source, excitation, weight_floor)[0]
+    if y.ndim != 3:
+        raise ValueError("windows must be (trials, h+1, n)")
+    return _decide(y[:, None], source, excitation, weight_floor, stability)[0]
 
 
 def decide(
@@ -127,25 +135,15 @@ def decide(
     weight_floor: float,
     stability: StabilityClass,
 ) -> NeighborDecision:
-    """Assign nodes to hops 1..h from (rounds, h+1, n) observation windows.
+    """One trial's hops 1..h from its (rounds, h+1, n) windows, averaged over the rounds.
 
-    Row 0 of each round is the snapshot at the injection step.  Drift bounds
-    and deviations y_{t+h} - y_t are averaged over rounds and decided as one
-    trial: a node joins the hop-h estimate at the smallest h where its mean
-    deviation reaches the mean drift bound plus weight_floor**h * |e| / 2.
     One round of an (h+1, n) window is ``window[None]``.
     """
     windows = np.asarray(windows, dtype=float)
-    if windows.ndim != 3 or windows.shape[1] < 2 or windows.shape[0] < 1:
-        raise ValueError("windows must be (rounds, h+1, n) with rounds >= 1 and h >= 1")
-    rounds = windows.shape[0]
-    # sum / rounds is np.mean's arithmetic without its call overhead
-    drift = deviation_bound(windows[:, 0], stability).sum() / rounds
-    deviations = (windows[:, 1:] - windows[:, :1]).sum(axis=0) / rounds
-    first, thresholds = _first_hops(
-        deviations[None], np.array([drift]), source, excitation, weight_floor
-    )
-    return NeighborDecision(source, first[0], deviations, dict(enumerate(thresholds[0].tolist(), 1)))
+    if windows.ndim != 3:
+        raise ValueError("windows must be (rounds, h+1, n)")
+    first, deviations, thresholds = _decide(windows[None], source, excitation, weight_floor, stability)
+    return NeighborDecision(source, first[0], deviations[0], dict(enumerate(thresholds[0].tolist(), 1)))
 
 
 def infer_one_hop(
@@ -156,18 +154,16 @@ def infer_one_hop(
     weight_floor: float,
     stability: StabilityClass,
 ) -> NeighborDecision:
-    """Decide the one-hop out-neighbors of ``source``.
+    """Decide the one-hop out-neighbors of ``source``: ``decide`` with h = 1.
 
     ``y_before`` is the observation at the injection step (taken before the
-    injection), ``y_after`` the one at the next step.  Node i is accepted
-    when |y_after_i - y_before_i| >= drift bound + weight_floor*|e|/2.
-    Equal-shape (m, n) arrays hold m repeated excitations, one per row; the
-    rule then compares the mean deviation with the mean drift bound.
+    injection), ``y_after`` the one at the next step.  Equal-shape (m, n)
+    arrays hold m repeated excitations, one per row.
     """
     yb = np.asarray(y_before, dtype=float)
     ya = np.asarray(y_after, dtype=float)
     if yb.shape != ya.shape or yb.ndim not in (1, 2) or yb.size == 0:
         raise ValueError("before/after observations must be equal-shape n or (m, n) arrays")
     # (rounds, 2, n): each round's before and after rows
-    windows = np.array([yb, ya]).reshape(2, -1, yb.shape[-1]).swapaxes(0, 1)
+    windows = np.stack([yb, ya], axis=-2).reshape(-1, 2, yb.shape[-1])
     return decide(windows, source, excitation, weight_floor, stability)

@@ -506,8 +506,9 @@ class TestCli:
         [
             (
                 ["simulate", "--weights", "w.txt", "--out", "t.csv"],
+                # unset, so that a run without --excite-node can reject them
                 {**SHARED_DEFAULTS, "steps": 100, "excite_node": None, "excite_time": None,
-                 "excite_magnitude": 0.0},
+                 "excite_magnitude": None},
             ),
             (
                 ["infer", "onehop", "--weights", "w.txt", "--excite-node", "2"],
@@ -917,7 +918,18 @@ class TestCli:
             (
                 ["simulate", "--weights", str(w), "--steps", "10", "--excite-magnitude", "4",
                  "--out", str(tmp_path / "t.csv")],
-                "netprobe simulate: --excite-time and --excite-magnitude need --excite-node",
+                "netprobe simulate: --excite-magnitude: ignored without --excite-node",
+            ),
+            (
+                ["simulate", "--weights", str(w), "--steps", "10", "--excite-time", "5",
+                 "--excite-magnitude", "0", "--out", str(tmp_path / "t.csv")],
+                "netprobe simulate: --excite-time, --excite-magnitude: ignored without --excite-node",
+            ),
+            (
+                # an excited run needs the magnitude: a zero input would be recorded as applied
+                ["simulate", "--weights", str(w), "--steps", "5", "--excite-node", "1",
+                 "--out", str(tmp_path / "t.csv")],
+                "netprobe simulate: --excite-magnitude must be finite and nonzero, got None",
             ),
             (
                 ["infer", "onehop", "--weights", str(w), "--excite-node", "1", "--max-hop", "2",
@@ -1005,6 +1017,10 @@ class TestCli:
         assert "argument --burn-in: must be >= 0, got -1" in capsys.readouterr().err
 
     ZERO_INPUTS = {
+        "simulate": (
+            "simulate", "--steps", "5", "--excite-node", "1", "--excite-magnitude", "0",
+            "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
         "infer": ("infer", "multi", "--excite-node", "0", "--excite-magnitude", "0", "--weights", "{w}"),
         "estimate-ols": ("estimate", "ols", "--excite-magnitude", "0", "--weights", "{w}"),
         "estimate-constrained": (

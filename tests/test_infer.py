@@ -268,6 +268,43 @@ class TestFirstHops:
                 first_hops(np.zeros((2, 2, 3)), source, 8.0, 0.5, MARGINAL)
 
 
+DECIDERS = {
+    "first_hops": first_hops,
+    "decide": decide,
+    "infer_one_hop": lambda w, *rule: infer_one_hop(w[:, 0], w[:, 1], *rule),
+}
+
+
+def after_injection(entry):
+    w = np.zeros((2, 2, 3))
+    w[1, 1, 2] = entry
+    return w
+
+
+@pytest.mark.parametrize("decider", DECIDERS.values(), ids=DECIDERS.keys())
+@pytest.mark.parametrize(
+    "windows, floor, message",
+    [
+        # a non-finite deviation used to fail the test silently, as "no edge"
+        (after_injection(math.nan), 0.5, "finite observations"),
+        (after_injection(math.inf), 0.5, "finite observations"),
+        (after_injection(-math.inf), 0.5, "finite observations"),
+        # a floor <= 0 lowers the threshold to the drift bound or below it,
+        # accepting every node; a NaN or infinite one rejects every node
+        (np.zeros((2, 2, 3)), -0.5, "weight floor"),
+        (np.zeros((2, 2, 3)), 0.0, "weight floor"),
+        (np.zeros((2, 2, 3)), math.nan, "weight floor"),
+        (np.zeros((2, 2, 3)), math.inf, "weight floor"),
+    ],
+    ids=["nan-after-injection", "inf-after-injection", "minus-inf-after-injection",
+         "negative-floor", "zero-floor", "nan-floor", "inf-floor"],
+)
+def test_rule_rejects_what_it_cannot_decide(decider, windows, floor, message):
+    # (2, 2, 3) windows: two trials, two rounds or two before/after rows
+    with pytest.raises(ValueError, match=message):
+        decider(windows, 0, 4.0, floor, MARGINAL)
+
+
 class TestDecisionRecords:
     def test_records_shape(self):
         decision = infer_one_hop(np.zeros(3), np.array([0.0, 2.0, 0.1]), 0, 4.0, 0.5, MARGINAL)
