@@ -167,10 +167,10 @@ def _cmd_infer(args) -> None:
     # a given value parses as >= 1, so ``or`` only fills in an unset option
     hops = (args.max_hop or 3) if args.mode == "multihop" else 1
     rounds = (args.rounds or 4) if args.mode == "multi" else 1
-    # one generator for every round, so the rounds draw in turn on its stream
+    # the rounds are the trials of one seeded run, drawn in turn on its streams
     chunks = simulate_batch(
-        tm, (args.init_low, args.init_high), args.burn_in + hops, noise,
-        [np.random.default_rng(args.seed)] * rounds, args.burn_in,
+        tm, (args.init_low, args.init_high), args.burn_in + hops, noise, args.seed, rounds,
+        args.burn_in,
     )
     windows = np.concatenate(list(chunks)) + e * dynamics._response(tm, source, hops)
     decision = infer.decide(windows, source, e, floor, tm.stability)
@@ -190,7 +190,7 @@ def _cmd_estimate(args) -> None:
     horizon = args.pairs
     # the constrained run also observes the step after its injection
     steps = horizon + 1 if constrained else horizon
-    y = next(simulate_batch(tm, (args.init_low, args.init_high), steps, noise, [args.seed]))[0]
+    y = next(simulate_batch(tm, (args.init_low, args.init_high), steps, noise, args.seed, 1))[0]
     constraints = {}
     if constrained:
         # the input at the last pair's step reaches only the decision row

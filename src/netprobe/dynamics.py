@@ -6,19 +6,22 @@ x_t[j] before the W-multiplication: the model is linear and its noise does
 not depend on the input, so it adds exactly e (W^k)[:, j] to the state k
 steps later (superposition), and the rows up to the injection step are
 untouched.  ``simulate`` runs one trajectory from a given x0 and adds an
-``ExcitationPlan``'s response to its states.  ``simulate_batch`` runs many
-seeded trials unexcited, chunk by chunk, and keeps the rows from a first
-step s on; its callers add e times ``_response`` to the rows they excite.
-Each trial draws, from its own generator, x0 ~ U(init), then (when s > 0)
-z ~ N(0, I), then theta for its kept steps, then upsilon for its kept rows;
-its state at step s is sampled exactly as W^s x0 + L z, L the Cholesky
-factor of the process noise's covariance at s, so the steps before s are
-never simulated.
+``ExcitationPlan``'s response to its states.  ``simulate_batch`` runs a
+seeded run of trials unexcited, chunk by chunk, and keeps the rows from a
+first step s on; its callers add e times ``_response`` to the rows they
+excite.  A run's seed spawns two streams, one per purpose (L'Ecuyer et al.,
+*Math. Comput. Simul.* 135, 2017): the first draws every trial's
+x0 ~ U(init), the second every trial's normals in trial order, (when
+s > 0) z ~ N(0, I), then theta for its kept steps, then upsilon for its
+kept rows.  A trial's state at step s is sampled exactly as W^s x0 + L z,
+L the Cholesky factor of the process noise's covariance at s, so the steps
+before s are never simulated.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -84,10 +87,9 @@ class Trajectory:
         return self.states.shape[1]
 
 
-# Bytes of one chunk's process noise, counted over the whole horizon: 1 MiB
-# is 8 trials of 53 steps at n = 300 and 128 trials of 51 steps at n = 20.
-# A chunk that samples its start state draws theta for its kept steps only,
-# so its buffers stay well inside this budget.
+# Bytes of one chunk's normals (z, theta for the kept steps, upsilon for the
+# kept rows): 1 MiB is 54 trials of 4 kept rows at n = 300, 1,638 trials of
+# 2 kept rows at n = 20, and less than one trial of 307 rows at n = 300.
 CHUNK_BYTES = 1 << 20
 
 
@@ -108,13 +110,18 @@ def _check_init(init: tuple[float, float]) -> None:
         raise ValueError(f"initial-state interval is empty, got {tuple(init)!r}")
 
 
-def _normal(rng: np.random.Generator, sigma: float, out: np.ndarray) -> None:
-    """Fill ``out`` with the values ``rng.normal(0.0, sigma, out.shape)`` returns."""
-    rng.standard_normal(out=out)
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _scale(normals: np.ndarray, sigma: float) -> np.ndarray:
+    """Scale standard normals in place to the values ``normal(0.0, sigma)`` returns for them."""
     if sigma == 0.0:
-        out.fill(0.0)  # normal() returns 0.0 + 0.0 * z, a positive zero
+        normals.fill(0.0)  # normal() returns 0.0 + 0.0 * z, a positive zero
     else:
-        out *= sigma
+        normals *= sigma
+    return normals
 
 
 def _propagate(tm: TopologyMatrix, x0: np.ndarray, theta: np.ndarray, states: np.ndarray) -> None:
@@ -170,10 +177,8 @@ def simulate(
     _check_run(tm, horizon, plan)
 
     rng = np.random.default_rng(seed)
-    theta = np.empty((1, horizon, n))
-    upsilon = np.empty((horizon + 1, n))
-    _normal(rng, noise.sigma_theta, theta[0])
-    _normal(rng, noise.sigma_upsilon, upsilon)
+    theta = _scale(rng.standard_normal((1, horizon, n)), noise.sigma_theta)
+    upsilon = _scale(rng.standard_normal((horizon + 1, n)), noise.sigma_upsilon)
     states = np.empty((1, horizon + 1, n))
     _propagate(tm, x0[:, None], theta, states)
     if plan is not None:
@@ -189,47 +194,48 @@ def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.nd
     L is the Cholesky factor of the process noise's covariance at step s,
     C_s = sigma_theta^2 G_s with G_s = sum_{k<s} W^k W^k^T (Anderson & Moore,
     *Optimal Filtering*, 1979); G_s >= I for s >= 1, also at a marginally
-    stable W.  Doubling, W^(r+a) = W^r W^a and G_(r+a) = G_r + W^r G_a W^r^T,
-    takes about 3 log2(s) products.  L is zero when s or sigma_theta is.
+    stable W.  The bits of s are read most significant first from
+    (W^1, G_1) = (W, I): each doubles, G_2r = G_r + W^r G_r W^r^T and
+    W^2r = W^r W^r, and a 1 bit then steps once, G_(r+1) = G_r + W^r W^r^T
+    and W^(r+1) = W^r W.  That is at most 5 log2(s) products, 18 at s = 50.
+    L is zero when s or sigma_theta is.
     """
     n = tm.n
-    power, gram = np.eye(n), np.zeros((n, n))  # W^r and G_r over the bits of s read so far
-    step, step_gram = tm.matrix, np.eye(n)  # W^a and G_a, a the next bit's value
-    bits = start
-    while bits:
-        if bits & 1:
-            gram += power @ step_gram @ power.T
-            power = power @ step
-        bits >>= 1
-        if bits:
-            step_gram = step_gram + step @ step_gram @ step.T
-            step = step @ step
+    # W^r and G_r at r = 1; W^0 at s = 0
+    power, gram = (tm.matrix if start else np.eye(n)), np.eye(n)
+    for r, bit in enumerate(bin(start)[3:]):
+        gram += power @ power.T if r == 0 else power @ gram @ power.T  # G_1 = I
+        power = power @ power
+        if bit == "1":
+            gram += power @ power.T
+            power = power @ tm.matrix
     if not start or noise.sigma_theta == 0.0:
         return power, np.zeros((n, n))
     return power, noise.sigma_theta * np.linalg.cholesky(gram)
 
 
-def _simulate_chunk(tm, init, horizon, noise, seeds, start, law) -> np.ndarray:
-    """One chunk of ``simulate_batch``; ``law`` is ``_start_law``'s, None at ``start`` 0."""
-    k, n, steps = len(seeds), tm.n, horizon - start
-    out = np.empty((k, steps + 1, n))  # first, below the buffers freed on return
-    x0, z = np.empty((k, n)), np.empty((k, n))
-    theta = np.empty((k, steps, n))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        x0[i] = rng.uniform(*init, n)
-        if law is not None:
-            rng.standard_normal(out=z[i])
-        _normal(rng, noise.sigma_theta, theta[i])
-        _normal(rng, noise.sigma_upsilon, out[i])
-    x = x0.T
+def _simulate_chunk(tm, init, noise, streams, trials, steps, law) -> np.ndarray:
+    """The next ``trials`` trials of ``simulate_batch``; ``law`` is None at start 0.
+
+    Two bulk draws: every trial's x0 from the first stream, and from the
+    second one row per trial holding its z, theta and upsilon in turn.
+    The returned windows are a new array, so the draws are freed on return.
+    """
+    uniforms, normals = streams
+    n = tm.n
+    states = np.empty((trials, steps + 1, n))
+    x = uniforms.uniform(*init, (trials, n)).T
+    lead = 0 if law is None else n
+    draws = normals.standard_normal((trials, lead + (2 * steps + 1) * n))
+    mid = lead + steps * n
+    theta = _scale(draws[:, lead:mid], noise.sigma_theta).reshape(trials, steps, n)
+    upsilon = _scale(draws[:, mid:], noise.sigma_upsilon).reshape(trials, steps + 1, n)
     if law is not None:
         power, factor = law
-        x = power @ x + factor @ z.T
-    states = np.empty_like(out)
+        x = power @ x + factor @ draws[:, :n].T
     _propagate(tm, x, theta, states)
-    out += states
-    return out
+    states += upsilon
+    return states
 
 
 def simulate_batch(
@@ -237,32 +243,39 @@ def simulate_batch(
     init: tuple[float, float],
     horizon: int,
     noise: NoiseModel,
-    seeds,
+    seed: int,
+    trials: int,
     start: int = 0,
 ) -> Iterator[np.ndarray]:
-    """Unexcited observations y_start..y_horizon of seeded trials, as (chunk, rows, n) arrays.
+    """Unexcited rows y_start..y_horizon of a seeded run of ``trials`` trials, as (chunk, rows, n).
 
     The arguments are checked and the start-state law is built when called;
-    the returned iterator then draws the ``seeds`` in order, as many per
-    chunk as keep a chunk's process noise, counted over the whole horizon,
-    within CHUNK_BYTES.  Trial k draws from ``default_rng(seeds[k])`` in the
-    module's order: with ``start`` = 0, x0 ~ U(init) and then what
-    ``simulate`` draws.  A caller adds an input e at node j and step
-    t >= ``start`` as e times ``_response(tm, j, horizon - t)`` on the rows
-    from t on.  The trials of a chunk step together, one (n, n) @ (n, trials)
-    product per step, which may round the last bits differently from the
-    matrix-vector product of ``simulate``.  One ``Generator`` repeated in
-    ``seeds`` draws the trials in turn on its stream.
+    the returned iterator then draws the trials in order, as many per chunk
+    as keep a chunk's normals within CHUNK_BYTES.  ``SeedSequence(seed)``
+    spawns two streams: trial k's x0 is the k-th ``uniform(*init, n)`` row of
+    the first, and its normals are the next run of the second, z (when
+    ``start`` > 0), then theta and upsilon as ``simulate`` draws them.  A
+    chunk of k trials is one (k, n) and one (k, normals) draw, so the chunk
+    size never changes which draws a trial gets.  A caller adds an input e
+    at node j and step t >= ``start`` as e times ``_response(tm, j,
+    horizon - t)`` on the rows from t on.  The trials of a chunk step
+    together, one (n, n) @ (n, trials) product per step, which may round the
+    last bits differently from the matrix-vector product of ``simulate``.
     """
     _check_init(init)
     _check_run(tm, horizon, None)
+    _check_integer("seed", seed, 0)
+    _check_integer("trials", trials, 1)
     if not 0 <= start <= horizon:
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
     law = _start_law(tm, start, noise) if start else None
-    size = max(1, CHUNK_BYTES // (8 * horizon * tm.n))
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    steps = horizon - start
+    normals = (2 * steps + 1 + (start > 0)) * tm.n  # one trial's z, theta and upsilon
+    size = max(1, CHUNK_BYTES // (8 * normals))
     return (
-        _simulate_chunk(tm, init, horizon, noise, seeds[first:first + size], start, law)
-        for first in range(0, len(seeds), size)
+        _simulate_chunk(tm, init, noise, streams, min(size, trials - first), steps, law)
+        for first in range(0, trials, size)
     )
 
 
@@ -278,13 +291,17 @@ def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("observation vector must be finite")
-    if stability is StabilityClass.MARGINALLY_STABLE:
-        bound = y.max(axis=-1) - y.min(axis=-1)
-    elif stability is StabilityClass.ASYMPTOTICALLY_STABLE:
-        bound = np.abs(y).max(axis=-1)
-    else:
-        raise ValueError("deviation bound undefined for unstable dynamics")
+    bound = _drift_bound(y, stability)
     return float(bound) if y.ndim == 1 else bound
+
+
+def _drift_bound(y: np.ndarray, stability: StabilityClass) -> np.ndarray:
+    """``deviation_bound``'s rule, unchecked, on finite (..., n) snapshots: one bound each."""
+    if stability is StabilityClass.MARGINALLY_STABLE:
+        return y.max(axis=-1) - y.min(axis=-1)
+    if stability is StabilityClass.ASYMPTOTICALLY_STABLE:
+        return np.abs(y).max(axis=-1)
+    raise ValueError("deviation bound undefined for unstable dynamics")
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

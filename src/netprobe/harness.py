@@ -5,8 +5,9 @@ independent trials, unexcited, chunk by chunk from ``dynamics.simulate_batch``,
 adds each input by superposition (e times the unit response
 (W^k)[:, source]), so fig1a decides every error target on one draw, and
 returns a ``ResultTable`` of named rows whose theoretical columns come
-straight from :mod:`netprobe.detect`.  Each trial draws from its own
-generator, seeded off the master seed in trial order, so results are
+straight from :mod:`netprobe.detect`.  The master seed spawns the run's two
+streams, one for the trials' initial states and one for their noise, and
+each trial takes its draws from both in trial order, so results are
 bit-reproducible and do not depend on chunking.  fig1a and fig1b sample each
 trial's state at the injection step from a law built once per run.
 """
@@ -216,13 +217,12 @@ def _network(
 
 
 def _trials(config: ExperimentConfig, tm: TopologyMatrix, horizon: int, start: int):
-    """(chunk, rows, n) unexcited observations y_start..y_horizon of the seeded trials, in order.
+    """(chunk, rows, n) unexcited observations y_start..y_horizon of the run's trials, in order.
 
     A caller adds e times an input's ``_response`` from the injection row on.
     """
-    seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
     init = (config.init_low, config.init_high)
-    return simulate_batch(tm, init, horizon, config.noise(), seeds, start)
+    return simulate_batch(tm, init, horizon, config.noise(), config.seed, config.trial_count, start)
 
 
 def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:
@@ -337,7 +337,7 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
 
 
 def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
-    """Paired OLS vs excitation-constrained LS errors, one row per seed.
+    """Paired OLS vs excitation-constrained LS errors, one row (``seed_index``) per trial.
 
     Each row simulates n+5 noisy observation pairs followed by one designed
     excitation, converts the resulting one-hop decision into column
@@ -377,7 +377,7 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
 
 
 def default_config(figure: str) -> ExperimentConfig:
-    """Shipped configuration for each experiment; fig1c runs 50 seeds."""
+    """Shipped configuration for each experiment; fig1c runs 50 trials."""
     base = ExperimentConfig()
     if figure == "fig1c":
         return replace(base, trial_count=50)

@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from netprobe.topology import StabilityClass, _frozen
-from netprobe.dynamics import deviation_bound
+from netprobe.dynamics import _drift_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +99,9 @@ def _decide(
         raise ValueError(f"source {source} outside 0..{n - 1}")
     if not np.isfinite(windows).all():
         raise ValueError("windows must hold finite observations only")
-    # sum / rounds is np.mean's arithmetic without its call overhead
-    drift = deviation_bound(windows[:, :, 0], stability).sum(axis=1) / rounds
+    # the windows are checked finite above; sum / rounds is np.mean's
+    # arithmetic without its call overhead
+    drift = _drift_bound(windows[:, :, 0], stability).sum(axis=1) / rounds
     deviations = (windows[:, :, 1:] - windows[:, :, :1]).sum(axis=1) / rounds
     floors = [weight_floor ** h * abs(excitation) / 2.0 for h in range(1, rows)]
     thresholds = np.add.outer(drift, floors)

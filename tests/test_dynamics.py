@@ -25,31 +25,39 @@ from netprobe.topology import (
 )
 
 
-def seeded_trial(tm, init, horizon, noise, plan, seed):
-    """One trial on its own: x0 ~ U(init) first, then ``simulate`` on the same generator.
+def streams(seed):
+    """``simulate_batch``'s two generators for a run's ``seed``: x0 rows, then every normal."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
 
-    The single-trial oracle of the batch engine and of ``netprobe simulate``;
-    passing one ``Generator`` to several calls runs the trials in turn on it.
+
+def sampled_trial(tm, x0, horizon, noise, plan, rng, start):
+    """Observations y_start..y_horizon of one trial from ``x0``, its normals read from ``rng``.
+
+    With ``start`` 0 this is ``simulate`` on ``rng``.  Past 0 it reads
+    z ~ N(0, I) from ``rng`` first and runs ``simulate`` from W^start x0 + L z
+    on the same generator, with the excitation time counted from ``start``.
     """
-    rng = np.random.default_rng(seed)
-    return simulate(tm, rng.uniform(*init, tm.n), horizon, noise, plan, rng)
-
-
-def sampled_trial(tm, init, horizon, noise, plan, seed, start):
-    """Observations y_start..y_horizon of one trial whose state at ``start`` > 0 is sampled.
-
-    The single-trial oracle of ``simulate_batch`` with ``start`` > 0: draw
-    x0 ~ U(init) and z ~ N(0, I), then run ``simulate`` from
-    W^start x0 + L z on the same generator, with the excitation time
-    counted from ``start``.
-    """
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(*init, tm.n)
+    if not start:
+        return simulate(tm, x0, horizon, noise, plan, rng).observations
     z = rng.standard_normal(tm.n)
     power, factor = dynamics._start_law(tm, start, noise)
     if plan is not None:
         plan = ExcitationPlan(plan.node, plan.time - start, plan.magnitude)
     return simulate(tm, power @ x0 + factor @ z, horizon - start, noise, plan, rng).observations
+
+
+def stream_trials(tm, init, horizon, noise, plan, seed, trials, start):
+    """The single-trial oracle of ``simulate_batch(tm, init, horizon, noise, seed, trials, start)``.
+
+    Trial k's x0 is the k-th ``uniform(*init, n)`` row of the first stream,
+    and ``sampled_trial`` reads its normals from the second, in trial order.
+    Shaped (trials, rows, n).
+    """
+    uniforms, normals = streams(seed)
+    return np.array([
+        sampled_trial(tm, uniforms.uniform(*init, tm.n), horizon, noise, plan, normals, start)
+        for _ in range(trials)
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +159,12 @@ class TestSimulateTrial:
     )
     def test_rejects_non_finite_interval(self, tm, init):
         with pytest.raises(ValueError, match="finite"):
-            simulate_batch(tm, init, 4, NoiseModel(), [1])
+            simulate_batch(tm, init, 4, NoiseModel(), 1, 1)
 
     @pytest.mark.parametrize("init", [(50.0, -50.0), (5.0, 5.0)])
     def test_rejects_empty_interval(self, tm, init):
         with pytest.raises(ValueError, match="initial-state interval is empty"):
-            simulate_batch(tm, init, 4, NoiseModel(), [1])
+            simulate_batch(tm, init, 4, NoiseModel(), 1, 1)
 
 
 class TestSimulateBatch:
@@ -168,44 +176,36 @@ class TestSimulateBatch:
     def test_matches_per_trial_observations(self, tm, tm_wide):
         # 11 trials step as one (n, n) @ (n, 11) product, which may round
         # the last bits apart from simulate's matrix-vector product
-        seeds = np.random.SeedSequence(3).spawn(11)
         for net in (tm, tm_wide):
             plan = ExcitationPlan(1, 20, 40.0)
             noise = NoiseModel(1.0, 0.5)
             for start in (0, 20):
-                [windows] = simulate_batch(net, (-100.0, 100.0), 23, noise, seeds, start)
+                [windows] = simulate_batch(net, (-100.0, 100.0), 23, noise, 3, 11, start)
                 windows[:, plan.time - start:] += plan.magnitude * dynamics._response(net, plan.node, 3)
-                if start:
-                    expected = np.array([
-                        sampled_trial(net, (-100.0, 100.0), 23, noise, plan, s, start)
-                        for s in seeds
-                    ])
-                else:
-                    expected = np.array([
-                        seeded_trial(net, (-100.0, 100.0), 23, noise, plan, s).observations
-                        for s in seeds
-                    ])
+                expected = stream_trials(net, (-100.0, 100.0), 23, noise, plan, 3, 11, start)
                 assert windows.shape == (11, 24 - start, net.n)
                 assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @staticmethod
-    def injected_trial(tm, init, horizon, noise, plan, seed):
-        """One trial stepped with the input inside the recursion, x[node] += e before the W step.
+    def injected_trials(tm, init, horizon, noise, plan, seed, trials):
+        """Each trial stepped with the input inside the recursion, x[node] += e before the W step.
 
-        The draws replay ``simulate_batch``'s order at start 0: x0, theta, upsilon.
+        The draws replay ``simulate_batch``'s streams at start 0: x0 from the
+        first, then theta and upsilon from the second, trial by trial.
         """
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(*init, tm.n)
-        theta = rng.normal(0.0, noise.sigma_theta, (horizon, tm.n))
-        upsilon = rng.normal(0.0, noise.sigma_upsilon, (horizon + 1, tm.n))
-        states = [x]
-        for t in range(horizon):
-            x = x.copy()
-            if t == plan.time:
-                x[plan.node] += plan.magnitude
-            x = tm.matrix @ x + theta[t]
-            states.append(x)
-        return np.array(states) + upsilon
+        uniforms, normals = streams(seed)
+        for _ in range(trials):
+            x = uniforms.uniform(*init, tm.n)
+            theta = normals.normal(0.0, noise.sigma_theta, (horizon, tm.n))
+            upsilon = normals.normal(0.0, noise.sigma_upsilon, (horizon + 1, tm.n))
+            states = [x]
+            for t in range(horizon):
+                x = x.copy()
+                if t == plan.time:
+                    x[plan.node] += plan.magnitude
+                x = tm.matrix @ x + theta[t]
+                states.append(x)
+            yield np.array(states) + upsilon
 
     @pytest.mark.parametrize("start", [0, 20])
     def test_superposed_input_matches_injection_oracle(self, tm, tm_wide, start):
@@ -213,16 +213,15 @@ class TestSimulateBatch:
         # row on, against an oracle that injects the input inside the
         # recursion.  Start 0 replays the noisy draws; a start past 0 samples
         # its state, so it is checked noiselessly.
-        seeds = np.random.SeedSequence(9).spawn(6)
         noise = NoiseModel(1.0, 0.5) if start == 0 else NoiseModel.noiseless()
         for net in (tm, tm_wide):
             for plan in (ExcitationPlan(1, 20, 40.0), ExcitationPlan(net.n - 1, 22, -3.5)):
-                [chunk] = simulate_batch(net, (-100.0, 100.0), 23, noise, seeds, start)
+                [chunk] = simulate_batch(net, (-100.0, 100.0), 23, noise, 9, 6, start)
                 response = dynamics._response(net, plan.node, 23 - plan.time)
                 chunk[:, plan.time - start:] += plan.magnitude * response
                 expected = np.array([
-                    self.injected_trial(net, (-100.0, 100.0), 23, noise, plan, s)[start:]
-                    for s in seeds
+                    trial[start:]
+                    for trial in self.injected_trials(net, (-100.0, 100.0), 23, noise, plan, 9, 6)
                 ])
                 assert np.abs(chunk - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -231,75 +230,82 @@ class TestSimulateBatch:
         # and its start state is the oracle's matrix-vector products: bit for bit
         noise = NoiseModel(0.5, 2.0)
         for start in (0, 5, 6):
-            [window] = simulate_batch(tm_wide, (-3.0, 9.0), 9, noise, [8], start)
-            if start:
-                expected = sampled_trial(tm_wide, (-3.0, 9.0), 9, noise, None, 8, start)
-            else:
-                expected = seeded_trial(tm_wide, (-3.0, 9.0), 9, noise, None, 8).observations
-            assert np.array_equal(window[0], expected)
+            [window] = simulate_batch(tm_wide, (-3.0, 9.0), 9, noise, 8, 1, start)
+            expected = stream_trials(tm_wide, (-3.0, 9.0), 9, noise, None, 8, 1, start)
+            assert np.array_equal(window, expected)
 
     def test_start_at_horizon_keeps_one_row(self, tm):
-        seeds = np.random.SeedSequence(6).spawn(3)
-        [windows] = simulate_batch(tm, (-1.0, 1.0), 7, NoiseModel(), seeds, 7)
+        [windows] = simulate_batch(tm, (-1.0, 1.0), 7, NoiseModel(), 6, 3, 7)
         assert windows.shape == (3, 1, 10)
-        for window, seed in zip(windows, seeds):
-            rng = np.random.default_rng(seed)
-            x0 = rng.uniform(-1.0, 1.0, 10)
-            power, factor = dynamics._start_law(tm, 7, NoiseModel())
-            state = power @ x0 + factor @ rng.standard_normal(10)
-            want = state + rng.standard_normal(10)
+        uniforms, normals = streams(6)
+        power, factor = dynamics._start_law(tm, 7, NoiseModel())
+        for window in windows:
+            # no kept step: each trial's normals are z, then upsilon for its one row
+            x0 = uniforms.uniform(-1.0, 1.0, 10)
+            state = power @ x0 + factor @ normals.standard_normal(10)
+            want = state + normals.standard_normal(10)
             # three columns: the start state's products may round apart from the oracle's
             assert np.abs(window[0] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_chunks_give_the_same_rows(self, monkeypatch, tm_wide):
-        # 13 trials in chunks of 5, 5 and 3 against one seed at a time; one
-        # Generator repeated in the seeds draws the trials in turn either way
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 5 * 8 * 12 * tm_wide.n)
-        args = (tm_wide, (-100.0, 100.0), 12, NoiseModel())
-        spawned = np.random.SeedSequence(21).spawn(13)
-        rng, one_rng = np.random.default_rng(21), np.random.default_rng(21)
-        for seeds, singles in ((spawned, [[seed] for seed in spawned]), ([rng] * 13, [[one_rng]] * 13)):
-            chunks = list(simulate_batch(*args, seeds, 10))
-            assert [len(chunk) for chunk in chunks] == [5, 5, 3]
-            single = np.concatenate([next(simulate_batch(*args, seed, 10)) for seed in singles])
+        # 13 trials in chunks of 5, 5 and 3, one trial a chunk, and one chunk
+        # (the default budget): a trial's draws do not depend on its chunk, so
+        # only the products' last bits may move.  A trial keeps 3 rows from
+        # step 10, so its normals are z, two theta rows and three upsilon rows.
+        args = (tm_wide, (-100.0, 100.0), 12, NoiseModel(), 21, 13, 10)
+        whole = list(simulate_batch(*args))
+        assert [len(chunk) for chunk in whole] == [13]
+        for per_chunk, sizes in ((5, [5, 5, 3]), (1, [1] * 13)):
+            monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * 6 * tm_wide.n)
+            chunks = list(simulate_batch(*args))
+            assert [len(chunk) for chunk in chunks] == sizes
             parts = np.concatenate(chunks)
-            assert np.abs(parts - single).max() <= 1e-12 * np.abs(single).max()
+            assert np.abs(parts - whole[0]).max() <= 1e-12 * np.abs(whole[0]).max()
 
     def test_draws_match_normal(self):
-        # standard_normal scaled in place draws what normal(0, sigma) draws
+        # standard_normal scaled in place is what normal(0, sigma) draws,
+        # positive zeros at sigma 0 included
         for sigma in (1.7, 1.0, 0.0):
             want = np.random.default_rng(5).normal(0.0, sigma, (6, 4))
-            got = np.empty((6, 4))
-            dynamics._normal(np.random.default_rng(5), sigma, got)
+            got = dynamics._scale(np.random.default_rng(5).standard_normal((6, 4)), sigma)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_chunk_size_from_byte_budget(self, tm):
-        # a chunk's process noise over the whole horizon stays within CHUNK_BYTES:
-        # 128 trials of 51 steps at n = 20, 8 of 53 at n = 300, at least one
+        # a chunk's normals (z, theta for the kept steps, upsilon for the kept
+        # rows) stay within CHUNK_BYTES, at least one trial a chunk
         budget = dynamics.CHUNK_BYTES
         assert budget == 1 << 20
-        tm20 = laplacian_weights(generate_random_digraph(20, 0.08, 102), 1.0)
-        seeds = np.random.SeedSequence(2).spawn(300)
-        chunks = simulate_batch(tm20, (-1.0, 1.0), 51, NoiseModel(), seeds, 50)
-        assert [len(chunk) for chunk in chunks] == [128, 128, 44]
-        assert 128 * 8 * 51 * 20 <= budget < 129 * 8 * 51 * 20
+        # fig1b at n = 300 keeps 4 rows from step 50: 8 normal vectors a trial, 54 a chunk
         tm300 = laplacian_weights(generate_random_digraph(300, 0.005, 3), 1.0)
-        chunks = simulate_batch(tm300, (-1.0, 1.0), 53, NoiseModel(), seeds[:20], 53)
-        assert [chunk.shape for chunk in chunks] == [(8, 1, 300), (8, 1, 300), (4, 1, 300)]
-        chunks = simulate_batch(tm, (-1.0, 1.0), 10**6, NoiseModel(), seeds[:3], 10**6)
-        assert [chunk.shape for chunk in chunks] == [(1, 1, 10)] * 3
+        chunks = simulate_batch(tm300, (-1.0, 1.0), 53, NoiseModel(), 2, 120, 50)
+        assert [chunk.shape for chunk in chunks] == [(54, 4, 300), (54, 4, 300), (12, 4, 300)]
+        assert 54 * 8 * 8 * 300 <= budget < 55 * 8 * 8 * 300
+        # fig1a's 1,000 trials at n = 20 keep 2 rows from step 50: one chunk
+        tm20 = laplacian_weights(generate_random_digraph(20, 0.08, 102), 1.0)
+        chunks = simulate_batch(tm20, (-1.0, 1.0), 51, NoiseModel(), 2, 1000, 50)
+        assert [len(chunk) for chunk in chunks] == [1000]
+        # fig1c at n = 300 keeps all 307 rows: one trial a chunk
+        chunks = simulate_batch(tm300, (-1.0, 1.0), 306, NoiseModel(), 2, 3)
+        assert [chunk.shape for chunk in chunks] == [(1, 307, 300)] * 3
 
     def test_rejects_bad_inputs(self, tm):
         # the call raises, before any chunk is asked for
         args = (tm, (-1.0, 1.0))
         with pytest.raises(ValueError, match="first kept step"):
-            simulate_batch(*args, 5, NoiseModel(), [1], 6)
+            simulate_batch(*args, 5, NoiseModel(), 1, 1, 6)
         with pytest.raises(ValueError, match="first kept step"):
-            simulate_batch(*args, 5, NoiseModel(), [1], -1)
+            simulate_batch(*args, 5, NoiseModel(), 1, 1, -1)
         with pytest.raises(ValueError, match="horizon"):
-            simulate_batch(*args, 0, NoiseModel(), [1])
-        assert list(simulate_batch(*args, 5, NoiseModel(), [], 2)) == []
+            simulate_batch(*args, 0, NoiseModel(), 1, 1)
+        # None would draw fresh OS entropy, so a run could not be reproduced
+        for seed in (None, -1, 2.0, True, "3", [1]):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                simulate_batch(*args, 5, NoiseModel(), seed, 1, 2)
+        for trials in (0, -3, 2.0, None, True):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                simulate_batch(*args, 5, NoiseModel(), 1, trials, 2)
+        assert len(next(simulate_batch(*args, 5, NoiseModel(), np.int64(1), np.int64(2), 2))) == 2
 
 
 class TestStartLaw:
@@ -315,7 +321,7 @@ class TestStartLaw:
         return power, cov
 
     @pytest.mark.parametrize("stable", ["marginal", "asymptotic"])
-    @pytest.mark.parametrize("s", [0, 1, 2, 3, 50])
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 7, 50, 51, 64])
     def test_matches_plain_recursion(self, tm, stable, s):
         net = tm if stable == "marginal" else scale_to_asymptotic(tm, 0.9)
         power, factor = dynamics._start_law(net, s, NoiseModel(1.3, 1.0))
@@ -329,31 +335,29 @@ class TestStartLaw:
         power, factor = dynamics._start_law(tm, 50, NoiseModel(0.0, 1.0))
         assert not factor.any()
         assert np.abs(power - np.linalg.matrix_power(tm.matrix, 50)).max() <= 1e-12
-        # noiseless: the sampled window is the full run's rows from step 50 on
-        seeds = np.random.SeedSequence(4).spawn(5)
-        [windows] = simulate_batch(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), seeds, 50)
-        for window, seed in zip(windows, seeds):
-            full = seeded_trial(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), None, seed)
-            want = full.observations[50:]
-            assert np.abs(window - want).max() <= 1e-12 * np.abs(want).max()
+        # noiseless: the sampled windows are the full run's rows from step 50
+        # on, since both runs draw the same x0 rows from the seed's first stream
+        [windows] = simulate_batch(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), 4, 5, 50)
+        full = stream_trials(tm, (-100.0, 100.0), 53, NoiseModel.noiseless(), None, 4, 5, 0)
+        want = full[:, 50:]
+        assert np.abs(windows - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_sampled_state_matches_full_burn_in(self):
         # the shipped network and burn-in: x_50 of 10^4 trials, sampled and
-        # stepped.  A trial draws its x0 first either way, so both runs share
-        # each seed's x0, and x_50 - W^50 x0 carries the process noise alone.
+        # stepped.  x0 has its own stream either way, so both runs share each
+        # trial's x0, and x_50 - W^50 x0 carries the process noise alone.
         tm20 = laplacian_weights(generate_random_digraph(20, 0.08, 102), 1.0)
         s, count, init = 50, 10**4, (-100.0, 100.0)
         noise = NoiseModel(1.0, 0.0)  # no measurement noise: the rows are the states
-        seeds = np.random.SeedSequence(7).spawn(count)
 
         def states(start):
-            chunks = simulate_batch(tm20, init, s, noise, seeds, start)
+            chunks = simulate_batch(tm20, init, s, noise, 7, count, start)
             return np.concatenate([chunk[:, -1] for chunk in chunks])
 
         sampled, stepped = states(s), states(0)
         spread = np.sqrt((sampled.var(axis=0) + stepped.var(axis=0)) / count)
         assert (np.abs(sampled.mean(axis=0) - stepped.mean(axis=0)) <= 4 * spread).all()
-        x0 = np.array([np.random.default_rng(seed).uniform(*init, 20) for seed in seeds])
+        x0 = streams(7)[0].uniform(*init, (count, 20))
         drift = x0 @ np.linalg.matrix_power(tm20.matrix, s).T
         residual = sampled - drift
         assert (np.abs(residual.mean(axis=0)) <= 4 * residual.std(axis=0) / np.sqrt(count)).all()
@@ -411,7 +415,7 @@ class TestObservationDeviation:
         noise = NoiseModel(1.0, 1.0)
         target = deviation_noise_std(tm_small, h, noise)[h - 1, i] ** 2
         gh = np.linalg.matrix_power(tm_small.matrix, h)
-        y = np.concatenate(list(simulate_batch(tm_small, (1.0, 3.0), h, noise, range(10**5))))
+        y = np.concatenate(list(simulate_batch(tm_small, (1.0, 3.0), h, noise, 0, 10**5)))
         y0 = y[:, 0]
         samples = (y[:, h, i] - y0[:, i]) - ((y0 @ gh.T)[:, i] - y0[:, i])
         assert abs(samples.var(ddof=1) - target) / target <= 0.05

@@ -26,17 +26,16 @@ from netprobe.harness import (
 from netprobe.infer import decide, infer_one_hop
 from netprobe.topology import WeightedDigraph, generate_random_digraph, load_weights, true_hop_sets
 
-from test_dynamics import sampled_trial, seeded_trial
+from test_dynamics import stream_trials
 
 
 SMALL = ExperimentConfig(trial_count=20)
 
 
 def per_trial_observations(config, tm, horizon, plan, start):
-    """Each seeded trial's rows y_start..y_horizon on its own, as the batch engine's oracle."""
+    """Each of the run's trials' rows y_start..y_horizon on its own, as the batch engine's oracle."""
     init, noise = (config.init_low, config.init_high), config.noise()
-    for ss in np.random.SeedSequence(config.seed).spawn(config.trial_count):
-        yield sampled_trial(tm, init, horizon, noise, plan, ss, start)
+    return stream_trials(tm, init, horizon, noise, plan, config.seed, config.trial_count, start)
 
 
 class TestConfig:
@@ -385,17 +384,21 @@ class TestRunners:
             assert row["gain"] == pytest.approx(power[target, source], rel=1e-12)
 
     def test_tables_do_not_depend_on_chunk_size(self, monkeypatch):
-        # 13 trials: one chunk by default; chunks of 3, 2 and 5 for fig1a/b/c here
+        # 13 trials: one chunk by default.  fig1a/b/c trials carry 4, 8 and 53
+        # normal vectors of n = 20, so the budgets below give one trial a
+        # chunk; chunks of 6, 3 and 1; and chunks of 13, 13 and 3.
         config = replace(SMALL, trial_count=13, excitation_scale=0.5)
         runners = (run_onehop_accuracy, run_multihop_accuracy, run_ls_improvement)
         whole = [runner(config) for runner in runners]
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * 20)
         _, tm = config.build_network()
-        assert [len(chunk) for chunk in harness._trials(config, tm, 51, 50)] == [3, 3, 3, 3, 1]
-        chunked = [runner(config) for runner in runners]
-        assert chunked[:2] == whole[:2]
-        for a, b in zip(chunked[2].rows, whole[2].rows):
-            assert a == pytest.approx(b, rel=1e-12)
+        for budget, fig1b_sizes in ((1, [1] * 13), (3 * 8 * 8 * 20, [3, 3, 3, 3, 1]),
+                                    (3 * 8 * 53 * 20, [13])):
+            monkeypatch.setattr(dynamics, "CHUNK_BYTES", budget)
+            assert [len(chunk) for chunk in harness._trials(config, tm, 53, 50)] == fig1b_sizes
+            chunked = [runner(config) for runner in runners]
+            assert chunked[:2] == whole[:2]
+            for a, b in zip(chunked[2].rows, whole[2].rows):
+                assert a == pytest.approx(b, rel=1e-12)
 
     def test_default_config_trial_counts(self):
         assert default_config("fig1a").trial_count == 1000
@@ -420,8 +423,9 @@ class TestTrialPipeline:
     HORIZON, START = 53, 50
 
     def trials(self, monkeypatch, per_chunk):
+        # a trial's normals: z, three theta rows and four upsilon rows
         _, tm = self.CONFIG.build_network()
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * self.HORIZON * self.CONFIG.n)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * 8 * self.CONFIG.n)
         return tm, harness._trials(self.CONFIG, tm, self.HORIZON, self.START)
 
     @pytest.mark.parametrize(
@@ -437,15 +441,19 @@ class TestTrialPipeline:
         chunks = list(chunks)
         assert len(laws) == 1
         config = self.CONFIG
-        seeds = np.random.SeedSequence(config.seed).spawn(config.trial_count)
+        # the run's trials, first..first + per_chunk in each chunk; a chunk of
+        # other width than the whole run's may round its products' last bits apart
+        monkeypatch.undo()
+        [whole] = dynamics.simulate_batch(
+            tm, (config.init_low, config.init_high), self.HORIZON, config.noise(),
+            config.seed, config.trial_count, self.START,
+        )
         firsts = range(0, config.trial_count, per_chunk)
         assert len(chunks) == len(firsts)
         for first, chunk in zip(firsts, chunks):
-            [want] = dynamics.simulate_batch(
-                tm, (config.init_low, config.init_high), self.HORIZON, config.noise(),
-                seeds[first:first + per_chunk], self.START,
-            )
-            assert np.array_equal(chunk, want)
+            want = whole[first:first + per_chunk]
+            assert chunk.shape == want.shape
+            assert np.abs(chunk - want).max() <= 1e-12 * np.abs(want).max()
         assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 7, 2 and 2 trials
 
     def test_unpipelined_chunks_start_no_thread(self, monkeypatch):
@@ -458,7 +466,8 @@ class TestTrialPipeline:
         # fig1a decides its four error targets on one draw: one chunk-core
         # call per chunk, not one per chunk and target
         config = replace(SMALL, trial_count=20)
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * config.n)
+        # a trial's normals: z, one theta row and two upsilon rows
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 4 * config.n)
         calls = []
         draw = dynamics._simulate_chunk
         monkeypatch.setattr(
@@ -466,30 +475,26 @@ class TestTrialPipeline:
         )
         table = run_onehop_accuracy(config)
         assert len(table.rows) == len(config.error_targets) == 4
-        assert [len(seeds) for seeds in calls] == [3] * 6 + [2]
+        assert calls == [3] * 6 + [2]
 
 
-def parent_trials(argv):
-    """The unexcited observations infer/estimate drew before the batch engine.
+def oracle_trials(argv):
+    """The unexcited observations infer/estimate draw, one trial at a time.
 
-    One ``sampled_trial`` per round from the burn-in on, every round on one
-    generator; estimate keeps every row, so it draws its single run with
-    ``seeded_trial`` from the seed.  Shaped like a ``simulate_batch`` chunk,
-    so that ``iter([parent_trials(argv)])`` can stand in for it.
+    ``stream_trials`` of the ``--seed`` run: one trial per round from the
+    burn-in on, or estimate's one trial with every row.  Shaped like a
+    ``simulate_batch`` chunk, so that ``iter([oracle_trials(argv)])`` can
+    stand in for it.
     """
     args = cli.build_parser().parse_args(argv)
     tm, _, noise, _ = cli._trial_setup(args)
     init = (args.init_low, args.init_high)
     if args.command == "estimate":
         steps = args.pairs + (args.mode == "constrained")
-        return seeded_trial(tm, init, steps, noise, None, args.seed).observations[None]
+        return stream_trials(tm, init, steps, noise, None, args.seed, 1, 0)
     hops = (args.max_hop or 3) if args.mode == "multihop" else 1
     rounds = (args.rounds or 4) if args.mode == "multi" else 1
-    rng = np.random.default_rng(args.seed)
-    return np.array([
-        sampled_trial(tm, init, args.burn_in + hops, noise, None, rng, args.burn_in)
-        for _ in range(rounds)
-    ])
+    return stream_trials(tm, init, args.burn_in + hops, noise, None, args.seed, rounds, args.burn_in)
 
 
 SHARED_DEFAULTS = {"seed": 0, "init_low": -100.0, "init_high": 100.0,
@@ -565,7 +570,7 @@ class TestCli:
         for command in commands:
             argv = [*command, *common]
             texts = []
-            for draws in (None, parent_trials(argv)):
+            for draws in (None, oracle_trials(argv)):
                 if draws is not None:
                     monkeypatch.setattr(cli, "simulate_batch", lambda *args: iter([draws]))
                 capsys.readouterr()
@@ -586,12 +591,13 @@ class TestCli:
         chunks = []
         draw = dynamics._simulate_chunk
         monkeypatch.setattr(dynamics, "_simulate_chunk", lambda *args: chunks.append(args[4]) or draw(*args))
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 51 * 20)
+        # a round's normals: z, one theta row and two upsilon rows
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 4 * 20)
         self.run(*argv)
         chunked = out.read_text()
-        assert [len(seeds) for seeds in chunks] == [3, 3, 2]
+        assert chunks == [3, 3, 2]
         monkeypatch.undo()
-        draws = parent_trials(argv)
+        draws = oracle_trials(argv)
         monkeypatch.setattr(cli, "simulate_batch", lambda *args: iter([draws]))
         self.run(*argv)
         self.assert_decisions_agree(chunked, out.read_text())
