@@ -23,7 +23,6 @@ from netprobe.topology import (
 )
 from netprobe.dynamics import (
     NoiseModel,
-    ExcitationPlan,
     Trajectory,
     simulate,
     simulate_batch,

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from netprobe import detect, dynamics, estimate, harness, infer, topology
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate, simulate_batch
+from netprobe.dynamics import NoiseModel, Trajectory, simulate, simulate_batch
 
 
 def _positive_int(text: str) -> int:
@@ -75,10 +75,14 @@ def _cmd_generate(args) -> None:
 
 def _cmd_simulate(args) -> None:
     tm = _load_network(args.weights)
-    plan = None
-    if args.excite_node is not None:
-        time = args.excite_time if args.excite_time is not None else args.steps - 1
-        plan = ExcitationPlan(args.excite_node, time, _excite_magnitude(args.excite_magnitude))
+    node, time = args.excite_node, args.excite_time
+    if node is not None:
+        e = _excite_magnitude(args.excite_magnitude)
+        if not 0 <= node < tm.n:
+            raise ValueError(f"excited node {node} outside 0..{tm.n - 1}")
+        time = args.steps - 1 if time is None else time
+        if not 0 <= time < args.steps:
+            raise ValueError(f"--excite-time {time} outside 0..{args.steps - 1}")
     else:
         _reject_given(_given(args, "excite_time", "excite_magnitude"), "ignored without --excite-node")
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
@@ -86,7 +90,14 @@ def _cmd_simulate(args) -> None:
     dynamics._check_init(init)
     # x0 ~ U(init) first, then the dynamics on the same generator
     rng = np.random.default_rng(args.seed)
-    traj = simulate(tm, rng.uniform(*init, tm.n), args.steps, noise, plan, rng)
+    traj = simulate(tm, rng.uniform(*init, tm.n), args.steps, noise, rng)
+    if node is not None:
+        # by superposition: the input adds e (W^k)[:, node] to the row k steps after it
+        kick = e * dynamics._response(tm, node, args.steps - time)
+        states, observations = traj.states.copy(), traj.observations.copy()
+        states[time:] += kick
+        observations[time:] += kick
+        traj = Trajectory(states, observations, ((node, time, e),))
     dynamics.write_trajectory_csv(args.out, traj)
     print(json.dumps({"steps": traj.horizon, "nodes": traj.n, "out": args.out}))
 

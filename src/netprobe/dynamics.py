@@ -1,21 +1,21 @@
-"""Forward simulation of the noisy network dynamics with excitation inputs.
+"""Forward simulation of the noisy network dynamics, unexcited.
 
 The state recursion is x_t = W x_{t-1} + theta_{t-1} with observations
 y_t = x_t + upsilon_t.  An input e at node j at step t acts as e added to
 x_t[j] before the W-multiplication: the model is linear and its noise does
 not depend on the input, so it adds exactly e (W^k)[:, j] to the state k
 steps later (superposition), and the rows up to the injection step are
-untouched.  ``simulate`` runs one trajectory from a given x0 and adds an
-``ExcitationPlan``'s response to its states.  ``simulate_batch`` runs a
-seeded run of trials unexcited, chunk by chunk, and keeps the rows from a
-first step s on; its callers add e times ``_response`` to the rows they
-excite.  A run's seed spawns two streams, one per purpose (L'Ecuyer et al.,
-*Math. Comput. Simul.* 135, 2017): the first draws every trial's
-x0 ~ U(init), the second every trial's normals in trial order, (when
-s > 0) z ~ N(0, I), then theta for its kept steps, then upsilon for its
-kept rows.  A trial's state at step s is sampled exactly as W^s x0 + L z,
-L the Cholesky factor of the process noise's covariance at s, so the steps
-before s are never simulated.
+untouched.  Both simulators therefore run unexcited, and their callers add
+e times ``_response`` to the rows they excite.  ``simulate`` runs one
+trajectory from a given x0.  ``simulate_batch`` runs a seeded run of trials,
+chunk by chunk, and keeps the rows from a first step s on.  Both step
+through ``_step``.  A run's seed spawns two streams, one per purpose
+(L'Ecuyer et al., *Math. Comput. Simul.* 135, 2017): the first draws every
+trial's x0 ~ U(init), the second every trial's normals in trial order,
+(when s > 0) z ~ N(0, I), then theta for its kept steps, then upsilon for
+its kept rows.  A trial's state at step s is sampled exactly as
+W^s x0 + L z, L the Cholesky factor of the process noise's covariance at s,
+so the steps before s are never simulated.
 """
 
 from __future__ import annotations
@@ -45,21 +45,6 @@ class NoiseModel:
     @classmethod
     def noiseless(cls) -> "NoiseModel":
         return cls(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ExcitationPlan:
-    """One excitation: which node, at which step, how large."""
-
-    node: int
-    time: int
-    magnitude: float
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("excitation time must be >= 0")
-        if not math.isfinite(self.magnitude):
-            raise ValueError(f"excitation magnitude must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -93,16 +78,6 @@ class Trajectory:
 CHUNK_BYTES = 1 << 20
 
 
-def _check_run(tm: TopologyMatrix, horizon: int, plan: ExcitationPlan | None) -> None:
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if plan is not None:
-        if not 0 <= plan.node < tm.n:
-            raise ValueError(f"excited node {plan.node} outside 0..{tm.n - 1}")
-        if plan.time >= horizon:
-            raise ValueError("excitation time must precede the horizon")
-
-
 def _check_init(init: tuple[float, float]) -> None:
     if not all(math.isfinite(bound) for bound in init):
         raise ValueError(f"initial-state interval must be finite, got {tuple(init)!r}")
@@ -124,25 +99,33 @@ def _scale(normals: np.ndarray, sigma: float) -> np.ndarray:
     return normals
 
 
-def _propagate(tm: TopologyMatrix, x0: np.ndarray, theta: np.ndarray, states: np.ndarray) -> None:
-    """Run the unexcited noise recursion x_{t+1} = W x_t + theta_t from every column of ``x0``.
+def _step(tm: TopologyMatrix, x, draws: np.ndarray, noise: NoiseModel, states, law=None):
+    """Step trials from their (n, k) start columns ``x`` into the (k, rows, n) ``states``.
 
-    ``x0`` is (n, k) and ``theta`` (k, steps, n); state x_t goes to
-    ``states[:, t]``.  The states step as the columns of one (n, k) array:
-    that is the faster product, and with one column it gives the bits of
-    ``W @ x``.  An excitation's ``_response`` is added afterwards.
+    ``draws`` holds one row of standard normals per trial: z (only with a
+    ``law`` = (W^s, L)), theta for the steps, then upsilon for the rows.
+    theta and upsilon are scaled in place, the start is W^s x + L z with a
+    ``law``, and the states step as the columns of one (n, k) array: the
+    faster product, and with one column the bits of ``W @ x``.  Returns
+    upsilon, (k, rows, n).
     """
-    w = tm.matrix
-    x = np.array(x0, order="C")
+    trials, rows, n = states.shape
+    lead = 0 if law is None else n
+    mid = lead + (rows - 1) * n
+    theta = _scale(draws[:, lead:mid], noise.sigma_theta).reshape(trials, rows - 1, n)
+    upsilon = _scale(draws[:, mid:], noise.sigma_upsilon).reshape(trials, rows, n)
+    if law is not None:
+        power, factor = law
+        x = power @ x + factor @ draws[:, :n].T
+    x = np.array(x, order="C")
     nxt = np.empty_like(x)
-    horizon = theta.shape[1]
-    for t in range(horizon + 1):
+    for t in range(rows - 1):
         states[:, t] = x.T
-        if t == horizon:
-            break
-        np.matmul(w, x, out=nxt)
+        np.matmul(tm.matrix, x, out=nxt)
         nxt += theta[:, t].T
         x, nxt = nxt, x
+    states[:, -1] = x.T
+    return upsilon
 
 
 def _response(tm: TopologyMatrix, node: int, steps: int) -> np.ndarray:
@@ -153,20 +136,13 @@ def _response(tm: TopologyMatrix, node: int, steps: int) -> np.ndarray:
     return rows
 
 
-def simulate(
-    tm: TopologyMatrix,
-    x0,
-    horizon: int,
-    noise: NoiseModel,
-    plan: ExcitationPlan | None = None,
-    seed=None,
-) -> Trajectory:
-    """Run the dynamics for ``horizon`` steps from ``x0``.
+def simulate(tm: TopologyMatrix, x0, horizon: int, noise: NoiseModel, seed=None) -> Trajectory:
+    """Run the unexcited dynamics for ``horizon`` steps from ``x0``.
 
-    All noise draws are made up front in a fixed order, so two runs with the
-    same seed share identical noise whether or not an excitation is applied;
-    their difference is the added response, to rounding.  A
-    ``Generator`` passed as ``seed`` draws on from where its stream stands.
+    The normals are one draw, theta then upsilon, so two runs with the same
+    seed share identical noise; an input is added to the result as e times
+    ``_response``.  A ``Generator`` passed as ``seed`` draws on from where
+    its stream stands.
     """
     x0 = np.asarray(x0, dtype=float)
     n = tm.n
@@ -174,18 +150,11 @@ def simulate(
         raise ValueError(f"x0 must have shape ({n},)")
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
-    _check_run(tm, horizon, plan)
-
+    _check_integer("horizon", horizon, 1)
     rng = np.random.default_rng(seed)
-    theta = _scale(rng.standard_normal((1, horizon, n)), noise.sigma_theta)
-    upsilon = _scale(rng.standard_normal((horizon + 1, n)), noise.sigma_upsilon)
     states = np.empty((1, horizon + 1, n))
-    _propagate(tm, x0[:, None], theta, states)
-    if plan is not None:
-        states[0, plan.time:] += plan.magnitude * _response(tm, plan.node, horizon - plan.time)
-
-    applied = () if plan is None else ((plan.node, plan.time, plan.magnitude),)
-    return Trajectory(states[0], states[0] + upsilon, applied)
+    upsilon = _step(tm, x0[:, None], rng.standard_normal((1, (2 * horizon + 1) * n)), noise, states)
+    return Trajectory(states[0], states[0] + upsilon[0])
 
 
 def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
@@ -217,24 +186,15 @@ def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.nd
 def _simulate_chunk(tm, init, noise, streams, trials, steps, law) -> np.ndarray:
     """The next ``trials`` trials of ``simulate_batch``; ``law`` is None at start 0.
 
-    Two bulk draws: every trial's x0 from the first stream, and from the
-    second one row per trial holding its z, theta and upsilon in turn.
+    Two bulk draws, every trial's x0 from the first stream and from the
+    second one row per trial of its z, theta and upsilon for ``_step``.
     The returned windows are a new array, so the draws are freed on return.
     """
     uniforms, normals = streams
-    n = tm.n
-    states = np.empty((trials, steps + 1, n))
-    x = uniforms.uniform(*init, (trials, n)).T
-    lead = 0 if law is None else n
-    draws = normals.standard_normal((trials, lead + (2 * steps + 1) * n))
-    mid = lead + steps * n
-    theta = _scale(draws[:, lead:mid], noise.sigma_theta).reshape(trials, steps, n)
-    upsilon = _scale(draws[:, mid:], noise.sigma_upsilon).reshape(trials, steps + 1, n)
-    if law is not None:
-        power, factor = law
-        x = power @ x + factor @ draws[:, :n].T
-    _propagate(tm, x, theta, states)
-    states += upsilon
+    states = np.empty((trials, steps + 1, tm.n))
+    x = uniforms.uniform(*init, (trials, tm.n)).T
+    draws = normals.standard_normal((trials, (2 * steps + 1 + (law is not None)) * tm.n))
+    states += _step(tm, x, draws, noise, states, law)
     return states
 
 
@@ -259,14 +219,17 @@ def simulate_batch(
     size never changes which draws a trial gets.  A caller adds an input e
     at node j and step t >= ``start`` as e times ``_response(tm, j,
     horizon - t)`` on the rows from t on.  The trials of a chunk step
-    together, one (n, n) @ (n, trials) product per step, which may round the
-    last bits differently from the matrix-vector product of ``simulate``.
+    together through ``_step``, one (n, n) @ (n, trials) product per step,
+    which may round the last bits differently from the matrix-vector product
+    of ``simulate``.  A non-integer ``horizon``, ``seed``, ``trials`` or
+    ``start`` is rejected.
     """
     _check_init(init)
-    _check_run(tm, horizon, None)
+    _check_integer("horizon", horizon, 1)
     _check_integer("seed", seed, 0)
     _check_integer("trials", trials, 1)
-    if not 0 <= start <= horizon:
+    _check_integer("start", start, 0)
+    if start > horizon:
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
     law = _start_law(tm, start, noise) if start else None
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from netprobe import detect, harness
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
+from netprobe import detect, dynamics, harness
+from netprobe.dynamics import NoiseModel, simulate
 from netprobe.harness import default_config, run_ls_improvement, run_multihop_accuracy, run_onehop_accuracy
 from netprobe.infer import infer_one_hop
 from netprobe.topology import (
@@ -278,15 +278,12 @@ def test_criterion_7_structural_invariants():
         levels[0] = 0
         assert np.array_equal(true_hop_sets(graph, 0, 5), levels)
 
-        # noiseless one-hop oracle agreement at consensus, every source node
+        # noiseless one-hop oracle agreement at consensus, every source node,
+        # the input at step 0 added by superposition
         for j in range(20):
-            traj = simulate(
-                tm, np.full(20, 3.0), 1, noiseless, ExcitationPlan(j, 0, 10.0), seed=0
-            )
-            decision = infer_one_hop(
-                traj.observations[0], traj.observations[1], j, 10.0,
-                tm.weight_floor, tm.stability,
-            )
+            y = simulate(tm, np.full(20, 3.0), 1, noiseless, seed=0).observations
+            y = y + 10.0 * dynamics._response(tm, j, 1)
+            decision = infer_one_hop(y[0], y[1], j, 10.0, tm.weight_floor, tm.stability)
             assert np.array_equal(decision.first_hop, true_hop_sets(graph, j, 1))
             oracle_nodes += 1
 
@@ -302,12 +299,14 @@ def test_criterion_7_structural_invariants():
 
     noisy = NoiseModel(1.0, 1.0)
     base = simulate(tm, x0, 15, noisy, seed=42)
-    excited = simulate(tm, x0, 15, noisy, ExcitationPlan(3, 5, 12.0), seed=42)
+    excited = base.states.copy()
+    excited[5:] += 12.0 * dynamics._response(tm, 3, 10)
+    assert np.array_equal(excited[:6], base.states[:6])
     kick = np.zeros(20)
     kick[3] = 12.0
     for t in range(6, 16):
         kick = tm.matrix @ kick
-        assert np.abs((excited.states[t] - base.states[t]) - kick).max() <= 1e-9
+        assert np.abs((excited[t] - base.states[t]) - kick).max() <= 1e-9
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

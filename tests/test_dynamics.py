@@ -9,7 +9,6 @@ import pytest
 from netprobe import dynamics
 from netprobe.detect import deviation_noise_std
 from netprobe.dynamics import (
-    ExcitationPlan,
     NoiseModel,
     Trajectory,
     deviation_bound,
@@ -30,20 +29,40 @@ def streams(seed):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
 
 
+def injected_run(tm, x0, horizon, noise, plan, rng):
+    """States and observations with the input ``plan`` = (node, time, e) inside the recursion.
+
+    x[node] += e before the W step at ``time``; theta, then upsilon, are
+    drawn by ``normal()`` from ``rng``, as ``simulate`` draws them.
+    """
+    node, time, e = plan
+    theta = rng.normal(0.0, noise.sigma_theta, (horizon, tm.n))
+    upsilon = rng.normal(0.0, noise.sigma_upsilon, (horizon + 1, tm.n))
+    states = [np.asarray(x0, dtype=float)]
+    for t in range(horizon):
+        x = states[t].copy()
+        if t == time:
+            x[node] += e
+        states.append(tm.matrix @ x + theta[t])
+    states = np.array(states)
+    return states, states + upsilon
+
+
 def sampled_trial(tm, x0, horizon, noise, plan, rng, start):
     """Observations y_start..y_horizon of one trial from ``x0``, its normals read from ``rng``.
 
-    With ``start`` 0 this is ``simulate`` on ``rng``.  Past 0 it reads
-    z ~ N(0, I) from ``rng`` first and runs ``simulate`` from W^start x0 + L z
-    on the same generator, with the excitation time counted from ``start``.
+    Past ``start`` 0 it reads z ~ N(0, I) from ``rng`` first and runs from
+    W^start x0 + L z on the same generator.  Unexcited (``plan`` None) it is
+    ``simulate``; with a ``plan`` = (node, time, e) it is ``injected_run``,
+    with the excitation time counted from ``start``.
     """
-    if not start:
-        return simulate(tm, x0, horizon, noise, plan, rng).observations
-    z = rng.standard_normal(tm.n)
-    power, factor = dynamics._start_law(tm, start, noise)
-    if plan is not None:
-        plan = ExcitationPlan(plan.node, plan.time - start, plan.magnitude)
-    return simulate(tm, power @ x0 + factor @ z, horizon - start, noise, plan, rng).observations
+    if start:
+        power, factor = dynamics._start_law(tm, start, noise)
+        x0 = power @ x0 + factor @ rng.standard_normal(tm.n)
+    if plan is None:
+        return simulate(tm, x0, horizon - start, noise, rng).observations
+    node, time, e = plan
+    return injected_run(tm, x0, horizon - start, noise, (node, time - start, e), rng)[1]
 
 
 def stream_trials(tm, init, horizon, noise, plan, seed, trials, start):
@@ -78,10 +97,11 @@ class TestSimulate:
     def test_noiseless_excitation_adds_weight_column(self, tm):
         x0 = np.zeros(10)
         e, j, t0 = 5.0, 2, 3
-        traj = simulate(tm, x0, 6, NoiseModel.noiseless(), ExcitationPlan(j, t0, e), seed=1)
-        assert np.abs(traj.observations[t0 + 1] - e * tm.matrix[:, j]).max() <= 1e-12
+        y = simulate(tm, x0, 6, NoiseModel.noiseless(), seed=1).observations.copy()
+        y[t0:] += e * dynamics._response(tm, j, 6 - t0)
+        assert np.abs(y[t0 + 1] - e * tm.matrix[:, j]).max() <= 1e-12
         # and the excited step's own observation is pre-injection
-        assert np.abs(traj.observations[t0]).max() == 0.0
+        assert np.abs(y[t0]).max() == 0.0
 
     def test_one_step_noise_covariance(self, tm):
         # variance of y_{t+1} - W y_t against its closed-form diagonal
@@ -95,24 +115,17 @@ class TestSimulate:
         assert rel.max() <= 0.05
 
     def test_matches_matrix_vector_recursion(self, tm):
-        # the recursion written out: theta then upsilon drawn by normal(),
-        # the injection added to a copy of the recorded state
+        # the recursion written out, the injection added to a copy of the
+        # recorded state, against the unexcited run plus e times the response
         x0 = np.random.default_rng(2).uniform(-100, 100, 10)
-        plan = ExcitationPlan(3, 4, 9.5)
-        rng = np.random.default_rng(12)
-        theta = rng.normal(0.0, 1.5, size=(8, 10))
-        upsilon = rng.normal(0.0, 0.5, size=(9, 10))
-        states = [x0]
-        for t in range(8):
-            x = states[t].copy()
-            if t == plan.time:
-                x[plan.node] += plan.magnitude
-            states.append(tm.matrix @ x + theta[t])
-        states = np.array(states)
-        traj = simulate(tm, x0, 8, NoiseModel(1.5, 0.5), plan, seed=12)
+        noise = NoiseModel(1.5, 0.5)
+        states, observations = injected_run(tm, x0, 8, noise, (3, 4, 9.5), np.random.default_rng(12))
+        traj = simulate(tm, x0, 8, noise, seed=12)
+        kick = np.zeros((9, 10))
+        kick[4:] = 9.5 * dynamics._response(tm, 3, 4)
         scale = np.abs(states).max()
-        assert np.abs(traj.states - states).max() <= 1e-12 * scale
-        assert np.abs(traj.observations - (states + upsilon)).max() <= 1e-12 * scale
+        assert np.abs(traj.states + kick - states).max() <= 1e-12 * scale
+        assert np.abs(traj.observations + kick - observations).max() <= 1e-12 * scale
 
     def test_seeded_determinism(self, tm):
         a = simulate(tm, np.ones(10), 20, NoiseModel(1, 1), seed=99)
@@ -121,17 +134,20 @@ class TestSimulate:
         assert np.array_equal(a.observations, b.observations)
 
     def test_excitation_superposition(self, tm):
-        # same seed with/without input: the difference is the propagated column
+        # same draws with/without input: the difference is the propagated
+        # column, zero up to and including the injection step, whatever the noise
         x0 = np.random.default_rng(5).uniform(-100, 100, 10)
         e, j, t0 = 12.0, 4, 6
-        base = simulate(tm, x0, 14, NoiseModel(1, 1), seed=77)
-        excited = simulate(tm, x0, 14, NoiseModel(1, 1), ExcitationPlan(j, t0, e), seed=77)
-        column = np.zeros(10)
-        column[j] = e
-        for t in range(t0 + 1, 15):
-            column_next = tm.matrix @ column if t == t0 + 1 else tm.matrix @ column_next
-            diff = excited.states[t] - base.states[t]
-            assert np.abs(diff - column_next).max() <= 1e-9
+        for seed in (77, 78):
+            base = simulate(tm, x0, 14, NoiseModel(1, 1), seed=seed)
+            rng = np.random.default_rng(seed)
+            excited, _ = injected_run(tm, x0, 14, NoiseModel(1, 1), (j, t0, e), rng)
+            assert np.abs(excited[:t0 + 1] - base.states[:t0 + 1]).max() <= 1e-9
+            column = np.zeros(10)
+            column[j] = e
+            for t in range(t0 + 1, 15):
+                column = tm.matrix @ column
+                assert np.abs(excited[t] - base.states[t] - column).max() <= 1e-9
 
     def test_marginal_noiseless_boundedness(self, tm):
         x0 = np.random.default_rng(8).uniform(-50, 50, 10)
@@ -142,13 +158,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(tm, np.zeros(3), 5, NoiseModel(1, 1))
         with pytest.raises(ValueError):
-            simulate(tm, np.zeros(10), 0, NoiseModel(1, 1))
-        with pytest.raises(ValueError):
             simulate(tm, np.full(10, np.inf), 5, NoiseModel(1, 1))
-        with pytest.raises(ValueError):
-            simulate(tm, np.zeros(10), 5, NoiseModel(1, 1), ExcitationPlan(0, 5, 1.0))
-        with pytest.raises(ValueError):
-            simulate(tm, np.zeros(10), 5, NoiseModel(1, 1), ExcitationPlan(99, 2, 1.0))
+        for horizon in (0, -2, 5.0, True, None):
+            with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+                simulate(tm, np.zeros(10), horizon, NoiseModel(1, 1))
+        assert simulate(tm, np.zeros(10), np.int64(2), NoiseModel(1, 1)).horizon == 2
 
 
 class TestSimulateTrial:
@@ -177,35 +191,25 @@ class TestSimulateBatch:
         # 11 trials step as one (n, n) @ (n, 11) product, which may round
         # the last bits apart from simulate's matrix-vector product
         for net in (tm, tm_wide):
-            plan = ExcitationPlan(1, 20, 40.0)
+            node, time, e = plan = (1, 20, 40.0)
             noise = NoiseModel(1.0, 0.5)
             for start in (0, 20):
                 [windows] = simulate_batch(net, (-100.0, 100.0), 23, noise, 3, 11, start)
-                windows[:, plan.time - start:] += plan.magnitude * dynamics._response(net, plan.node, 3)
+                windows[:, time - start:] += e * dynamics._response(net, node, 3)
                 expected = stream_trials(net, (-100.0, 100.0), 23, noise, plan, 3, 11, start)
                 assert windows.shape == (11, 24 - start, net.n)
                 assert np.abs(windows - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @staticmethod
     def injected_trials(tm, init, horizon, noise, plan, seed, trials):
-        """Each trial stepped with the input inside the recursion, x[node] += e before the W step.
+        """Each trial's ``injected_run`` on ``simulate_batch``'s streams at start 0.
 
-        The draws replay ``simulate_batch``'s streams at start 0: x0 from the
-        first, then theta and upsilon from the second, trial by trial.
+        x0 comes from the first stream, then theta and upsilon from the
+        second, trial by trial.
         """
         uniforms, normals = streams(seed)
         for _ in range(trials):
-            x = uniforms.uniform(*init, tm.n)
-            theta = normals.normal(0.0, noise.sigma_theta, (horizon, tm.n))
-            upsilon = normals.normal(0.0, noise.sigma_upsilon, (horizon + 1, tm.n))
-            states = [x]
-            for t in range(horizon):
-                x = x.copy()
-                if t == plan.time:
-                    x[plan.node] += plan.magnitude
-                x = tm.matrix @ x + theta[t]
-                states.append(x)
-            yield np.array(states) + upsilon
+            yield injected_run(tm, uniforms.uniform(*init, tm.n), horizon, noise, plan, normals)[1]
 
     @pytest.mark.parametrize("start", [0, 20])
     def test_superposed_input_matches_injection_oracle(self, tm, tm_wide, start):
@@ -215,10 +219,10 @@ class TestSimulateBatch:
         # its state, so it is checked noiselessly.
         noise = NoiseModel(1.0, 0.5) if start == 0 else NoiseModel.noiseless()
         for net in (tm, tm_wide):
-            for plan in (ExcitationPlan(1, 20, 40.0), ExcitationPlan(net.n - 1, 22, -3.5)):
+            for plan in ((1, 20, 40.0), (net.n - 1, 22, -3.5)):
+                node, time, e = plan
                 [chunk] = simulate_batch(net, (-100.0, 100.0), 23, noise, 9, 6, start)
-                response = dynamics._response(net, plan.node, 23 - plan.time)
-                chunk[:, plan.time - start:] += plan.magnitude * response
+                chunk[:, time - start:] += e * dynamics._response(net, node, 23 - time)
                 expected = np.array([
                     trial[start:]
                     for trial in self.injected_trials(net, (-100.0, 100.0), 23, noise, plan, 9, 6)
@@ -292,12 +296,14 @@ class TestSimulateBatch:
     def test_rejects_bad_inputs(self, tm):
         # the call raises, before any chunk is asked for
         args = (tm, (-1.0, 1.0))
-        with pytest.raises(ValueError, match="first kept step"):
+        with pytest.raises(ValueError, match="first kept step 6 outside 0..5"):
             simulate_batch(*args, 5, NoiseModel(), 1, 1, 6)
-        with pytest.raises(ValueError, match="first kept step"):
-            simulate_batch(*args, 5, NoiseModel(), 1, 1, -1)
-        with pytest.raises(ValueError, match="horizon"):
-            simulate_batch(*args, 0, NoiseModel(), 1, 1)
+        for start in (-1, 2.0, True, None):
+            with pytest.raises(ValueError, match="start must be an integer >= 0"):
+                simulate_batch(*args, 5, NoiseModel(), 1, 1, start)
+        for horizon in (0, 5.0, True, None):
+            with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+                simulate_batch(*args, horizon, NoiseModel(), 1, 1)
         # None would draw fresh OS entropy, so a run could not be reproduced
         for seed in (None, -1, 2.0, True, "3", [1]):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
@@ -403,8 +409,9 @@ class TestObservationDeviation:
     def test_consensus_excitation_reads_weight(self, tm):
         x0 = np.full(10, 3.0)
         e, j = 7.0, 1
-        traj = simulate(tm, x0, 2, NoiseModel.noiseless(), ExcitationPlan(j, 0, e), seed=0)
-        deviations = traj.observations[1] - traj.observations[0]
+        traj = simulate(tm, x0, 2, NoiseModel.noiseless(), seed=0)
+        y = traj.observations + e * dynamics._response(tm, j, 2)
+        deviations = y[1] - y[0]
         for i in range(10):
             assert deviations[i] == pytest.approx(e * tm.matrix[i, j], abs=1e-12)
 
@@ -422,10 +429,6 @@ class TestObservationDeviation:
 
 
 class TestTypesAndExport:
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            ExcitationPlan(0, -1, 1.0)
-
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1, 1.0)
@@ -445,7 +448,8 @@ class TestTypesAndExport:
             traj.states[0, 0] = 1.0
 
     def test_csv_export(self, tm, tmp_path):
-        traj = simulate(tm, np.ones(10), 3, NoiseModel(1, 1), ExcitationPlan(2, 1, 4.5), seed=6)
+        run = simulate(tm, np.ones(10), 3, NoiseModel(1, 1), seed=6)
+        traj = Trajectory(run.states, run.observations, ((2, 1, 4.5),))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, traj)
         lines = path.read_text().strip().splitlines()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from netprobe import cli, detect, dynamics, estimate, harness, infer
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
+from netprobe.dynamics import NoiseModel, simulate
 from netprobe.harness import (
     ExperimentConfig,
     ResultTable,
@@ -33,7 +33,10 @@ SMALL = ExperimentConfig(trial_count=20)
 
 
 def per_trial_observations(config, tm, horizon, plan, start):
-    """Each of the run's trials' rows y_start..y_horizon on its own, as the batch engine's oracle."""
+    """Each of the run's trials' rows y_start..y_horizon on its own, as the batch engine's oracle.
+
+    ``plan`` is None or the input (node, time, e), stepped inside each trial's recursion.
+    """
     init, noise = (config.init_low, config.init_high), config.noise()
     return stream_trials(tm, init, horizon, noise, plan, config.seed, config.trial_count, start)
 
@@ -327,7 +330,7 @@ class TestRunners:
         for row in run_onehop_accuracy(config).as_dicts():
             e = row["excitation"]
             pair_ok = set_ok = 0
-            for y in per_trial_observations(config, tm, t + 1, ExcitationPlan(source, t, e), t):
+            for y in per_trial_observations(config, tm, t + 1, (source, t, e), t):
                 estimated = infer_one_hop(
                     y[0], y[1], source, e, config.weight_floor, tm.stability
                 ).first_hop == 1
@@ -345,8 +348,7 @@ class TestRunners:
         rows = run_multihop_accuracy(config).as_dicts()
         e, t = rows[0]["excitation"], config.burn_in
         hits = {row["hop"]: 0 for row in rows}
-        plan = ExcitationPlan(source, t, e)
-        for y in per_trial_observations(config, tm, t + config.max_hop, plan, t):
+        for y in per_trial_observations(config, tm, t + config.max_hop, (source, t, e), t):
             decision = decide(y[None], source, e, config.weight_floor, tm.stability)
             for row in rows:
                 hits[row["hop"]] += row["target_node"] in decision.at_hop(row["hop"])
@@ -651,17 +653,23 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("t,node,state,observation")
         assert "# excite node=1 t=5" in text
-        # x0 ~ U(init) is drawn first, then the dynamics on the same generator;
-        # %.17g round-trips every value, so the columns match bit for bit
+        # x0 ~ U(init) is drawn first, then the unexcited dynamics on the same
+        # generator, and the input is added to both columns from step 5 on as
+        # 4.0 times the unit response (W^k)[:, 1], stepped here by hand; %.17g
+        # round-trips every value, so the columns match bit for bit
         tm = load_weights(w)
         rng = np.random.default_rng(2)
         x0 = rng.uniform(-3.0, 9.0, tm.n)
-        want = simulate(tm, x0, 10, NoiseModel(0.5, 2.0), ExcitationPlan(1, 5, 4.0), rng)
+        want = simulate(tm, x0, 10, NoiseModel(0.5, 2.0), rng)
+        kick, unit = np.zeros((11, 6)), tm.matrix[:, 1]
+        for t in range(6, 11):
+            kick[t] = 4.0 * unit
+            unit = tm.matrix @ unit
         rows = [line.split(",") for line in text.splitlines()[1:] if not line.startswith("#")]
         assert [(int(t), int(i)) for t, i, _, _ in rows] == [(t, i) for t in range(11) for i in range(6)]
         got = np.array([[float(x), float(y)] for _, _, x, y in rows]).reshape(11, 6, 2)
-        assert np.array_equal(got[..., 0], want.states)
-        assert np.array_equal(got[..., 1], want.observations)
+        assert np.array_equal(got[..., 0], want.states + kick)
+        assert np.array_equal(got[..., 1], want.observations + kick)
 
     def test_design_excitation_value(self, capsys):
         self.run(
@@ -749,7 +757,15 @@ class TestCli:
         "simulate-zero-steps": ("simulate", "--steps", "0", "--weights", "{w}", "--out", "{d}/t.csv"),
         "simulate-excite-after-horizon": (
             "simulate", "--steps", "5", "--excite-node", "1", "--excite-time", "9",
-            "--weights", "{w}", "--out", "{d}/t.csv",
+            "--excite-magnitude", "4", "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "simulate-node-out-of-range": (
+            "simulate", "--steps", "5", "--excite-node", "6", "--excite-time", "2",
+            "--excite-magnitude", "4", "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
+        "simulate-negative-excite-time": (
+            "simulate", "--steps", "5", "--excite-node", "1", "--excite-time", "-1",
+            "--excite-magnitude", "4", "--weights", "{w}", "--out", "{d}/t.csv",
         ),
         "experiment-zero-trials": ("experiment", "fig1a", "--trials", "0"),
         "config-unknown-key": ("experiment", "fig1a", "--config", "{d}/unknown.cfg"),
@@ -874,6 +890,22 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert str(info.value.code).startswith(f"netprobe {argv[0]}: ")
+
+    SIMULATE_EXCITE_MESSAGES = {
+        "simulate-node-out-of-range": "netprobe simulate: excited node 6 outside 0..5",
+        "simulate-negative-excite-time": "netprobe simulate: --excite-time -1 outside 0..4",
+        "simulate-excite-after-horizon": "netprobe simulate: --excite-time 9 outside 0..4",
+    }
+
+    @pytest.mark.parametrize("case", SIMULATE_EXCITE_MESSAGES)
+    def test_simulate_checks_its_input_before_drawing(self, tmp_path, case):
+        # the excited node and time are checked before any draw, and no CSV is written
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        with pytest.raises(SystemExit) as info:
+            cli.main([a.format(w=w, d=tmp_path) for a in self.BAD_INPUTS[case]])
+        assert info.value.code == self.SIMULATE_EXCITE_MESSAGES[case]
+        assert not (tmp_path / "t.csv").exists()
 
     def test_error_messages_name_the_cause(self, tmp_path):
         w = tmp_path / "w.txt"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from netprobe.detect import critical_excitation, multi_excitation_bound
-from netprobe.dynamics import ExcitationPlan, NoiseModel, simulate
+from netprobe import dynamics
+from netprobe.dynamics import NoiseModel, Trajectory, simulate
 from netprobe.infer import decide, first_hops, infer_one_hop
 from netprobe.topology import (
     StabilityClass,
@@ -21,9 +22,10 @@ MARGINAL = StabilityClass.MARGINALLY_STABLE
 
 
 def consensus_excite(tm, source, e, hops=1, level=2.0):
-    """Noiseless trajectory at consensus with one injection at t=0."""
-    x0 = np.full(tm.n, level)
-    return simulate(tm, x0, hops, NoiseModel.noiseless(), ExcitationPlan(source, 0, e), seed=0)
+    """Noiseless trajectory at consensus with one injection at t=0, added by superposition."""
+    traj = simulate(tm, np.full(tm.n, level), hops, NoiseModel.noiseless(), seed=0)
+    kick = e * dynamics._response(tm, source, hops)
+    return Trajectory(traj.states + kick, traj.observations + kick)
 
 
 class TestInferOneHop:
@@ -136,9 +138,10 @@ class TestInferWithinHops:
         for s in range(5):
             rng = np.random.default_rng(s)
             x0 = rng.uniform(-100, 100, 10)
-            traj = simulate(tm, x0, 11, noise, ExcitationPlan(2, 10, 9.0), seed=rng)
-            d_multi = decide(traj.observations[None, 10:], 2, 9.0, 0.4, MARGINAL)
-            d_one = infer_one_hop(traj.observations[10], traj.observations[11], 2, 9.0, 0.4, MARGINAL)
+            y = simulate(tm, x0, 11, noise, seed=rng).observations[10:]
+            y = y + 9.0 * dynamics._response(tm, 2, 1)
+            d_multi = decide(y[None], 2, 9.0, 0.4, MARGINAL)
+            d_one = infer_one_hop(y[0], y[1], 2, 9.0, 0.4, MARGINAL)
             assert d_multi.at_hop(1) == d_one.one_hop()
             assert d_multi.thresholds[1] == pytest.approx(d_one.thresholds[1])
 
