@@ -26,7 +26,6 @@ from netprobe.dynamics import (
     Trajectory,
     simulate,
     simulate_batch,
-    deviation_bound,
 )
 from netprobe.detect import (
     erf,
@@ -51,7 +50,6 @@ from netprobe.estimate import (
     EntryConstraint,
     LsProblem,
     LsSolution,
-    ErrorMetrics,
     ols_estimate,
     constrained_estimate,
     error_metrics,

@@ -74,6 +74,8 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    # first, as the --excite-time range and the simulator both read it
+    dynamics._check_integer("--steps", args.steps, 1)
     tm = _load_network(args.weights)
     node, time = args.excite_node, args.excite_time
     if node is not None:
@@ -109,9 +111,10 @@ def _excite_magnitude(e: float | None) -> float:
 
 
 def _error_target(args) -> float:
-    if not 0.0 < args.error_target < 1.0:
-        raise ValueError(f"--error-target must lie in (0, 1), got {args.error_target}")
-    return args.error_target
+    target = 0.05 if args.error_target is None else args.error_target
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"--error-target must lie in (0, 1), got {target}")
+    return target
 
 
 def _cmd_design(args) -> None:
@@ -150,18 +153,14 @@ def _weight_floor(args, tm: topology.TopologyMatrix) -> float:
     return args.weight_floor
 
 
-def _trial_setup(args):
-    """Network, weight floor, noise and applied magnitude for infer and estimate.
-
-    The excited node and magnitude are checked here for every mode, also
-    for those that never inject.
-    """
+def _trial_setup(args, source: int):
+    """Network, weight floor, noise and applied magnitude for an input at ``source``."""
     tm = _load_network(args.weights)
     floor = _weight_floor(args, tm)
     budget = _error_target(args)
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
-    if not 0 <= args.excite_node < tm.n:
-        raise ValueError(f"excited node {args.excite_node} outside 0..{tm.n - 1}")
+    if not 0 <= source < tm.n:
+        raise ValueError(f"excited node {source} outside 0..{tm.n - 1}")
     if args.excite_magnitude is not None:
         return tm, floor, noise, _excite_magnitude(args.excite_magnitude)
     e = detect.critical_excitation(detect.onehop_noise_std(tm, noise), floor, budget)
@@ -173,8 +172,8 @@ def _cmd_infer(args) -> None:
         _reject_given(_given(args, "max_hop"), "ignored outside multihop mode")
     if args.mode != "multi":
         _reject_given(_given(args, "rounds"), "ignored outside multi mode")
-    tm, floor, noise, e = _trial_setup(args)
     source = args.excite_node
+    tm, floor, noise, e = _trial_setup(args, source)
     # a given value parses as >= 1, so ``or`` only fills in an unset option
     hops = (args.max_hop or 3) if args.mode == "multihop" else 1
     rounds = (args.rounds or 4) if args.mode == "multi" else 1
@@ -195,9 +194,15 @@ def _cmd_infer(args) -> None:
 
 def _cmd_estimate(args) -> None:
     constrained = args.mode == "constrained"
-    if args.constraints_out and not constrained:
-        raise ValueError("--constraints-out needs constrained mode")
-    tm, floor, noise, e = _trial_setup(args)
+    if constrained:
+        source = 0 if args.excite_node is None else args.excite_node
+        tm, floor, noise, e = _trial_setup(args, source)
+    else:
+        if args.constraints_out:
+            raise ValueError("--constraints-out needs constrained mode")
+        design = _given(args, "excite_node", "excite_magnitude", "weight_floor", "error_target")
+        _reject_given(design, "ignored outside constrained mode")
+        tm, noise = _load_network(args.weights), NoiseModel(args.sigma_theta, args.sigma_upsilon)
     horizon = args.pairs
     # the constrained run also observes the step after its injection
     steps = horizon + 1 if constrained else horizon
@@ -205,8 +210,8 @@ def _cmd_estimate(args) -> None:
     constraints = {}
     if constrained:
         # the input at the last pair's step reaches only the decision row
-        after = y[horizon + 1] + e * tm.matrix[:, args.excite_node]
-        decision = infer.infer_one_hop(y[horizon], after, args.excite_node, e, floor, tm.stability)
+        after = y[horizon + 1] + e * tm.matrix[:, source]
+        decision = infer.infer_one_hop(y[horizon], after, source, e, floor, tm.stability)
         constraints = estimate.constraints_from_decision(decision)
         if args.constraints_out:
             estimate.save_constraints(args.constraints_out, constraints)
@@ -214,15 +219,15 @@ def _cmd_estimate(args) -> None:
     sol = (estimate.constrained_estimate if constrained else estimate.ols_estimate)(problem)
     if args.out:
         topology.save_matrix(args.out, sol.matrix)
-    metrics = estimate.error_metrics(sol.matrix, tm.matrix)
+    structure, magnitude = estimate.error_metrics(sol.matrix, tm.matrix)
     print(
         json.dumps(
             {
                 "mode": args.mode,
                 "rank": sol.rank,
                 "rank_deficient": sol.rank_deficient,
-                "structure_error": metrics.structure_error,
-                "magnitude_error": metrics.magnitude_error,
+                "structure_error": structure,
+                "magnitude_error": magnitude,
             }
         )
     )
@@ -269,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--init-low", type=float, default=-100.0)
     trial.add_argument("--init-high", type=float, default=100.0)
 
+    # unset options stay None, so that estimate ols can reject them
     design = argparse.ArgumentParser(add_help=False)
     design.add_argument("--excite-magnitude", type=float, default=None)
     design.add_argument("--weight-floor", type=float, default=None, help="default: smallest weight")
-    design.add_argument("--error-target", type=float, default=0.05)
+    design.add_argument("--error-target", type=float, default=None, help="default 0.05")
 
     p = sub.add_parser("generate", help="random digraph and weight matrix files")
     p.add_argument("--n", type=int, default=20)
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[trial, design], help="least-squares topology estimation")
     p.add_argument("mode", choices=("ols", "constrained"))
     p.add_argument("--pairs", type=_positive_int, default=25, help="observation pair count")
-    p.add_argument("--excite-node", type=int, default=0)
+    p.add_argument("--excite-node", type=int, default=None, help="constrained mode (default 0)")
     p.add_argument("--constraints-out", default=None)
     p.add_argument("--out", default=None, help="estimated matrix text path")
     p.set_defaults(func=_cmd_estimate)

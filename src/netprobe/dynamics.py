@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netprobe.topology import StabilityClass, TopologyMatrix, _frozen
+from netprobe.topology import TopologyMatrix, _frozen
 
 
 @dataclass(frozen=True)
@@ -240,31 +240,6 @@ def simulate_batch(
         _simulate_chunk(tm, init, noise, streams, min(size, trials - first), steps, law)
         for first in range(0, trials, size)
     )
-
-
-def deviation_bound(y, stability: StabilityClass) -> float | np.ndarray:
-    """Bound on the excitation-free drift |(W^h y)_i - y_i| from one snapshot.
-
-    Marginally stable dynamics keep every propagated value inside the convex
-    hull of the current entries, so the max pairwise spread bounds the drift;
-    asymptotically stable dynamics contract toward zero, so the max absolute
-    entry does.  A vector gives a float; an (..., n) stack of snapshots gives
-    one bound per snapshot.
-    """
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("observation vector must be finite")
-    bound = _drift_bound(y, stability)
-    return float(bound) if y.ndim == 1 else bound
-
-
-def _drift_bound(y: np.ndarray, stability: StabilityClass) -> np.ndarray:
-    """``deviation_bound``'s rule, unchecked, on finite (..., n) snapshots: one bound each."""
-    if stability is StabilityClass.MARGINALLY_STABLE:
-        return y.max(axis=-1) - y.min(axis=-1)
-    if stability is StabilityClass.ASYMPTOTICALLY_STABLE:
-        return np.abs(y).max(axis=-1)
-    raise ValueError("deviation bound undefined for unstable dynamics")
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -41,14 +41,13 @@ SIGN_TOL = 1e-6
 
 
 class EntryConstraint(enum.Enum):
-    FREE = "free"
     POSITIVE = "pos"
     ZERO = "zero"
 
 
 @dataclass(frozen=True)
 class LsProblem:
-    """Stacked (T, n) rows y_{t-1} and y_t plus optional per-entry constraints."""
+    """Stacked (T, n) rows y_{t-1} and y_t plus per-entry constraints; an entry left out is free."""
 
     regressors: np.ndarray
     targets: np.ndarray
@@ -140,20 +139,6 @@ class LsSolution:
     rank_deficient: bool
 
 
-@dataclass(frozen=True)
-class ErrorMetrics:
-    """Structure error (sign mismatches / n^2) and relative Frobenius error."""
-
-    structure_error: float
-    magnitude_error: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.structure_error <= 1.0:
-            raise ValueError("structure error must lie in [0, 1]")
-        if self.magnitude_error < 0.0:
-            raise ValueError("magnitude error must be >= 0")
-
-
 def ols_estimate(problem: LsProblem) -> LsSolution:
     """Row-wise least squares over all observation pairs.
 
@@ -220,15 +205,14 @@ def _nonneg_row_lstsq(a: np.ndarray, b: np.ndarray, positive: np.ndarray) -> np.
 
 
 def _row_patterns(constraints: dict[tuple[int, int], EntryConstraint]) -> dict[tuple, list[int]]:
-    """Rows grouped by their non-free constraints, as sorted ``(column, kind)`` keys.
+    """Rows grouped by their constraints, as sorted ``(column, kind)`` keys.
 
     Keys and member lists are sorted, so the grouping does not depend on the
-    dict's insertion order.  Rows with no non-free entry are left out.
+    dict's insertion order.  Rows with no constrained entry are left out.
     """
     by_row: dict[int, list[tuple[int, EntryConstraint]]] = {}
     for (i, j), kind in constraints.items():
-        if kind is not EntryConstraint.FREE:
-            by_row.setdefault(i, []).append((j, kind))
+        by_row.setdefault(i, []).append((j, kind))
     groups: dict[tuple, list[int]] = {}
     for i in sorted(by_row):
         groups.setdefault(tuple(sorted(by_row[i])), []).append(i)
@@ -318,12 +302,12 @@ def _thresholded_sign(m: np.ndarray) -> np.ndarray:
     return (m > SIGN_TOL).view(np.int8) - (m < -SIGN_TOL).view(np.int8)
 
 
-def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> ErrorMetrics:
-    """Structure and magnitude errors of an estimated interaction matrix.
+def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """(structure error, magnitude error) of an estimated interaction matrix.
 
     The structure error counts entries whose thresholded sign differs from
-    the truth's, normalized by the entry count; the magnitude error is the
-    Frobenius distance relative to the truth's Frobenius norm.
+    the truth's, normalized by the entry count (so it lies in [0, 1]); the
+    magnitude error is the Frobenius distance relative to the truth's norm.
     """
     est = np.asarray(estimate, dtype=float)
     tru = np.asarray(truth, dtype=float)
@@ -337,14 +321,14 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> ErrorMetrics:
     mismatches = (_thresholded_sign(est) != _thresholded_sign(tru)).sum()
     structure = float(mismatches) / est.size
     magnitude = float(np.linalg.norm(est - tru)) / denom
-    return ErrorMetrics(structure, magnitude)
+    return structure, magnitude
 
 
 def constraints_from_decision(decision: NeighborDecision) -> dict[tuple[int, int], EntryConstraint]:
     """Column constraints for the excited node from a one-hop decision.
 
     Accepted nodes force W[i, source] nonnegative-active, rejected nodes
-    force it to zero; the diagonal entry stays free.
+    force it to zero; the diagonal entry is left out, so it stays free.
     """
     j = decision.source
     return {
@@ -355,8 +339,7 @@ def constraints_from_decision(decision: NeighborDecision) -> dict[tuple[int, int
 
 
 def save_constraints(path, constraints: dict[tuple[int, int], EntryConstraint]) -> None:
-    """Write non-free constraints as lines ``i j {pos|zero}``."""
+    """Write constraints as lines ``i j {pos|zero}``."""
     with open(path, "w") as fh:
         for (i, j), kind in sorted(constraints.items()):
-            if kind is not EntryConstraint.FREE:
-                fh.write(f"{i} {j} {kind.value}\n")
+            fh.write(f"{i} {j} {kind.value}\n")

@@ -360,15 +360,15 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
         problem = LsProblem(y[:horizon], y[1:horizon + 1], constraints_from_decision(decision))
         ols = ols_estimate(problem)
         constrained = constrained_estimate(problem)
-        m_ols = error_metrics(ols.matrix, tm.matrix)
-        m_con = error_metrics(constrained.matrix, tm.matrix)
+        ols_structure, ols_magnitude = error_metrics(ols.matrix, tm.matrix)
+        con_structure, con_magnitude = error_metrics(constrained.matrix, tm.matrix)
         rows.append(
             {
                 "seed_index": k,
-                "ols_structure_error": m_ols.structure_error,
-                "ols_magnitude_error": m_ols.magnitude_error,
-                "constrained_structure_error": m_con.structure_error,
-                "constrained_magnitude_error": m_con.magnitude_error,
+                "ols_structure_error": ols_structure,
+                "ols_magnitude_error": ols_magnitude,
+                "constrained_structure_error": con_structure,
+                "constrained_magnitude_error": con_magnitude,
                 "rank": ols.rank,
                 "rank_deficient": int(ols.rank_deficient),
             }

@@ -5,10 +5,12 @@ its absolute observed deviation reaches the natural-drift bound plus half
 the least discriminable h-step influence, weight_floor**h * |e| / 2.
 Equality decides inclusion, and the excited node itself is never a
 candidate.  Repeated excitations average deviations and drift bounds over
-their rounds before the same test.  ``_decide`` is the one implementation,
-over (trials, rounds, h+1, n) windows; ``first_hops`` (many trials of one
-round), ``decide`` (one trial of many rounds) and ``infer_one_hop`` (h = 1
-from before/after rows) only check and reshape their inputs for it.
+their rounds before the same test.  ``_drift_bound`` (the bound from the
+snapshot at the injection step) and ``_decide`` (the rule over (trials,
+rounds, h+1, n) windows) hold the whole threshold; ``first_hops`` (many
+trials of one round), ``decide`` (one trial of many rounds) and
+``infer_one_hop`` (h = 1 from one before/after pair) only check and
+reshape their inputs for ``_decide``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from types import MappingProxyType
 import numpy as np
 
 from netprobe.topology import StabilityClass, _frozen
-from netprobe.dynamics import _drift_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +46,6 @@ class NeighborDecision:
         if self.first_hop[self.source]:
             raise ValueError("estimated sets must exclude the excited node")
 
-    def __eq__(self, other) -> bool:
-        """Equal when the records are: same source, members, thresholds and tested deviations."""
-        return isinstance(other, NeighborDecision) and self.to_records() == other.to_records()
-
     @property
     def raw_deviations(self) -> Mapping[tuple[int, int], float]:
         """Observed deviation per (node, hop), the excited node left out."""
@@ -58,9 +55,6 @@ class NeighborDecision:
 
     def at_hop(self, h: int) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.first_hop == h).tolist()) if h > 0 else frozenset()
-
-    def one_hop(self) -> frozenset[int]:
-        return self.at_hop(1)
 
     def to_records(self) -> list[dict]:
         """One record per hop: {source, hop, members, threshold, deviations}."""
@@ -74,6 +68,21 @@ class NeighborDecision:
             }
             for h, row in enumerate(self.deviations.tolist(), start=1)
         ]
+
+
+def _drift_bound(y: np.ndarray, stability: StabilityClass) -> np.ndarray:
+    """Bound on the excitation-free drift |(W^h y)_i - y_i|, one per finite (..., n) snapshot.
+
+    Marginally stable dynamics keep every propagated value inside the convex
+    hull of the current entries, so the max pairwise spread bounds the drift;
+    asymptotically stable dynamics contract toward zero, so the max absolute
+    entry does.  Unstable dynamics have no such bound.
+    """
+    if stability is StabilityClass.MARGINALLY_STABLE:
+        return y.max(axis=-1) - y.min(axis=-1)
+    if stability is StabilityClass.ASYMPTOTICALLY_STABLE:
+        return np.abs(y).max(axis=-1)
+    raise ValueError("drift bound undefined for unstable dynamics")
 
 
 def _decide(
@@ -155,16 +164,14 @@ def infer_one_hop(
     weight_floor: float,
     stability: StabilityClass,
 ) -> NeighborDecision:
-    """Decide the one-hop out-neighbors of ``source``: ``decide`` with h = 1.
+    """Decide the one-hop out-neighbors of ``source`` from one pair: ``decide`` with h = 1.
 
-    ``y_before`` is the observation at the injection step (taken before the
-    injection), ``y_after`` the one at the next step.  Equal-shape (m, n)
-    arrays hold m repeated excitations, one per row.
+    ``y_before`` is the (n,) observation at the injection step (taken before
+    the injection), ``y_after`` the one at the next step.  Repeated
+    excitations go to ``decide`` as (rounds, 2, n) windows.
     """
     yb = np.asarray(y_before, dtype=float)
     ya = np.asarray(y_after, dtype=float)
-    if yb.shape != ya.shape or yb.ndim not in (1, 2) or yb.size == 0:
-        raise ValueError("before/after observations must be equal-shape n or (m, n) arrays")
-    # (rounds, 2, n): each round's before and after rows
-    windows = np.stack([yb, ya], axis=-2).reshape(-1, 2, yb.shape[-1])
-    return decide(windows, source, excitation, weight_floor, stability)
+    if yb.shape != ya.shape or yb.ndim != 1 or yb.size == 0:
+        raise ValueError("before/after observations must be equal-shape (n,) arrays")
+    return decide(np.stack([yb, ya])[None], source, excitation, weight_floor, stability)

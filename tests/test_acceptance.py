@@ -13,7 +13,7 @@ import pytest
 from netprobe import detect, dynamics, harness
 from netprobe.dynamics import NoiseModel, simulate
 from netprobe.harness import default_config, run_ls_improvement, run_multihop_accuracy, run_onehop_accuracy
-from netprobe.infer import infer_one_hop
+from netprobe.infer import decide, infer_one_hop
 from netprobe.topology import (
     StabilityClass,
     classify_stability,
@@ -148,9 +148,8 @@ def test_criterion_5_multi_excitation():
         for _ in range(reps):
             devs = rng.normal(0.0, sigma, size=(rounds, n))
             devs[:, edge] += 1.0 * e
-            est = infer_one_hop(
-                y_before, y_before + devs, source, e, floor, StabilityClass.MARGINALLY_STABLE
-            ).one_hop()
+            windows = np.stack([y_before, y_before + devs], axis=1)
+            est = decide(windows, source, e, floor, StabilityClass.MARGINALLY_STABLE).at_hop(1)
             wrong += (edge not in est) + (nonedge in est)
         rates[rounds] = wrong / reps
     details = []

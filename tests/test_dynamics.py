@@ -8,10 +8,10 @@ import pytest
 
 from netprobe import dynamics
 from netprobe.detect import deviation_noise_std
+from netprobe.infer import _drift_bound
 from netprobe.dynamics import (
     NoiseModel,
     Trajectory,
-    deviation_bound,
     simulate,
     simulate_batch,
     write_trajectory_csv,
@@ -374,26 +374,28 @@ class TestStartLaw:
 
 
 class TestDeviationBound:
+    """The dynamics' excitation-free drift bound, as infer's threshold reads it (``_drift_bound``)."""
+
     def test_marginal_is_spread(self):
-        assert deviation_bound([3.0, 1.0, 2.0], StabilityClass.MARGINALLY_STABLE) == 2.0
+        assert _drift_bound(np.array([3.0, 1.0, 2.0]), StabilityClass.MARGINALLY_STABLE) == 2.0
 
     def test_asymptotic_is_max_abs(self):
-        assert deviation_bound([3.0, 1.0, 2.0], StabilityClass.ASYMPTOTICALLY_STABLE) == 3.0
-        assert deviation_bound([-4.0, 1.0], StabilityClass.ASYMPTOTICALLY_STABLE) == 4.0
+        assert _drift_bound(np.array([3.0, 1.0, 2.0]), StabilityClass.ASYMPTOTICALLY_STABLE) == 3.0
+        assert _drift_bound(np.array([-4.0, 1.0]), StabilityClass.ASYMPTOTICALLY_STABLE) == 4.0
 
     def test_consensus_vector(self):
-        assert deviation_bound(np.full(6, 1.7), StabilityClass.MARGINALLY_STABLE) == 0.0
+        assert _drift_bound(np.full(6, 1.7), StabilityClass.MARGINALLY_STABLE) == 0.0
 
     def test_rows_give_one_bound_each(self):
         y = np.array([[3.0, 1.0, 2.0], [-4.0, 1.0, 0.0]])
-        marginal = deviation_bound(y, StabilityClass.MARGINALLY_STABLE)
+        marginal = _drift_bound(y, StabilityClass.MARGINALLY_STABLE)
         assert marginal.tolist() == [2.0, 5.0]
-        asymptotic = deviation_bound(y, StabilityClass.ASYMPTOTICALLY_STABLE)
+        asymptotic = _drift_bound(y, StabilityClass.ASYMPTOTICALLY_STABLE)
         assert asymptotic.tolist() == [3.0, 4.0]
 
     def test_unstable_rejected(self):
-        with pytest.raises(ValueError):
-            deviation_bound([1.0, 2.0], StabilityClass.UNSTABLE)
+        with pytest.raises(ValueError, match="unstable"):
+            _drift_bound(np.array([1.0, 2.0]), StabilityClass.UNSTABLE)
 
 
 class TestObservationDeviation:

@@ -489,7 +489,7 @@ def oracle_trials(argv):
     stand in for it.
     """
     args = cli.build_parser().parse_args(argv)
-    tm, _, noise, _ = cli._trial_setup(args)
+    tm, noise = load_weights(args.weights), NoiseModel(args.sigma_theta, args.sigma_upsilon)
     init = (args.init_low, args.init_high)
     if args.command == "estimate":
         steps = args.pairs + (args.mode == "constrained")
@@ -501,7 +501,8 @@ def oracle_trials(argv):
 
 SHARED_DEFAULTS = {"seed": 0, "init_low": -100.0, "init_high": 100.0,
                    "sigma_theta": 1.0, "sigma_upsilon": 1.0}
-DESIGN_DEFAULTS = {"excite_magnitude": None, "weight_floor": None, "error_target": 0.05}
+# unset, so that estimate ols can reject them; --error-target 0.05 applies
+DESIGN_DEFAULTS = {"excite_magnitude": None, "weight_floor": None, "error_target": None}
 
 
 class TestCli:
@@ -524,8 +525,9 @@ class TestCli:
                  "burn_in": 50, "out": None},
             ),
             (
+                # unset, so that ols can reject it; constrained mode excites node 0
                 ["estimate", "ols", "--weights", "w.txt"],
-                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "pairs": 25, "excite_node": 0,
+                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "pairs": 25, "excite_node": None,
                  "constraints_out": None, "out": None},
             ),
             (
@@ -564,10 +566,12 @@ class TestCli:
     def test_trials_match_per_round_loop(self, tmp_path, capsys, monkeypatch, network):
         w, out = tmp_path / "w.txt", tmp_path / "out"
         self.run("generate", *network, "--weights-out", str(w))
-        common = ("--weights", str(w), "--excite-node", "1", "--seed", "3", "--out", str(out))
+        common = ("--weights", str(w), "--seed", "3", "--out", str(out))
+        node = ("--excite-node", "1")
         commands = (
-            ("infer", "onehop"), ("infer", "multihop"), ("infer", "multi", "--rounds", "1"),
-            ("estimate", "ols"), ("estimate", "constrained"), ("infer", "multi", "--rounds", "8"),
+            ("infer", "onehop", *node), ("infer", "multihop", *node),
+            ("infer", "multi", *node, "--rounds", "1"), ("estimate", "ols"),
+            ("estimate", "constrained", *node), ("infer", "multi", *node, "--rounds", "8"),
         )
         for command in commands:
             argv = [*command, *common]
@@ -609,16 +613,16 @@ class TestCli:
         # sqrt(2 su^2 + st^2) = 1.732 understates node 1's one-step noise 1.879
         w = tmp_path / "w.txt"
         w.write_text("4\n0.5 0 0 0\n1.2 0.3 0 0\n0 0.9 0.05 0\n0 0 0.6 0.2\n")
-        for command in (("infer", "onehop", "--excite-node", "0"), ("estimate", "ols")):
+        for command in (("infer", "onehop", "--excite-node", "0"), ("estimate", "constrained")):
             args = cli.build_parser().parse_args([*command, "--weights", str(w)])
-            tm, floor, noise, e = cli._trial_setup(args)
+            tm, floor, noise, e = cli._trial_setup(args, 0)
             for i in range(tm.n):
                 sigma = detect.deviation_noise_std(tm, 1, noise)[0, i]
                 assert detect.misjudgement_probability(sigma, floor, e) <= 0.05 + 1e-12
         # where every squared row sum is <= 1 the design stays the tight bound's
         self.run("generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", str(w))
         args = cli.build_parser().parse_args(["infer", "onehop", "--weights", str(w), "--excite-node", "1"])
-        tm, floor, noise, e = cli._trial_setup(args)
+        tm, floor, noise, e = cli._trial_setup(args, 1)
         assert e == detect.critical_excitation(math.sqrt(3.0), floor, 0.05)
 
     def test_generate_and_infer_flow(self, tmp_path, capsys):
@@ -755,6 +759,10 @@ class TestCli:
             "estimate", "constrained", "--excite-node", "99", "--weights", "{w}",
         ),
         "simulate-zero-steps": ("simulate", "--steps", "0", "--weights", "{w}", "--out", "{d}/t.csv"),
+        "simulate-zero-steps-excited": (
+            "simulate", "--steps", "0", "--excite-node", "1", "--excite-magnitude", "4",
+            "--weights", "{w}", "--out", "{d}/t.csv",
+        ),
         "simulate-excite-after-horizon": (
             "simulate", "--steps", "5", "--excite-node", "1", "--excite-time", "9",
             "--excite-magnitude", "4", "--weights", "{w}", "--out", "{d}/t.csv",
@@ -791,6 +799,9 @@ class TestCli:
         ),
         "estimate-nan-magnitude": (
             "estimate", "constrained", "--excite-magnitude", "nan", "--weights", "{w}",
+        ),
+        "estimate-negative-node": (
+            "estimate", "constrained", "--excite-node", "-1", "--weights", "{w}",
         ),
         "simulate-nan-sigma": (
             "simulate", "--steps", "5", "--sigma-theta", "nan", "--weights", "{w}", "--out", "{d}/t.csv",
@@ -868,7 +879,13 @@ class TestCli:
             "infer", "onehop", "--excite-node", "0", "--error-target", "1", "--weights", "{w}",
         ),
         "estimate-error-target-one": (
-            "estimate", "ols", "--error-target", "1", "--weights", "{w}",
+            "estimate", "constrained", "--error-target", "1", "--weights", "{w}",
+        ),
+        "estimate-ols-weight-floor": (
+            "estimate", "ols", "--weight-floor", "0.1", "--weights", "{w}",
+        ),
+        "estimate-ols-error-target": (
+            "estimate", "ols", "--error-target", "0.2", "--weights", "{w}",
         ),
     }
 
@@ -892,6 +909,8 @@ class TestCli:
         assert str(info.value.code).startswith(f"netprobe {argv[0]}: ")
 
     SIMULATE_EXCITE_MESSAGES = {
+        "simulate-zero-steps": "netprobe simulate: --steps must be an integer >= 1, got 0",
+        "simulate-zero-steps-excited": "netprobe simulate: --steps must be an integer >= 1, got 0",
         "simulate-node-out-of-range": "netprobe simulate: excited node 6 outside 0..5",
         "simulate-negative-excite-time": "netprobe simulate: --excite-time -1 outside 0..4",
         "simulate-excite-after-horizon": "netprobe simulate: --excite-time 9 outside 0..4",
@@ -899,7 +918,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", SIMULATE_EXCITE_MESSAGES)
     def test_simulate_checks_its_input_before_drawing(self, tmp_path, case):
-        # the excited node and time are checked before any draw, and no CSV is written
+        # the step count, excited node and time are checked before any draw, and no CSV is written
         w = tmp_path / "w.txt"
         self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
         with pytest.raises(SystemExit) as info:
@@ -935,8 +954,15 @@ class TestCli:
                 "netprobe estimate: --constraints-out needs constrained mode",
             ),
             (
-                ["estimate", "ols", "--weights", str(w), "--excite-node", "6"],
+                ["estimate", "constrained", "--weights", str(w), "--excite-node", "6"],
                 "netprobe estimate: excited node 6 outside 0..5",
+            ),
+            (
+                # ols injects no input, so the options that design one are refused
+                ["estimate", "ols", "--weights", str(w), "--excite-node", "5", "--excite-magnitude", "3",
+                 "--weight-floor", "0.1", "--error-target", "0.2"],
+                "netprobe estimate: --excite-node, --excite-magnitude, --weight-floor, --error-target: "
+                "ignored outside constrained mode",
             ),
             (
                 ["generate", "--rule", "metropolis", "--gamma", "0.5", "--alpha", "0.9",
@@ -1084,6 +1110,9 @@ class TestCli:
             cli.main(argv)
         if argv[0] == "experiment":
             assert info.value.code == "netprobe experiment: excitation_magnitude must be nonzero, got 0.0"
+        elif argv[:2] == ["estimate", "ols"]:
+            # ols injects nothing, so any --excite-magnitude is refused as ignored
+            assert info.value.code == "netprobe estimate: --excite-magnitude: ignored outside constrained mode"
         else:
             value = argv[argv.index("--excite-magnitude") + 1]
             assert info.value.code == (

@@ -45,18 +45,18 @@ class TestInferOneHop:
         y_after = np.array([0.0, 3.0, 1.2, 0.4])
         decision = infer_one_hop(y_before, y_after, 0, 4.0, 0.6, MARGINAL)
         # threshold = 0 + 0.6*4/2 = 1.2, ties included
-        assert decision.one_hop() == {1, 2}
+        assert decision.at_hop(1) == {1, 2}
         assert decision.thresholds[1] == pytest.approx(1.2)
 
     def test_tie_counts_as_inclusion(self):
         y_after = np.array([0.0, 1.0])
         decision = infer_one_hop(np.zeros(2), y_after, 0, 2.0, 1.0, MARGINAL)
-        assert decision.one_hop() == {1}
+        assert decision.at_hop(1) == {1}
 
     def test_source_excluded_despite_large_deviation(self):
         y_after = np.array([50.0, 0.1])
         decision = infer_one_hop(np.zeros(2), y_after, 0, 2.0, 1.0, MARGINAL)
-        assert 0 not in decision.one_hop()
+        assert 0 not in decision.at_hop(1)
 
     def test_zero_excitation_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestInferOneHop:
             decision = infer_one_hop(
                 traj.observations[0], traj.observations[1], j, e, tm.weight_floor, MARGINAL
             )
-            accepted.append(decision.one_hop())
+            accepted.append(decision.at_hop(1))
         assert accepted[0] <= accepted[1] <= accepted[2]
 
     def test_raw_deviations_recorded(self):
@@ -142,7 +142,7 @@ class TestInferWithinHops:
             y = y + 9.0 * dynamics._response(tm, 2, 1)
             d_multi = decide(y[None], 2, 9.0, 0.4, MARGINAL)
             d_one = infer_one_hop(y[0], y[1], 2, 9.0, 0.4, MARGINAL)
-            assert d_multi.at_hop(1) == d_one.one_hop()
+            assert d_multi.at_hop(1) == d_one.at_hop(1)
             assert d_multi.thresholds[1] == pytest.approx(d_one.thresholds[1])
 
     def test_gain_floors_are_floor_powers(self):
@@ -154,36 +154,32 @@ class TestInferWithinHops:
 
 
 class TestInferMultiExcitation:
-    """Repeated excitations: (m, n) rows through ``infer_one_hop``."""
+    """Repeated excitations: (rounds, 2, n) windows of before/after rows through ``decide``."""
 
     def test_single_trial_reduces_to_one_hop(self):
         rng = np.random.default_rng(2)
         yb, ya = rng.normal(size=6), rng.normal(size=6)
-        multi = infer_one_hop(yb[None], ya[None], 1, 5.0, 0.4, MARGINAL)
+        multi = decide(np.stack([yb, ya])[None], 1, 5.0, 0.4, MARGINAL)
         single = infer_one_hop(yb, ya, 1, 5.0, 0.4, MARGINAL)
-        assert multi == single
+        assert multi.to_records() == single.to_records()
 
     def test_rows_average_deviations_and_drift(self):
         # drift bounds 0 and 2 average to 1; threshold = 1 + 0.5 * 4 / 2 = 2
         before = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         after = np.array([[0.0, 3.0, 1.0], [0.0, 3.0, 0.0]])
-        decision = infer_one_hop(before, after, 0, 4.0, 0.5, MARGINAL)
+        decision = decide(np.stack([before, after], axis=1), 0, 4.0, 0.5, MARGINAL)
         assert decision.thresholds == {1: 2.0}
         assert decision.raw_deviations == {(1, 1): 2.0, (2, 1): 0.5}
-        assert decision.one_hop() == {1}
-        # the same rounds as (rounds, 2, n) windows
-        assert decide(np.stack([before, after], axis=1), 0, 4.0, 0.5, MARGINAL) == decision
+        assert decision.at_hop(1) == {1}
 
     def test_noiseless_trials_match_single(self):
         g = generate_random_digraph(8, 0.3, 14)
         tm = laplacian_weights(g, 1.0)
         traj = consensus_excite(tm, 0, 9.0)
-        before, after = traj.observations[0], traj.observations[1]
-        one = infer_one_hop(before[None], after[None], 0, 9.0, tm.weight_floor, MARGINAL)
-        four = infer_one_hop(
-            np.tile(before, (4, 1)), np.tile(after, (4, 1)), 0, 9.0, tm.weight_floor, MARGINAL
-        )
-        assert one.one_hop() == four.one_hop()
+        window = traj.observations[:2]
+        one = decide(window[None], 0, 9.0, tm.weight_floor, MARGINAL)
+        four = decide(np.tile(window, (4, 1, 1)), 0, 9.0, tm.weight_floor, MARGINAL)
+        assert one.at_hop(1) == four.at_hop(1)
 
     def test_misjudgement_tracks_bound(self):
         # consensus snapshots, true edge weight 1.0 over a 0.3 floor,
@@ -200,7 +196,8 @@ class TestInferMultiExcitation:
             for _ in range(reps):
                 devs = rng.normal(0.0, sigma, size=(m, 4))
                 devs[:, 1] += 1.0 * e
-                est = infer_one_hop(before, before + devs, 0, e, floor, MARGINAL).one_hop()
+                windows = np.stack([before, before + devs], axis=1)
+                est = decide(windows, 0, e, floor, MARGINAL).at_hop(1)
                 wrong += (1 not in est) + (2 in est)
             rates[m] = wrong / reps
         for m, rate in rates.items():
@@ -210,17 +207,22 @@ class TestInferMultiExcitation:
         assert rates[64] <= rates[16] <= rates[4] <= rates[1]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            infer_one_hop(np.zeros((0, 3)), np.zeros((0, 3)), 0, 5.0, 0.4, MARGINAL)
-        with pytest.raises(ValueError):
-            infer_one_hop(np.zeros((1, 3)), np.zeros((1, 4)), 0, 5.0, 0.4, MARGINAL)
-        with pytest.raises(ValueError):
-            infer_one_hop(np.zeros((2, 3)), np.zeros((1, 3)), 0, 5.0, 0.4, MARGINAL)
-        with pytest.raises(ValueError):
-            infer_one_hop(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), 0, 5.0, 0.4, MARGINAL)
+        with pytest.raises(ValueError, match="one round"):
+            decide(np.zeros((0, 2, 3)), 0, 5.0, 0.4, MARGINAL)
+        with pytest.raises(ValueError, match="windows"):
+            decide(np.zeros((1, 1, 2, 3)), 0, 5.0, 0.4, MARGINAL)
         for e in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                infer_one_hop(np.zeros((1, 3)), np.zeros((1, 3)), 0, e, 0.4, MARGINAL)
+                decide(np.zeros((1, 2, 3)), 0, e, 0.4, MARGINAL)
+        # infer_one_hop takes one (n,) pair; repeated rows go through decide
+        for before, after in (
+            (np.zeros(0), np.zeros(0)),
+            (np.zeros(3), np.zeros(4)),
+            (np.zeros((1, 3)), np.zeros((1, 3))),
+            (np.zeros((2, 3)), np.zeros((2, 3))),
+        ):
+            with pytest.raises(ValueError, match=r"\(n,\)"):
+                infer_one_hop(before, after, 0, 5.0, 0.4, MARGINAL)
 
 
 class TestFirstHops:
@@ -245,7 +247,7 @@ class TestFirstHops:
             decision = decide(window[None], 2, 8.0, 0.5, stability)
             for h in (1, 2, 3):
                 assert set(np.flatnonzero(first[k] == h)) == decision.at_hop(h)
-            one = infer_one_hop(window[0], window[1], 2, 8.0, 0.5, stability).one_hop()
+            one = infer_one_hop(window[0], window[1], 2, 8.0, 0.5, stability).at_hop(1)
             one_hop_first = first_hops(y[k:k + 1, :2], 2, 8.0, 0.5, stability)[0]
             assert set(np.flatnonzero(one_hop_first == 1)) == one
         assert (first[:, 2] == 0).all()
@@ -274,7 +276,7 @@ class TestFirstHops:
 DECIDERS = {
     "first_hops": first_hops,
     "decide": decide,
-    "infer_one_hop": lambda w, *rule: infer_one_hop(w[:, 0], w[:, 1], *rule),
+    "infer_one_hop": lambda w, *rule: infer_one_hop(w[1, 0], w[1, 1], *rule),
 }
 
 
@@ -303,7 +305,7 @@ def after_injection(entry):
          "negative-floor", "zero-floor", "nan-floor", "inf-floor"],
 )
 def test_rule_rejects_what_it_cannot_decide(decider, windows, floor, message):
-    # (2, 2, 3) windows: two trials, two rounds or two before/after rows
+    # (2, 2, 3) windows: two trials or two rounds; infer_one_hop reads the second one's rows
     with pytest.raises(ValueError, match=message):
         decider(windows, 0, 4.0, floor, MARGINAL)
 
