@@ -8,7 +8,6 @@ import pytest
 
 from netprobe import dynamics
 from netprobe.detect import deviation_noise_std
-from netprobe.infer import _drift_bound
 from netprobe.dynamics import (
     NoiseModel,
     Trajectory,
@@ -16,6 +15,7 @@ from netprobe.dynamics import (
     simulate_batch,
     write_trajectory_csv,
 )
+from netprobe.infer import _drift_bound
 from netprobe.topology import (
     StabilityClass,
     generate_random_digraph,
