@@ -7,15 +7,18 @@ not depend on the input, so it adds exactly e (W^k)[:, j] to the state k
 steps later (superposition), and the rows up to the injection step are
 untouched.  Both simulators therefore run unexcited, and their callers add
 e times ``_response`` to the rows they excite.  ``simulate`` runs one
-trajectory from a given x0.  ``simulate_batch`` runs a seeded run of trials,
-chunk by chunk, and keeps the rows from a first step s on.  Both step
-through ``_step``.  A run's seed spawns two streams, one per purpose
-(L'Ecuyer et al., *Math. Comput. Simul.* 135, 2017): the first draws every
-trial's x0 ~ U(init), the second every trial's normals in trial order,
-(when s > 0) z ~ N(0, I), then theta for its kept steps, then upsilon for
-its kept rows.  A trial's state at step s is sampled exactly as
-W^s x0 + L z, L the Cholesky factor of the process noise's covariance at s,
-so the steps before s are never simulated.
+trajectory from a given x0.  ``simulate_batch`` runs a seeded run of trials
+in chunks and keeps the rows from a first step s on; a run of more than one
+chunk draws each chunk's noise on a worker thread while the calling thread
+steps the chunk before it.  Both step through ``_step``.  A run's seed
+spawns two streams, one per purpose (L'Ecuyer et al., *Math. Comput.
+Simul.* 135, 2017): the first draws every trial's x0 ~ U(init), the second
+every trial's normals in trial order, (when s > 0) z ~ N(0, I), then theta
+for its kept steps, then upsilon for its kept rows.  One thread is the only
+user of both, so every trial gets the same draws however the run is
+chunked.  A trial's state at step s is sampled exactly as W^s x0 + L z, L
+the Cholesky factor of the process noise's covariance at s, so the steps
+before s are never simulated.
 """
 
 from __future__ import annotations
@@ -72,9 +75,12 @@ class Trajectory:
         return self.states.shape[1]
 
 
-# Bytes of one chunk's normals (z, theta for the kept steps, upsilon for the
-# kept rows): 1 MiB is 54 trials of 4 kept rows at n = 300, 1,638 trials of
-# 2 kept rows at n = 20, and less than one trial of 307 rows at n = 300.
+# Bytes of the normals alive at once (z, theta for the kept steps, upsilon for
+# the kept rows).  A run within the budget is one chunk, drawn on the calling
+# thread: 1,638 trials of 2 kept rows at n = 20, or one trial of 307 rows at
+# n = 300, which exceeds it.  A longer run's chunks take half the budget
+# each, one stepped while the next is drawn: 27 trials of 4 kept rows at
+# n = 300.
 CHUNK_BYTES = 1 << 20
 
 
@@ -94,37 +100,34 @@ def _scale(normals: np.ndarray, sigma: float) -> np.ndarray:
     """Scale standard normals in place to the values ``normal(0.0, sigma)`` returns for them."""
     if sigma == 0.0:
         normals.fill(0.0)  # normal() returns 0.0 + 0.0 * z, a positive zero
-    else:
+    elif sigma != 1.0:  # z * 1.0 is z, bit for bit
         normals *= sigma
     return normals
 
 
 def _step(tm: TopologyMatrix, x, draws: np.ndarray, noise: NoiseModel, states, law=None):
-    """Step trials from their (n, k) start columns ``x`` into the (k, rows, n) ``states``.
+    """Step trials from their (k, n) start rows ``x`` into the (k, rows, n) ``states``.
 
     ``draws`` holds one row of standard normals per trial: z (only with a
     ``law`` = (W^s, L)), theta for the steps, then upsilon for the rows.
     theta and upsilon are scaled in place, the start is W^s x + L z with a
-    ``law``, and the states step as the columns of one (n, k) array: the
-    faster product, and with one column the bits of ``W @ x``.  Returns
-    upsilon, (k, rows, n).
+    ``law``, and each step is one (k, n) @ (n, n) product written straight
+    into the next row of ``states``; with one trial it has the bits of
+    ``W @ x``.  Returns upsilon, (k, rows, n).
     """
     trials, rows, n = states.shape
     lead = 0 if law is None else n
     mid = lead + (rows - 1) * n
     theta = _scale(draws[:, lead:mid], noise.sigma_theta).reshape(trials, rows - 1, n)
     upsilon = _scale(draws[:, mid:], noise.sigma_upsilon).reshape(trials, rows, n)
-    if law is not None:
+    if law is None:
+        states[:, 0] = x
+    else:
         power, factor = law
-        x = power @ x + factor @ draws[:, :n].T
-    x = np.array(x, order="C")
-    nxt = np.empty_like(x)
-    for t in range(rows - 1):
-        states[:, t] = x.T
-        np.matmul(tm.matrix, x, out=nxt)
-        nxt += theta[:, t].T
-        x, nxt = nxt, x
-    states[:, -1] = x.T
+        np.add(x @ power.T, draws[:, :n] @ factor.T, out=states[:, 0])
+    for t in range(1, rows):
+        np.matmul(states[:, t - 1], tm.matrix.T, out=states[:, t])
+        states[:, t] += theta[:, t - 1]
     return upsilon
 
 
@@ -153,7 +156,7 @@ def simulate(tm: TopologyMatrix, x0, horizon: int, noise: NoiseModel, seed=None)
     _check_integer("horizon", horizon, 1)
     rng = np.random.default_rng(seed)
     states = np.empty((1, horizon + 1, n))
-    upsilon = _step(tm, x0[:, None], rng.standard_normal((1, (2 * horizon + 1) * n)), noise, states)
+    upsilon = _step(tm, x0[None], rng.standard_normal((1, (2 * horizon + 1) * n)), noise, states)
     return Trajectory(states[0], states[0] + upsilon[0])
 
 
@@ -183,19 +186,61 @@ def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.nd
     return power, noise.sigma_theta * np.linalg.cholesky(gram)
 
 
-def _simulate_chunk(tm, init, noise, streams, trials, steps, law) -> np.ndarray:
-    """The next ``trials`` trials of ``simulate_batch``; ``law`` is None at start 0.
+def _draw(streams, init, n: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``len(out)`` trials' draws: (k, n) x0 rows from the first stream, normals into ``out``.
 
-    Two bulk draws, every trial's x0 from the first stream and from the
-    second one row per trial of its z, theta and upsilon for ``_step``.
-    The returned windows are a new array, so the draws are freed on return.
+    Every draw of ``simulate_batch``, on the calling thread or the worker,
+    goes through here, one row of z, theta and upsilon per trial.
     """
     uniforms, normals = streams
-    states = np.empty((trials, steps + 1, tm.n))
-    x = uniforms.uniform(*init, (trials, tm.n)).T
-    draws = normals.standard_normal((trials, (2 * steps + 1 + (law is not None)) * tm.n))
+    x = uniforms.uniform(*init, (len(out), n))
+    normals.standard_normal(out=out)
+    return x, out
+
+
+def _windows(tm, noise, steps, law, x, draws) -> np.ndarray:
+    """A chunk's (k, steps + 1, n) observations from its draws; ``law`` is None at start 0.
+
+    The windows are a new array, so ``draws`` may be overwritten once this returns.
+    """
+    states = np.empty((len(x), steps + 1, tm.n))
     states += _step(tm, x, draws, noise, states, law)
     return states
+
+
+def _chunks(tm, init, noise, streams, trials, steps, law) -> Iterator[np.ndarray]:
+    """``simulate_batch``'s chunks, in trial order.
+
+    A run whose normals fit in CHUNK_BYTES is one chunk, drawn inline.  A
+    longer run's chunks take half the budget each: one worker thread, the
+    streams' only user, draws chunk k + 1 into one of two reused buffers
+    while the caller steps chunk k from the other, and a closed iterator
+    stops its worker.
+    """
+    normals = (2 * steps + 1 + (law is not None)) * tm.n  # one trial's z, theta and upsilon
+    size = max(1, CHUNK_BYTES // (8 * normals))
+    if trials <= size:
+        yield _windows(tm, noise, steps, law, *_draw(streams, init, tm.n, np.empty((trials, normals))))
+        return
+    # imported here: concurrent.futures loads logging, about 0.6 MB of
+    # resident memory that a run of one chunk does not need
+    from concurrent.futures import ThreadPoolExecutor
+
+    size = max(1, size // 2)
+    buffers = np.empty((2, size, normals))
+    outs = [buffers[k % 2, :min(size, trials - first)] for k, first in enumerate(range(0, trials, size))]
+    with ThreadPoolExecutor(1) as worker:
+        drawn = worker.submit(_draw, streams, init, tm.n, outs[0])
+        try:
+            for out in outs[1:]:
+                x, draws = drawn.result()
+                drawn = worker.submit(_draw, streams, init, tm.n, out)
+                yield _windows(tm, noise, steps, law, x, draws)
+            yield _windows(tm, noise, steps, law, *drawn.result())
+        finally:
+            # a closed run's next draw is not needed; leaving the block
+            # waits for one already running
+            drawn.cancel()
 
 
 def simulate_batch(
@@ -210,18 +255,21 @@ def simulate_batch(
     """Unexcited rows y_start..y_horizon of a seeded run of ``trials`` trials, as (chunk, rows, n).
 
     The arguments are checked and the start-state law is built when called;
-    the returned iterator then draws the trials in order, as many per chunk
-    as keep a chunk's normals within CHUNK_BYTES.  ``SeedSequence(seed)``
-    spawns two streams: trial k's x0 is the k-th ``uniform(*init, n)`` row of
-    the first, and its normals are the next run of the second, z (when
-    ``start`` > 0), then theta and upsilon as ``simulate`` draws them.  A
-    chunk of k trials is one (k, n) and one (k, normals) draw, so the chunk
-    size never changes which draws a trial gets.  A caller adds an input e
-    at node j and step t >= ``start`` as e times ``_response(tm, j,
+    the returned iterator then draws the trials in order.  A run whose
+    normals fit in CHUNK_BYTES is one chunk, drawn on the calling thread; a
+    longer run's chunks hold half the budget each, and a worker thread draws
+    each chunk while the calling thread steps the one before it.
+    ``SeedSequence(seed)`` spawns two streams: trial k's x0 is the k-th
+    ``uniform(*init, n)`` row of the first, and its normals are the next run
+    of the second, z (when ``start`` > 0), then theta and upsilon as
+    ``simulate`` draws them.  A chunk of k trials is one (k, n) and one
+    (k, normals) draw, and one thread makes every draw of a run, so the
+    chunk size never changes which draws a trial gets.  A caller adds an
+    input e at node j and step t >= ``start`` as e times ``_response(tm, j,
     horizon - t)`` on the rows from t on.  The trials of a chunk step
-    together through ``_step``, one (n, n) @ (n, trials) product per step,
-    which may round the last bits differently from the matrix-vector product
-    of ``simulate``.  A non-integer ``horizon``, ``seed``, ``trials`` or
+    together through ``_step``, one (k, n) @ (n, n) product per step, which
+    may round the last bits differently from the matrix-vector product of
+    ``simulate``.  A non-integer ``horizon``, ``seed``, ``trials`` or
     ``start`` is rejected.
     """
     _check_init(init)
@@ -233,13 +281,7 @@ def simulate_batch(
         raise ValueError(f"first kept step {start} outside 0..{horizon}")
     law = _start_law(tm, start, noise) if start else None
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
-    steps = horizon - start
-    normals = (2 * steps + 1 + (start > 0)) * tm.n  # one trial's z, theta and upsilon
-    size = max(1, CHUNK_BYTES // (8 * normals))
-    return (
-        _simulate_chunk(tm, init, noise, streams, min(size, trials - first), steps, law)
-        for first in range(0, trials, size)
-    )
+    return _chunks(tm, init, noise, streams, trials, horizon - start, law)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -312,7 +312,8 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     t = config.burn_in
     hits = np.zeros(hops.size, dtype=np.int64)
     for y in _trials(config, tm, t + config.max_hop, t):
-        first = first_hops(y + e * response, source, e, config.weight_floor, tm.stability)
+        y += e * response  # the chunk is this loop's own
+        first = first_hops(y, source, e, config.weight_floor, tm.stability)
         hits += (first[:, targets] == hops).sum(axis=0)
 
     rows = []

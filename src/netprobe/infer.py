@@ -109,14 +109,20 @@ def _decide(
     if not np.isfinite(windows).all():
         raise ValueError("windows must hold finite observations only")
     # the windows are checked finite above; sum / rounds is np.mean's
-    # arithmetic without its call overhead
+    # arithmetic without its call overhead.  The drift sum is pairwise from 8
+    # rounds on; the deviations add round by round, as their axis-1 sum does.
     drift = _drift_bound(windows[:, :, 0], stability).sum(axis=1) / rounds
-    deviations = (windows[:, :, 1:] - windows[:, :, :1]).sum(axis=1) / rounds
+    deviations = windows[:, 0, 1:] - windows[:, 0, :1]
+    for r in range(1, rounds):
+        deviations += windows[:, r, 1:] - windows[:, r, :1]
+    deviations /= rounds
     floors = [weight_floor ** h * abs(excitation) / 2.0 for h in range(1, rows)]
     thresholds = np.add.outer(drift, floors)
     accepted = np.abs(deviations) >= thresholds[:, :, None]
     accepted[:, :, source] = False
-    first = np.where(accepted.any(axis=1), accepted.argmax(axis=1) + 1, 0)
+    first = np.zeros((len(windows), n), dtype=np.intp)
+    for h in range(rows - 1, 0, -1):  # deepest first, so the smallest accepting hop stays
+        first[accepted[:, h - 1]] = h
     return first, deviations, thresholds
 
 

@@ -41,7 +41,7 @@ class WeightedDigraph:
         a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if np.diagonal(a).any():
             raise ValueError("adjacency diagonal must be zero (no self-loops)")

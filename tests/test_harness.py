@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
@@ -387,14 +388,15 @@ class TestRunners:
 
     def test_tables_do_not_depend_on_chunk_size(self, monkeypatch):
         # 13 trials: one chunk by default.  fig1a/b/c trials carry 4, 8 and 53
-        # normal vectors of n = 20, so the budgets below give one trial a
+        # normal vectors of n = 20, and a run of several chunks holds two
+        # chunks' normals at once, so the budgets below give one trial a
         # chunk; chunks of 6, 3 and 1; and chunks of 13, 13 and 3.
         config = replace(SMALL, trial_count=13, excitation_scale=0.5)
         runners = (run_onehop_accuracy, run_multihop_accuracy, run_ls_improvement)
         whole = [runner(config) for runner in runners]
         _, tm = config.build_network()
-        for budget, fig1b_sizes in ((1, [1] * 13), (3 * 8 * 8 * 20, [3, 3, 3, 3, 1]),
-                                    (3 * 8 * 53 * 20, [13])):
+        for budget, fig1b_sizes in ((2, [1] * 13), (2 * 3 * 8 * 8 * 20, [3, 3, 3, 3, 1]),
+                                    (2 * 3 * 8 * 53 * 20, [13])):
             monkeypatch.setattr(dynamics, "CHUNK_BYTES", budget)
             assert [len(chunk) for chunk in harness._trials(config, tm, 53, 50)] == fig1b_sizes
             chunked = [runner(config) for runner in runners]
@@ -419,19 +421,24 @@ class TestRunners:
 
 
 class TestTrialPipeline:
-    """``harness._trials`` yields the run's unexcited chunks in trial order, on the calling thread."""
+    """``harness._trials`` yields the run's unexcited chunks in trial order.
+
+    A run of one chunk is drawn on the calling thread; a longer run's chunks
+    are drawn one ahead on a worker thread that ends with the run.
+    """
 
     CONFIG = replace(SMALL, trial_count=20)
     HORIZON, START = 53, 50
 
     def trials(self, monkeypatch, per_chunk):
-        # a trial's normals: z, three theta rows and four upsilon rows
+        # a trial's normals: z, three theta rows and four upsilon rows; a run
+        # of several chunks holds two chunks' normals at once
         _, tm = self.CONFIG.build_network()
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * 8 * self.CONFIG.n)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 2 * per_chunk * 8 * 8 * self.CONFIG.n)
         return tm, harness._trials(self.CONFIG, tm, self.HORIZON, self.START)
 
     @pytest.mark.parametrize(
-        "per_chunk", [20, 13, 6, 3], ids=["1-chunk", "2-chunks", "4-chunks", "7-chunks"]
+        "per_chunk", [20, 9, 6, 3], ids=["1-chunk", "3-chunks", "4-chunks", "7-chunks"]
     )
     def test_chunks_equal_per_chunk_simulate_batch(self, monkeypatch, per_chunk):
         # the run builds its start-state law once, at the simulate_batch call
@@ -456,25 +463,72 @@ class TestTrialPipeline:
             want = whole[first:first + per_chunk]
             assert chunk.shape == want.shape
             assert np.abs(chunk - want).max() <= 1e-12 * np.abs(want).max()
-        assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 7, 2 and 2 trials
+        assert len(chunks[-1]) == config.trial_count - firsts[-1]  # 20, 2, 2 and 2 trials
 
-    def test_unpipelined_chunks_start_no_thread(self, monkeypatch):
+    def test_one_chunk_run_starts_no_thread(self, monkeypatch):
         before = threading.active_count()
-        _, chunks = self.trials(monkeypatch, 3)
+        _, chunks = self.trials(monkeypatch, 20)
         for _ in chunks:
             assert threading.active_count() == before
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("stop", ["exhausted", "closed"])
+    def test_worker_ends_with_the_run(self, monkeypatch, stop):
+        before = set(threading.enumerate())
+        _, chunks = self.trials(monkeypatch, 3)
+        next(chunks)
+        [worker] = set(threading.enumerate()) - before
+        if stop == "exhausted":
+            assert len(list(chunks)) == 6
+        else:
+            chunks.close()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # the third chunk's draw raises on the worker; the caller gets that
+        # same exception object when it asks for the chunk, after two chunks
+        error = RuntimeError("draw failed")
+        draw, calls = dynamics._draw, []
+
+        def failing(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise error
+            return draw(*args)
+
+        monkeypatch.setattr(dynamics, "_draw", failing)
+        _, chunks = self.trials(monkeypatch, 3)
+        got = []
+        with pytest.raises(RuntimeError) as info:
+            for chunk in chunks:
+                got.append(chunk)
+        assert info.value is error
+        assert len(got) == 2
+        assert threading.main_thread() not in calls
+
+    def test_bits_under_a_short_switch_interval(self, monkeypatch):
+        # the worker and the caller swap threads every microsecond: a run of 7
+        # chunks keeps its bits, and agrees with the run of one chunk
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [np.concatenate(list(self.trials(monkeypatch, 3)[1])) for _ in range(2)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(runs[0], runs[1])
+        [whole] = self.trials(monkeypatch, 20)[1]
+        assert np.abs(runs[0] - whole).max() <= 1e-12 * np.abs(whole).max()
 
     def test_onehop_draws_each_chunk_once(self, monkeypatch):
-        # fig1a decides its four error targets on one draw: one chunk-core
-        # call per chunk, not one per chunk and target
+        # fig1a decides its four error targets on one draw: one draw call per
+        # chunk, not one per chunk and target
         config = replace(SMALL, trial_count=20)
         # a trial's normals: z, one theta row and two upsilon rows
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 4 * config.n)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 2 * 3 * 8 * 4 * config.n)
         calls = []
-        draw = dynamics._simulate_chunk
-        monkeypatch.setattr(
-            dynamics, "_simulate_chunk", lambda *args: calls.append(args[4]) or draw(*args)
-        )
+        draw = dynamics._draw
+        monkeypatch.setattr(dynamics, "_draw", lambda *args: calls.append(len(args[3])) or draw(*args))
         table = run_onehop_accuracy(config)
         assert len(table.rows) == len(config.error_targets) == 4
         assert calls == [3] * 6 + [2]
@@ -595,10 +649,10 @@ class TestCli:
         argv = ["infer", "multi", "--rounds", "8", "--weights", str(w), "--excite-node", "1",
                 "--seed", "3", "--out", str(out)]
         chunks = []
-        draw = dynamics._simulate_chunk
-        monkeypatch.setattr(dynamics, "_simulate_chunk", lambda *args: chunks.append(args[4]) or draw(*args))
-        # a round's normals: z, one theta row and two upsilon rows
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 4 * 20)
+        draw = dynamics._draw
+        monkeypatch.setattr(dynamics, "_draw", lambda *args: chunks.append(len(args[3])) or draw(*args))
+        # a round's normals: z, one theta row and two upsilon rows, two chunks' at once
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 2 * 3 * 8 * 4 * 20)
         self.run(*argv)
         chunked = out.read_text()
         assert chunks == [3, 3, 2]
@@ -857,13 +911,13 @@ class TestCli:
         "estimate-empty-init": (
             "estimate", "ols", "--init-low", "5", "--init-high", "5", "--weights", "{w}",
         ),
-        "estimate-ols-node-above-range": (
+        "estimate-ols-ignored-excite-node-99": (
             "estimate", "ols", "--excite-node", "99", "--weights", "{w}",
         ),
-        "estimate-ols-negative-node": (
+        "estimate-ols-ignored-excite-node-negative": (
             "estimate", "ols", "--excite-node", "-1", "--weights", "{w}",
         ),
-        "estimate-ols-nan-magnitude": (
+        "estimate-ols-ignored-excite-magnitude-nan": (
             "estimate", "ols", "--excite-magnitude", "nan", "--weights", "{w}",
         ),
         "estimate-ols-constraints-out": (
@@ -1105,7 +1159,7 @@ class TestCli:
         def draw(*args):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(dynamics, "_simulate_chunk", draw)
+        monkeypatch.setattr(dynamics, "_draw", draw)
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         if argv[0] == "experiment":
