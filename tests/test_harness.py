@@ -486,8 +486,9 @@ class TestTrialPipeline:
         assert not worker.is_alive()
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # the third chunk's draw raises on the worker; the caller gets that
-        # same exception object when it asks for the chunk, after two chunks
+        # every draw of a run of several chunks is the worker's, and the
+        # third raises there; the caller gets that same exception object when
+        # it asks for the third chunk, after two chunks
         error = RuntimeError("draw failed")
         draw, calls = dynamics._draw, []
 
