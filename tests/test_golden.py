@@ -1,13 +1,14 @@
 """Golden tables: the shipped outputs, regenerated and compared value by value.
 
 ``tests/golden/`` holds what these commands write or print: the shipped
-experiments, and ``infer`` and ``estimate`` on the README's network at
-``--seed 3``.  Run from ``tests/golden/``, they rewrite every file::
+experiments, and ``simulate``, ``infer`` and ``estimate`` on the README's
+network at ``--seed 3``.  Run from ``tests/golden/``, they rewrite every file::
 
     netprobe experiment fig1a --out fig1a.json
     netprobe experiment fig1b --out fig1b.json
     netprobe experiment fig1c --out fig1c.json
     netprobe generate --n 20 --p 0.08 --seed 102 --weights-out w.txt
+    netprobe simulate --weights w.txt --steps 12 --seed 3 --excite-node 1 --excite-time 6 --excite-magnitude 17 --out simulate.csv
     netprobe infer onehop --weights w.txt --excite-node 1 --seed 3 --out infer_onehop.json
     netprobe infer multihop --weights w.txt --excite-node 1 --max-hop 3 --seed 3 --out infer_multihop.json
     netprobe infer multi --weights w.txt --excite-node 1 --rounds 8 --seed 3 --out infer_multi.json
@@ -37,6 +38,7 @@ INFER = {
     "infer_multihop.json": ("multihop", "--max-hop", "3"),
     "infer_multi.json": ("multi", "--rounds", "8"),
 }
+SIMULATE = ("--steps", "12", "--excite-node", "1", "--excite-time", "6", "--excite-magnitude", "17")
 ESTIMATE = {
     "estimate_ols.json": ("ols",),
     "estimate_constrained.json": ("constrained", "--excite-node", "1", "--constraints-out", "{d}/constraints.txt"),
@@ -70,8 +72,18 @@ def first_difference(got, want, path="$"):
     return f"{path}: {got!r} is not {want!r}"
 
 
+def csv_line(line: str):
+    """A trajectory CSV line: the header and ``# excite`` lines as strings, value rows parsed."""
+    if line.startswith(("t,", "#")):
+        return line
+    t, node, state, observation = line.split(",")
+    return [int(t), int(node), float(state), float(observation)]
+
+
 def read(name: str, directory: Path):
     text = (directory / name).read_text()
+    if name.endswith(".csv"):
+        return [csv_line(line) for line in text.splitlines()]
     if name.endswith(".txt"):
         # constraint lines ``i j kind``
         return [[int(i), int(j), kind] for i, j, kind in (line.split() for line in text.splitlines())]
@@ -84,6 +96,7 @@ def test_outputs_match_golden_files(tmp_path, capsys):
         assert cli.main(["experiment", figure, "--out", str(tmp_path / f"{figure}.json")]) == 0
     assert cli.main(["generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", weights]) == 0
     trial = ("--weights", weights, "--seed", "3")
+    assert cli.main(["simulate", *SIMULATE, *trial, "--out", str(tmp_path / "simulate.csv")]) == 0
     for name, mode in INFER.items():
         argv = ["infer", *mode, *trial, "--excite-node", "1", "--out", str(tmp_path / name)]
         assert cli.main(argv) == 0
@@ -94,7 +107,7 @@ def test_outputs_match_golden_files(tmp_path, capsys):
         (tmp_path / name).write_text(capsys.readouterr().out)
 
     names = sorted(path.name for path in GOLDEN.iterdir())
-    assert names == sorted([f"{f}.json" for f in EXPERIMENTS] + [*INFER, *ESTIMATE, "constraints.txt"])
+    assert names == sorted([f"{f}.json" for f in EXPERIMENTS] + [*INFER, *ESTIMATE, "constraints.txt", "simulate.csv"])
     mismatches = [
         f"{name}: {diff}"
         for name in names
