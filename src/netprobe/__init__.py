@@ -23,7 +23,6 @@ from netprobe.topology import (
 )
 from netprobe.dynamics import (
     NoiseModel,
-    Trajectory,
     simulate,
     simulate_batch,
 )

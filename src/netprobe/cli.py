@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from netprobe import detect, dynamics, estimate, harness, infer, topology
-from netprobe.dynamics import NoiseModel, Trajectory, simulate, simulate_batch
+from netprobe.dynamics import NoiseModel, simulate, simulate_batch
 
 
 def _positive_int(text: str) -> int:
@@ -92,16 +92,16 @@ def _cmd_simulate(args) -> None:
     dynamics._check_init(init)
     # x0 ~ U(init) first, then the dynamics on the same generator
     rng = np.random.default_rng(args.seed)
-    traj = simulate(tm, rng.uniform(*init, tm.n), args.steps, noise, rng)
+    states, observations = simulate(tm, rng.uniform(*init, tm.n), args.steps, noise, rng)
+    excitation = None
     if node is not None:
         # by superposition: the input adds e (W^k)[:, node] to the row k steps after it
         kick = e * dynamics._response(tm, node, args.steps - time)
-        states, observations = traj.states.copy(), traj.observations.copy()
         states[time:] += kick
         observations[time:] += kick
-        traj = Trajectory(states, observations, ((node, time, e),))
-    dynamics.write_trajectory_csv(args.out, traj)
-    print(json.dumps({"steps": traj.horizon, "nodes": traj.n, "out": args.out}))
+        excitation = (node, time, e)
+    dynamics.write_trajectory_csv(args.out, states, observations, excitation)
+    print(json.dumps({"steps": args.steps, "nodes": tm.n, "out": args.out}))
 
 
 def _excite_magnitude(e: float | None) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netprobe.topology import TopologyMatrix, _frozen
+from netprobe.topology import TopologyMatrix
 
 
 @dataclass(frozen=True)
@@ -48,31 +48,6 @@ class NoiseModel:
     @classmethod
     def noiseless(cls) -> "NoiseModel":
         return cls(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Simulated states and observations, both shaped (T+1, n)."""
-
-    states: np.ndarray
-    observations: np.ndarray
-    excitations_applied: tuple[tuple[int, int, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.states, dtype=float)
-        y = np.asarray(self.observations, dtype=float)
-        if x.shape != y.shape:
-            raise ValueError("states and observations must have equal shapes")
-        object.__setattr__(self, "states", _frozen(x))
-        object.__setattr__(self, "observations", _frozen(y))
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
 
 
 # Bytes of the normals alive at once (z, theta for the kept steps, upsilon for
@@ -139,13 +114,16 @@ def _response(tm: TopologyMatrix, node: int, steps: int) -> np.ndarray:
     return rows
 
 
-def simulate(tm: TopologyMatrix, x0, horizon: int, noise: NoiseModel, seed=None) -> Trajectory:
-    """Run the unexcited dynamics for ``horizon`` steps from ``x0``.
+def simulate(
+    tm: TopologyMatrix, x0, horizon: int, noise: NoiseModel, seed=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the unexcited dynamics for ``horizon`` steps from ``x0``: (states, observations).
 
-    The normals are one draw, theta then upsilon, so two runs with the same
-    seed share identical noise; an input is added to the result as e times
-    ``_response``.  A ``Generator`` passed as ``seed`` draws on from where
-    its stream stands.
+    Both are new writable (horizon + 1, n) arrays, row t holding x_t and
+    y_t.  The normals are one draw, theta then upsilon, so two runs with the
+    same seed share identical noise; an input is added to both arrays as e
+    times ``_response``.  A ``Generator`` passed as ``seed`` draws on from
+    where its stream stands.
     """
     x0 = np.asarray(x0, dtype=float)
     n = tm.n
@@ -157,7 +135,7 @@ def simulate(tm: TopologyMatrix, x0, horizon: int, noise: NoiseModel, seed=None)
     rng = np.random.default_rng(seed)
     states = np.empty((1, horizon + 1, n))
     upsilon = _step(tm, x0[None], rng.standard_normal((1, (2 * horizon + 1) * n)), noise, states)
-    return Trajectory(states[0], states[0] + upsilon[0])
+    return states[0], states[0] + upsilon[0]
 
 
 def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
@@ -284,18 +262,19 @@ def simulate_batch(
     return _chunks(tm, init, noise, streams, trials, horizon - start, law)
 
 
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Export as CSV rows ``t,node,state,observation``.
+def write_trajectory_csv(path, states, observations, excitation=None) -> None:
+    """Export (T+1, n) states and observations as CSV rows ``t,node,state,observation``.
 
-    Excitation events are appended as ``# excite node=<j> t=<t> e=<val>``
-    comment lines.
+    An ``excitation`` (node, t, e) is appended as a ``# excite node=<j>
+    t=<t> e=<e>`` comment line.
     """
+    states, observations = np.asarray(states, dtype=float), np.asarray(observations, dtype=float)
+    if states.ndim != 2 or states.shape != observations.shape:
+        raise ValueError("states and observations must be (T+1, n) arrays of equal shape")
     with open(path, "w") as fh:
         fh.write("t,node,state,observation\n")
-        for t in range(traj.horizon + 1):
-            for i in range(traj.n):
-                fh.write(
-                    f"{t},{i},{traj.states[t, i]:.17g},{traj.observations[t, i]:.17g}\n"
-                )
-        for node, t, mag in traj.excitations_applied:
-            fh.write(f"# excite node={node} t={t} e={mag:.17g}\n")
+        for t, rows in enumerate(zip(states.tolist(), observations.tolist())):
+            fh.writelines(f"{t},{i},{x:.17g},{y:.17g}\n" for i, (x, y) in enumerate(zip(*rows)))
+        if excitation is not None:
+            node, t, e = excitation
+            fh.write(f"# excite node={node} t={t} e={e:.17g}\n")

@@ -280,7 +280,7 @@ def test_criterion_7_structural_invariants():
         # noiseless one-hop oracle agreement at consensus, every source node,
         # the input at step 0 added by superposition
         for j in range(20):
-            y = simulate(tm, np.full(20, 3.0), 1, noiseless, seed=0).observations
+            _, y = simulate(tm, np.full(20, 3.0), 1, noiseless, seed=0)
             y = y + 10.0 * dynamics._response(tm, j, 1)
             decision = infer_one_hop(y[0], y[1], j, 10.0, tm.weight_floor, tm.stability)
             assert np.array_equal(decision.first_hop, true_hop_sets(graph, j, 1))
@@ -290,22 +290,22 @@ def test_criterion_7_structural_invariants():
     graph = generate_random_digraph(20, 0.2, seed=7)
     tm = laplacian_weights(graph, 1.0)
     x0 = np.random.default_rng(1).uniform(-100, 100, 20)
-    traj = simulate(tm, x0, 30, noiseless, seed=0)
+    _, observations = simulate(tm, x0, 30, noiseless, seed=0)
     power = np.eye(20)
     for t in range(31):
-        assert np.abs(traj.observations[t] - power @ x0).max() <= 1e-12
+        assert np.abs(observations[t] - power @ x0).max() <= 1e-12
         power = power @ tm.matrix
 
     noisy = NoiseModel(1.0, 1.0)
-    base = simulate(tm, x0, 15, noisy, seed=42)
-    excited = base.states.copy()
+    states, _ = simulate(tm, x0, 15, noisy, seed=42)
+    excited = states.copy()
     excited[5:] += 12.0 * dynamics._response(tm, 3, 10)
-    assert np.array_equal(excited[:6], base.states[:6])
+    assert np.array_equal(excited[:6], states[:6])
     kick = np.zeros(20)
     kick[3] = 12.0
     for t in range(6, 16):
         kick = tm.matrix @ kick
-        assert np.abs((excited[t] - base.states[t]) - kick).max() <= 1e-9
+        assert np.abs((excited[t] - states[t]) - kick).max() <= 1e-9
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

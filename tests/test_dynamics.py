@@ -10,7 +10,6 @@ from netprobe import dynamics
 from netprobe.detect import deviation_noise_std
 from netprobe.dynamics import (
     NoiseModel,
-    Trajectory,
     simulate,
     simulate_batch,
     write_trajectory_csv,
@@ -60,7 +59,7 @@ def sampled_trial(tm, x0, horizon, noise, plan, rng, start):
         power, factor = dynamics._start_law(tm, start, noise)
         x0 = power @ x0 + factor @ rng.standard_normal(tm.n)
     if plan is None:
-        return simulate(tm, x0, horizon - start, noise, rng).observations
+        return simulate(tm, x0, horizon - start, noise, rng)[1]
     node, time, e = plan
     return injected_run(tm, x0, horizon - start, noise, (node, time - start, e), rng)[1]
 
@@ -88,16 +87,16 @@ class TestSimulate:
     def test_noiseless_matches_matrix_powers(self, tm):
         rng = np.random.default_rng(0)
         x0 = rng.uniform(-100, 100, 10)
-        traj = simulate(tm, x0, 30, NoiseModel.noiseless(), seed=1)
+        _, y = simulate(tm, x0, 30, NoiseModel.noiseless(), seed=1)
         power = np.eye(10)
         for t in range(31):
-            assert np.abs(traj.observations[t] - power @ x0).max() <= 1e-12
+            assert np.abs(y[t] - power @ x0).max() <= 1e-12
             power = power @ tm.matrix
 
     def test_noiseless_excitation_adds_weight_column(self, tm):
         x0 = np.zeros(10)
         e, j, t0 = 5.0, 2, 3
-        y = simulate(tm, x0, 6, NoiseModel.noiseless(), seed=1).observations.copy()
+        _, y = simulate(tm, x0, 6, NoiseModel.noiseless(), seed=1)
         y[t0:] += e * dynamics._response(tm, j, 6 - t0)
         assert np.abs(y[t0 + 1] - e * tm.matrix[:, j]).max() <= 1e-12
         # and the excited step's own observation is pre-injection
@@ -108,8 +107,8 @@ class TestSimulate:
         w = tm.matrix
         samples = np.empty((10**4, 10))
         for s in range(10**4):
-            traj = simulate(tm, np.zeros(10), 1, NoiseModel(1.0, 1.0), seed=s)
-            samples[s] = traj.observations[1] - w @ traj.observations[0]
+            _, y = simulate(tm, np.zeros(10), 1, NoiseModel(1.0, 1.0), seed=s)
+            samples[s] = y[1] - w @ y[0]
         target = np.diag(w @ w.T) + 1.0 + 1.0
         rel = np.abs(samples.var(axis=0, ddof=1) - target) / target
         assert rel.max() <= 0.05
@@ -120,18 +119,18 @@ class TestSimulate:
         x0 = np.random.default_rng(2).uniform(-100, 100, 10)
         noise = NoiseModel(1.5, 0.5)
         states, observations = injected_run(tm, x0, 8, noise, (3, 4, 9.5), np.random.default_rng(12))
-        traj = simulate(tm, x0, 8, noise, seed=12)
+        x, y = simulate(tm, x0, 8, noise, seed=12)
         kick = np.zeros((9, 10))
         kick[4:] = 9.5 * dynamics._response(tm, 3, 4)
         scale = np.abs(states).max()
-        assert np.abs(traj.states + kick - states).max() <= 1e-12 * scale
-        assert np.abs(traj.observations + kick - observations).max() <= 1e-12 * scale
+        assert np.abs(x + kick - states).max() <= 1e-12 * scale
+        assert np.abs(y + kick - observations).max() <= 1e-12 * scale
 
     def test_seeded_determinism(self, tm):
         a = simulate(tm, np.ones(10), 20, NoiseModel(1, 1), seed=99)
         b = simulate(tm, np.ones(10), 20, NoiseModel(1, 1), seed=99)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_excitation_superposition(self, tm):
         # same draws with/without input: the difference is the propagated
@@ -139,20 +138,20 @@ class TestSimulate:
         x0 = np.random.default_rng(5).uniform(-100, 100, 10)
         e, j, t0 = 12.0, 4, 6
         for seed in (77, 78):
-            base = simulate(tm, x0, 14, NoiseModel(1, 1), seed=seed)
+            base, _ = simulate(tm, x0, 14, NoiseModel(1, 1), seed=seed)
             rng = np.random.default_rng(seed)
             excited, _ = injected_run(tm, x0, 14, NoiseModel(1, 1), (j, t0, e), rng)
-            assert np.abs(excited[:t0 + 1] - base.states[:t0 + 1]).max() <= 1e-9
+            assert np.abs(excited[:t0 + 1] - base[:t0 + 1]).max() <= 1e-9
             column = np.zeros(10)
             column[j] = e
             for t in range(t0 + 1, 15):
                 column = tm.matrix @ column
-                assert np.abs(excited[t] - base.states[t] - column).max() <= 1e-9
+                assert np.abs(excited[t] - base[t] - column).max() <= 1e-9
 
     def test_marginal_noiseless_boundedness(self, tm):
         x0 = np.random.default_rng(8).uniform(-50, 50, 10)
-        traj = simulate(tm, x0, 40, NoiseModel.noiseless(), seed=0)
-        assert np.abs(traj.states).max() <= np.abs(x0).max() + 1e-12
+        states, _ = simulate(tm, x0, 40, NoiseModel.noiseless(), seed=0)
+        assert np.abs(states).max() <= np.abs(x0).max() + 1e-12
 
     def test_rejects_bad_inputs(self, tm):
         with pytest.raises(ValueError):
@@ -162,7 +161,8 @@ class TestSimulate:
         for horizon in (0, -2, 5.0, True, None):
             with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
                 simulate(tm, np.zeros(10), horizon, NoiseModel(1, 1))
-        assert simulate(tm, np.zeros(10), np.int64(2), NoiseModel(1, 1)).horizon == 2
+        states, observations = simulate(tm, np.zeros(10), np.int64(2), NoiseModel(1, 1))
+        assert states.shape == observations.shape == (3, 10)
 
 
 class TestSimulateTrial:
@@ -407,18 +407,18 @@ class TestDeviationBound:
 class TestObservationDeviation:
     def test_noiseless_one_step(self, tm):
         x0 = np.random.default_rng(3).uniform(-10, 10, 10)
-        traj = simulate(tm, x0, 4, NoiseModel.noiseless(), seed=0)
-        y0 = traj.observations[0]
+        _, y = simulate(tm, x0, 4, NoiseModel.noiseless(), seed=0)
+        y0 = y[0]
         for i in range(10):
             expected = (tm.matrix @ y0)[i] - y0[i]
-            deviation = traj.observations[1, i] - y0[i]
+            deviation = y[1, i] - y0[i]
             assert deviation == pytest.approx(expected, abs=1e-12)
 
     def test_consensus_excitation_reads_weight(self, tm):
         x0 = np.full(10, 3.0)
         e, j = 7.0, 1
-        traj = simulate(tm, x0, 2, NoiseModel.noiseless(), seed=0)
-        y = traj.observations + e * dynamics._response(tm, j, 2)
+        _, y = simulate(tm, x0, 2, NoiseModel.noiseless(), seed=0)
+        y += e * dynamics._response(tm, j, 2)
         deviations = y[1] - y[0]
         for i in range(10):
             assert deviations[i] == pytest.approx(e * tm.matrix[i, j], abs=1e-12)
@@ -446,20 +446,17 @@ class TestTypesAndExport:
             with pytest.raises(ValueError, match="finite"):
                 NoiseModel(1.0, bad)
 
-    def test_trajectory_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.zeros((3, 2)), np.zeros((4, 2)))
-
-    def test_trajectory_immutable(self, tm):
-        traj = simulate(tm, np.zeros(10), 2, NoiseModel(1, 1), seed=0)
-        with pytest.raises(ValueError):
-            traj.states[0, 0] = 1.0
+    def test_csv_export_rejects_unequal_shapes(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        for states, observations in ((np.zeros((3, 2)), np.zeros((4, 2))), (np.zeros(3), np.zeros(3))):
+            with pytest.raises(ValueError, match="equal shape"):
+                write_trajectory_csv(path, states, observations)
+        assert not path.exists()
 
     def test_csv_export(self, tm, tmp_path):
-        run = simulate(tm, np.ones(10), 3, NoiseModel(1, 1), seed=6)
-        traj = Trajectory(run.states, run.observations, ((2, 1, 4.5),))
+        states, observations = simulate(tm, np.ones(10), 3, NoiseModel(1, 1), seed=6)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj)
+        write_trajectory_csv(path, states, observations, (2, 1, 4.5))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,node,state,observation"
         assert lines[-1] == "# excite node=2 t=1 e=4.5"
@@ -467,5 +464,5 @@ class TestTypesAndExport:
         assert len(body) == 4 * 10
         t, node, state, obs = body[17]
         assert (int(t), int(node)) == (1, 7)
-        assert float(state) == traj.states[1, 7]
-        assert float(obs) == traj.observations[1, 7]
+        assert float(state) == states[1, 7]
+        assert float(obs) == observations[1, 7]

@@ -33,8 +33,7 @@ def basis_rows(w):
 
 
 def noisy_rows(tm, count, seed, sigma=1.0):
-    traj = simulate(tm, np.zeros(tm.n), count, NoiseModel(sigma, sigma), seed=seed)
-    y = traj.observations
+    _, y = simulate(tm, np.zeros(tm.n), count, NoiseModel(sigma, sigma), seed=seed)
     return y[:count], y[1:count + 1]
 
 

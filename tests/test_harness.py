@@ -719,7 +719,7 @@ class TestCli:
         tm = load_weights(w)
         rng = np.random.default_rng(2)
         x0 = rng.uniform(-3.0, 9.0, tm.n)
-        want = simulate(tm, x0, 10, NoiseModel(0.5, 2.0), rng)
+        states, observations = simulate(tm, x0, 10, NoiseModel(0.5, 2.0), rng)
         kick, unit = np.zeros((11, 6)), tm.matrix[:, 1]
         for t in range(6, 11):
             kick[t] = 4.0 * unit
@@ -727,8 +727,8 @@ class TestCli:
         rows = [line.split(",") for line in text.splitlines()[1:] if not line.startswith("#")]
         assert [(int(t), int(i)) for t, i, _, _ in rows] == [(t, i) for t in range(11) for i in range(6)]
         got = np.array([[float(x), float(y)] for _, _, x, y in rows]).reshape(11, 6, 2)
-        assert np.array_equal(got[..., 0], want.states + kick)
-        assert np.array_equal(got[..., 1], want.observations + kick)
+        assert np.array_equal(got[..., 0], states + kick)
+        assert np.array_equal(got[..., 1], observations + kick)
 
     def test_design_excitation_value(self, capsys):
         self.run(

@@ -8,7 +8,7 @@ import pytest
 
 from netprobe.detect import critical_excitation, multi_excitation_bound
 from netprobe import dynamics
-from netprobe.dynamics import NoiseModel, Trajectory, simulate
+from netprobe.dynamics import NoiseModel, simulate
 from netprobe.infer import decide, first_hops, infer_one_hop
 from netprobe.topology import (
     StabilityClass,
@@ -22,10 +22,9 @@ MARGINAL = StabilityClass.MARGINALLY_STABLE
 
 
 def consensus_excite(tm, source, e, hops=1, level=2.0):
-    """Noiseless trajectory at consensus with one injection at t=0, added by superposition."""
-    traj = simulate(tm, np.full(tm.n, level), hops, NoiseModel.noiseless(), seed=0)
-    kick = e * dynamics._response(tm, source, hops)
-    return Trajectory(traj.states + kick, traj.observations + kick)
+    """Noiseless observations at consensus with one injection at t=0, added by superposition."""
+    _, y = simulate(tm, np.full(tm.n, level), hops, NoiseModel.noiseless(), seed=0)
+    return y + e * dynamics._response(tm, source, hops)
 
 
 class TestInferOneHop:
@@ -33,9 +32,9 @@ class TestInferOneHop:
         g = generate_random_digraph(12, 0.25, 31)
         tm = laplacian_weights(g, 1.0)
         for j in range(12):
-            traj = consensus_excite(tm, j, 10.0)
+            y = consensus_excite(tm, j, 10.0)
             decision = infer_one_hop(
-                traj.observations[0], traj.observations[1], j, 10.0, tm.weight_floor, MARGINAL
+                y[0], y[1], j, 10.0, tm.weight_floor, MARGINAL
             )
             assert np.array_equal(decision.first_hop, true_hop_sets(g, j, 1))
 
@@ -68,9 +67,9 @@ class TestInferOneHop:
         j = 0
         accepted = []
         for e in (4.0, 8.0, 16.0):
-            traj = consensus_excite(tm, j, e)
+            y = consensus_excite(tm, j, e)
             decision = infer_one_hop(
-                traj.observations[0], traj.observations[1], j, e, tm.weight_floor, MARGINAL
+                y[0], y[1], j, e, tm.weight_floor, MARGINAL
             )
             accepted.append(decision.at_hop(1))
         assert accepted[0] <= accepted[1] <= accepted[2]
@@ -96,22 +95,22 @@ class TestInferWithinHops:
     def test_noiseless_chain_levels(self):
         g, tm = self.chain()
         e = 8.0
-        traj = consensus_excite(tm, 0, e, hops=2)
-        decision = decide(traj.observations[None], 0, e, tm.weight_floor, MARGINAL)
+        y = consensus_excite(tm, 0, e, hops=2)
+        decision = decide(y[None], 0, e, tm.weight_floor, MARGINAL)
         assert decision.at_hop(1) == {1}
         assert decision.at_hop(2) == {2}
 
     def test_unaccepted_node_absent(self):
         g, tm = self.chain()
-        traj = consensus_excite(tm, 2, 8.0, hops=2)  # node 2 has no out-edges
-        decision = decide(traj.observations[None], 2, 8.0, tm.weight_floor, MARGINAL)
+        y = consensus_excite(tm, 2, 8.0, hops=2)  # node 2 has no out-edges
+        decision = decide(y[None], 2, 8.0, tm.weight_floor, MARGINAL)
         assert not decision.at_hop(1) and not decision.at_hop(2)
 
     def test_exclusive_assignment(self):
         g = generate_random_digraph(15, 0.2, 3)
         tm = laplacian_weights(g, 1.0)
-        traj = consensus_excite(tm, 0, 30.0, hops=4)
-        decision = decide(traj.observations[None], 0, 30.0, tm.weight_floor, MARGINAL)
+        y = consensus_excite(tm, 0, 30.0, hops=4)
+        decision = decide(y[None], 0, 30.0, tm.weight_floor, MARGINAL)
         seen = set()
         for h in (1, 2, 3, 4):
             assert not (decision.at_hop(h) & seen)
@@ -138,7 +137,7 @@ class TestInferWithinHops:
         for s in range(5):
             rng = np.random.default_rng(s)
             x0 = rng.uniform(-100, 100, 10)
-            y = simulate(tm, x0, 11, noise, seed=rng).observations[10:]
+            y = simulate(tm, x0, 11, noise, seed=rng)[1][10:]
             y = y + 9.0 * dynamics._response(tm, 2, 1)
             d_multi = decide(y[None], 2, 9.0, 0.4, MARGINAL)
             d_one = infer_one_hop(y[0], y[1], 2, 9.0, 0.4, MARGINAL)
@@ -148,8 +147,8 @@ class TestInferWithinHops:
     def test_gain_floors_are_floor_powers(self):
         # at consensus the drift bound is zero, leaving weight_floor**h * |e| / 2
         g, tm = self.chain()
-        traj = consensus_excite(tm, 0, -8.0, hops=3)
-        decision = decide(traj.observations[None], 0, -8.0, 0.5, MARGINAL)
+        y = consensus_excite(tm, 0, -8.0, hops=3)
+        decision = decide(y[None], 0, -8.0, 0.5, MARGINAL)
         assert decision.thresholds == {1: 2.0, 2: 1.0, 3: 0.5}
 
 
@@ -175,8 +174,8 @@ class TestInferMultiExcitation:
     def test_noiseless_trials_match_single(self):
         g = generate_random_digraph(8, 0.3, 14)
         tm = laplacian_weights(g, 1.0)
-        traj = consensus_excite(tm, 0, 9.0)
-        window = traj.observations[:2]
+        y = consensus_excite(tm, 0, 9.0)
+        window = y[:2]
         one = decide(window[None], 0, 9.0, tm.weight_floor, MARGINAL)
         four = decide(np.tile(window, (4, 1, 1)), 0, 9.0, tm.weight_floor, MARGINAL)
         assert one.at_hop(1) == four.at_hop(1)
