@@ -47,10 +47,10 @@ def erf_inv(p: float) -> float:
 
 
 def _upper_tail(gain: float, excitation: float, sigma: float) -> float:
-    """P(N(0, sigma^2) >= gain*e/2) = (1 - erf(gain*e / (2*sqrt(2)*sigma))) / 2."""
+    """P(N(0, sigma^2) >= gain*e/2) = erfc(gain*e / (2*sqrt(2)*sigma)) / 2."""
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
-    return 0.5 * (1.0 - erf(gain * excitation / (2.0 * SQRT2 * sigma)))
+    return 0.5 * math.erfc(gain * excitation / (2.0 * SQRT2 * sigma))
 
 
 def deviation_noise_bound(n: int, noise: NoiseModel, row_stochastic: bool = False) -> float:
@@ -101,9 +101,11 @@ def onehop_noise_std(tm: TopologyMatrix, noise: NoiseModel) -> float:
 def critical_excitation(sigma: float, weight: float, error_budget: float) -> float:
     """Smallest |e| that keeps the edge-test misjudgement within the budget.
 
-    Returns 2*sqrt(2)*sigma*erf_inv(1 - budget) / weight.  With the h-step
-    noise std and an h-step gain in place of (sigma, weight) the same formula
-    designs the within-h-hop test.
+    Returns 2*sqrt(2)*sigma*erf_inv(1 - budget) / weight, computed as
+    2*sigma*|z| / weight with z the standard normal quantile at budget/2, so
+    that a budget too small to change 1 - budget keeps its value.  With the
+    h-step noise std and an h-step gain in place of (sigma, weight) the same
+    formula designs the within-h-hop test.
     """
     if not 0.0 < weight < math.inf:
         raise ValueError(f"weight must be finite and > 0, got {weight!r}")
@@ -111,7 +113,7 @@ def critical_excitation(sigma: float, weight: float, error_budget: float) -> flo
         raise ValueError(f"noise std must be finite and >= 0, got {sigma!r}")
     if not 0.0 < error_budget <= 1.0:
         raise ValueError("error budget must lie in (0, 1]")
-    return 2.0 * SQRT2 * sigma * erf_inv(1.0 - error_budget) / weight
+    return 2.0 * sigma * abs(_STANDARD_NORMAL.inv_cdf(error_budget / 2.0)) / weight
 
 
 def applied_excitation(designed: float) -> float:
@@ -142,7 +144,7 @@ def detection_probability(gain: float, excitation: float, sigma: float) -> float
 
     Complements ``false_alarm_probability``: the two sum to one exactly.
     """
-    return _upper_tail(-gain, excitation, sigma)
+    return 1.0 - _upper_tail(gain, excitation, sigma)
 
 
 def hop_inference_lower_bound(gain: float, excitation: float, false_alarm: float, sigma: float) -> float:

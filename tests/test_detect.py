@@ -321,6 +321,12 @@ class TestMisjudgement:
             e = critical_excitation(math.sqrt(3), 0.4, budget)
             assert misjudgement_probability(math.sqrt(3), 0.4, e) == pytest.approx(budget, abs=1e-10)
 
+    def test_round_trip_at_tiny_budgets(self):
+        # 1 - budget rounds to one below about 1.1e-16; the design must still meet the budget
+        for budget in (0.05, 1e-10, 6e-17, 1e-300):
+            e = critical_excitation(math.sqrt(3), 0.4, budget)
+            assert misjudgement_probability(math.sqrt(3), 0.4, e) == pytest.approx(budget, rel=1e-9, abs=0.0)
+
     def test_frozen_value(self):
         # w*e/(2*sqrt(2)*sigma) = sqrt(2)
         assert misjudgement_probability(1.0, 1.0, 4.0) == pytest.approx(1 - erf_series(math.sqrt(2)), abs=1e-13)

@@ -738,6 +738,13 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["excitation"] == pytest.approx(16.973786011142575, abs=1e-9)
 
+    def test_design_excitation_tiny_error_target(self, capsys):
+        # a target below the float spacing at one: the design still meets it
+        self.run("design-excitation", "--weight-floor", "0.4", "--error-target", "1e-17")
+        out = json.loads(capsys.readouterr().out)
+        misjudged = detect.misjudgement_probability(out["sigma_bound"], 0.4, out["excitation"])
+        assert misjudged == pytest.approx(1e-17, rel=1e-9, abs=0.0)
+
     def test_design_excitation_rejects_bad_inputs(self):
         for extra in (("--error-target", "1.0"), ("--error-target", "0.05", "--sigma", "-1")):
             with pytest.raises(SystemExit) as info:
