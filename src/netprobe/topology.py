@@ -248,6 +248,8 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
         n = int(fh.readline().strip())
+        if n < 1:
+            raise ValueError(f"matrix size must be >= 1, got {n}")
         m = np.loadtxt(fh, ndmin=2)
     if m.shape != (n, n):
         raise ValueError(f"expected {n}x{n} matrix, got {m.shape}")
@@ -257,10 +259,11 @@ def load_matrix(path) -> np.ndarray:
 def load_weights(path) -> TopologyMatrix:
     """Load a weight matrix, re-deriving its stability class spectrally.
 
-    A matrix that fails a check raises ``ValueError`` naming the file.
+    A file that does not parse as a matrix, or whose matrix fails a check,
+    raises ``ValueError`` naming the file.
     """
-    w = load_matrix(path)
     try:
+        w = load_matrix(path)
         return TopologyMatrix(w, classify_stability(w))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

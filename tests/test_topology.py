@@ -362,6 +362,23 @@ class TestSerialization:
         assert np.array_equal(loaded.matrix, tm.matrix)
         assert loaded.stability is StabilityClass.MARGINALLY_STABLE
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("abc\n0 1\n1 0\n", "invalid literal for int() with base 10: 'abc'"),
+            ("2\n0 1\n", "expected 2x2 matrix, got (1, 2)"),
+            ("2\n0 x\n1 0\n", "could not convert string 'x'"),
+            # rejected before NumPy reads, and warns about, the empty body
+            ("0\n", "matrix size must be >= 1, got 0"),
+        ],
+        ids=["word-header", "short-row", "bad-entry", "zero-header"],
+    )
+    def test_weights_file_errors_name_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {reason}')}"):
+            load_weights(path)
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n0 1\n1 0\n")
