@@ -93,13 +93,12 @@ def _cmd_simulate(args) -> None:
     # x0 ~ U(init) first, then the dynamics on the same generator
     rng = np.random.default_rng(args.seed)
     states, observations = simulate(tm, rng.uniform(*init, tm.n), args.steps, noise, rng)
-    excitation = None
     if node is not None:
         # by superposition: the input adds e (W^k)[:, node] to the row k steps after it
         kick = e * dynamics._response(tm, node, args.steps - time)
         states[time:] += kick
         observations[time:] += kick
-        excitation = (node, time, e)
+    excitation = None if node is None else (node, time, e)
     dynamics.write_trajectory_csv(args.out, states, observations, excitation)
     print(json.dumps({"steps": args.steps, "nodes": tm.n, "out": args.out}))
 

@@ -101,9 +101,8 @@ def onehop_noise_std(tm: TopologyMatrix, noise: NoiseModel) -> float:
 def critical_excitation(sigma: float, weight: float, error_budget: float) -> float:
     """Smallest |e| that keeps the edge-test misjudgement within the budget.
 
-    Returns 2*sqrt(2)*sigma*erf_inv(1 - budget) / weight, computed as
-    2*sigma*|z| / weight with z the standard normal quantile at budget/2, so
-    that a budget too small to change 1 - budget keeps its value.  With the
+    Returns 2*sqrt(2)*sigma*erf_inv(1 - budget) / weight, computed from the
+    normal quantile at budget/2, so that 1 - budget never rounds.  With the
     h-step noise std and an h-step gain in place of (sigma, weight) the same
     formula designs the within-h-hop test.
     """

@@ -117,13 +117,12 @@ def _response(tm: TopologyMatrix, node: int, steps: int) -> np.ndarray:
 def simulate(
     tm: TopologyMatrix, x0, horizon: int, noise: NoiseModel, seed=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the unexcited dynamics for ``horizon`` steps from ``x0``: (states, observations).
+    """(states, observations) of the unexcited dynamics over ``horizon`` steps from ``x0``.
 
-    Both are new writable (horizon + 1, n) arrays, row t holding x_t and
-    y_t.  The normals are one draw, theta then upsilon, so two runs with the
-    same seed share identical noise; an input is added to both arrays as e
-    times ``_response``.  A ``Generator`` passed as ``seed`` draws on from
-    where its stream stands.
+    Both are new writable (horizon + 1, n) arrays.  The normals are one
+    draw, theta then upsilon, so two runs with the same seed share identical
+    noise; an input is added to both as e times ``_response``.  A
+    ``Generator`` passed as ``seed`` draws on from where its stream stands.
     """
     x0 = np.asarray(x0, dtype=float)
     n = tm.n

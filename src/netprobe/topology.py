@@ -259,8 +259,7 @@ def load_matrix(path) -> np.ndarray:
 def load_weights(path) -> TopologyMatrix:
     """Load a weight matrix, re-deriving its stability class spectrally.
 
-    A file that does not parse as a matrix, or whose matrix fails a check,
-    raises ``ValueError`` naming the file.
+    A file that fails to parse or to pass a check raises ``ValueError`` naming it.
     """
     try:
         w = load_matrix(path)
