@@ -27,8 +27,6 @@ from netprobe.dynamics import (
     simulate_batch,
 )
 from netprobe.detect import (
-    erf,
-    erf_inv,
     deviation_noise_bound,
     deviation_noise_std,
     critical_excitation,

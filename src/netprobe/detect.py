@@ -1,16 +1,16 @@
 """Noise-level bounds and detection closed forms built on the Gaussian tail.
 
-Everything the excitation designer and the decision rules need: erf (the
-standard library's) and its inverse, the worst-case and exact standard
-deviations of the h-step observation deviation noise, critical excitation
-magnitudes, misjudgement probabilities, the false-alarm/detection tail
-integrals, and the bounds for multi-hop and repeated-excitation tests.
+Everything the excitation designer and the decision rules need: the
+worst-case and exact standard deviations of the h-step observation deviation
+noise, critical excitation magnitudes (from the standard normal quantile
+Phi^-1, ``statistics.NormalDist.inv_cdf``), misjudgement probabilities, the
+false-alarm/detection tail integrals (from ``math.erfc``), and the bounds for
+multi-hop and repeated-excitation tests.
 """
 
 from __future__ import annotations
 
 import math
-from math import erf
 from statistics import NormalDist
 
 import numpy as np
@@ -19,31 +19,7 @@ from netprobe.topology import TopologyMatrix
 from netprobe.dynamics import NoiseModel
 
 SQRT2 = math.sqrt(2.0)
-_ERF_SLOPE_AT_ZERO = 2.0 / math.sqrt(math.pi)
 _STANDARD_NORMAL = NormalDist()
-
-
-def erf_inv(p: float) -> float:
-    """Inverse of erf on (-1, 1), accurate to a few ulps across the domain.
-
-    Starts from the standard normal quantile (Wichura's AS241, as in
-    ``statistics.NormalDist.inv_cdf``) and takes one Newton step: on erf for
-    |p| <= 0.5, and on erfc for |p| > 0.5, where 1 - |p| is exact, so tiny
-    arguments and arguments near one keep their relative accuracy.
-    """
-    p = float(p)
-    if not -1.0 < p < 1.0:
-        raise ValueError(f"erf_inv argument must lie strictly in (-1, 1), got {p}")
-    a = abs(p)
-    if a <= 0.5:
-        x = _STANDARD_NORMAL.inv_cdf((1.0 + a) / 2.0) / SQRT2
-        residual = erf(x) - a
-    else:
-        q = 1.0 - a
-        x = -_STANDARD_NORMAL.inv_cdf(q / 2.0) / SQRT2
-        residual = q - math.erfc(x)
-    x -= residual / (_ERF_SLOPE_AT_ZERO * math.exp(-x * x))
-    return math.copysign(x, p)
 
 
 def _upper_tail(gain: float, excitation: float, sigma: float) -> float:
@@ -101,10 +77,10 @@ def onehop_noise_std(tm: TopologyMatrix, noise: NoiseModel) -> float:
 def critical_excitation(sigma: float, weight: float, error_budget: float) -> float:
     """Smallest |e| that keeps the edge-test misjudgement within the budget.
 
-    Returns 2*sqrt(2)*sigma*erf_inv(1 - budget) / weight, computed from the
-    normal quantile at budget/2, so that 1 - budget never rounds.  With the
-    h-step noise std and an h-step gain in place of (sigma, weight) the same
-    formula designs the within-h-hop test.
+    Returns 2*sigma*|Phi^-1(budget/2)| / weight with Phi^-1 the standard
+    normal quantile, so a budget too small to change 1 - budget keeps its
+    value.  With the h-step noise std and an h-step gain in place of
+    (sigma, weight) the same formula designs the within-h-hop test.
     """
     if not 0.0 < weight < math.inf:
         raise ValueError(f"weight must be finite and > 0, got {weight!r}")
@@ -151,7 +127,7 @@ def hop_inference_lower_bound(gain: float, excitation: float, false_alarm: float
 
     Evaluates D(gain)*(2 - alpha - D(gain)) with D the detection probability
     at the given excitation; valid when the excitation meets the critical
-    magnitude 2*sqrt(2)*sigma*erf_inv(1-2*alpha)/gain.
+    magnitude 2*sigma*|Phi^-1(alpha)|/gain.
     """
     if gain <= 0.0:
         raise ValueError("gain must be > 0")
@@ -165,7 +141,7 @@ def multi_excitation_bound(excitation: float, weight_floor: float, sigma: float,
     """Misjudgement bound after averaging the deviations of m excitations.
 
     Averaging m independent rounds shrinks the noise std by sqrt(m), so the
-    bound is 1 - erf(q0*e*sqrt(m) / (2*sqrt(2)*sigma)); it is nonincreasing
+    bound is erfc(q0*e*sqrt(m) / (2*sqrt(2)*sigma)); it is nonincreasing
     in m and vanishes as m grows.
     """
     if rounds < 1:

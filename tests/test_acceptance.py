@@ -39,16 +39,25 @@ def erf_series(x: float) -> float:
 
 
 def test_criterion_1_special_function_fidelity():
+    # the design rests on NormalDist.inv_cdf and math.erfc: the misjudgement
+    # probability at the critical excitation must return the budget
     start = time.perf_counter()
     worst = 0.0
-    for p in np.linspace(-0.9999, 0.9999, 10**4):
-        worst = max(worst, abs(detect.erf(detect.erf_inv(p)) - p))
+    for sigma, weight in ((math.sqrt(3.0), 0.4), (1.0, 1.0), (2.43, 1 / 6), (1e-3, 0.9)):
+        for budget in np.logspace(-300, 0, 10**4).tolist():
+            e = detect.critical_excitation(sigma, weight, budget)
+            worst = max(worst, abs(detect.misjudgement_probability(sigma, weight, e) / budget - 1.0))
     assert worst <= 1e-10
-    series_err = abs(detect.erf(1.0) - erf_series(1.0))
+    # w*e / (2*sqrt(2)*sigma) = 1, so the misjudgement is erfc(1)
+    series_err = abs(detect.misjudgement_probability(1.0, 1.0, 2 * math.sqrt(2)) - (1 - erf_series(1.0)))
     assert series_err <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    report("1 special functions", elapsed, f"round-trip worst {worst:.2e}, erf(1) vs series {series_err:.2e}")
+    report(
+        "1 special functions",
+        elapsed,
+        f"design round-trip worst {worst:.2e} relative, erfc(1) vs series {series_err:.2e}",
+    )
 
 
 def test_criterion_2_two_gaussian_monte_carlo():

@@ -1,4 +1,4 @@
-"""Special functions and detection closed forms vs independent oracles."""
+"""Noise bounds and detection closed forms vs independent oracles."""
 
 import math
 
@@ -12,8 +12,6 @@ from netprobe.detect import (
     detection_probability,
     deviation_noise_bound,
     deviation_noise_std,
-    erf,
-    erf_inv,
     false_alarm_probability,
     hop_inference_lower_bound,
     misjudgement_probability,
@@ -66,64 +64,6 @@ def gauss_tail_quadrature(lower: float, mean: float, sigma: float, points: int =
     pdf = np.exp(-((xs - mean) ** 2) / (2 * sigma**2)) / (math.sqrt(2 * math.pi) * sigma)
     h = xs[1] - xs[0]
     return float(h / 3 * (pdf[0] + pdf[-1] + 4 * pdf[1:-1:2].sum() + 2 * pdf[2:-1:2].sum()))
-
-
-class TestErf:
-    def test_odd_and_zero(self):
-        assert erf(0.0) == 0.0
-        assert erf_inv(0.0) == 0.0
-        for z in np.linspace(0.01, 5.0, 97):
-            assert erf(-z) == -erf(z)
-
-    def test_against_series_oracle(self):
-        for z in np.linspace(-3.0, 3.0, 601):
-            assert abs(erf(z) - erf_series(z)) <= 1e-13
-
-    def test_erf_one_frozen(self):
-        # series oracle gives 0.8427007929497149
-        assert abs(erf(1.0) - 0.8427007929497149) <= 1e-12
-        assert abs(erf(1.0) - erf_series(1.0)) <= 1e-12
-
-    def test_monotone_and_bounded(self):
-        # strictly increasing until the value saturates to 1.0 in doubles
-        grid = np.linspace(-5.5, 5.5, 1101)
-        vals = [erf(z) for z in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert all(abs(v) < 1.0 for v in vals)
-        wide = [erf(z) for z in np.linspace(-8.0, 8.0, 801)]
-        assert all(b >= a for a, b in zip(wide, wide[1:]))
-        assert all(abs(v) <= 1.0 for v in wide)
-
-    def test_large_arguments_saturate(self):
-        assert erf(6.5) == 1.0
-        assert erf(-7.0) == -1.0
-
-
-class TestErfInv:
-    def test_round_trip(self):
-        for p in np.linspace(-0.9999, 0.9999, 2001):
-            assert abs(erf(erf_inv(p)) - p) <= 1e-10
-
-    def test_frozen_value(self):
-        # bisection-on-series oracle gives 1.3859038243496777
-        assert abs(erf_inv(0.95) - 1.3859038243496777) <= 1e-10
-        assert abs(erf_inv(0.95) - erf_inv_oracle(0.95)) <= 1e-10
-
-    def test_domain_rejected(self):
-        for p in (-1.0, 1.0, 1.5, -2.0):
-            with pytest.raises(ValueError):
-                erf_inv(p)
-
-    def test_extreme_but_valid(self):
-        for p in (0.999999999, -0.999999999):
-            assert abs(erf(erf_inv(p)) - p) <= 1e-10
-        # erf(x) ~ 2x/sqrt(pi) near zero: relative, not absolute, accuracy
-        for t in (1e-20, 1e-300):
-            assert erf_inv(t) == pytest.approx(t * math.sqrt(math.pi) / 2, rel=1e-15, abs=0.0)
-        # near one the tail mass 1 - p, not p, must be reproduced
-        for k in range(1, 16):
-            p = 1.0 - 10.0**-k
-            assert math.erfc(erf_inv(p)) == pytest.approx(1.0 - p, rel=1e-12, abs=0.0)
 
 
 class TestNoiseBounds:
@@ -355,7 +295,7 @@ class TestTailProbabilities:
 
     def test_threshold_tail_value(self):
         sigma = 1.7
-        e = 2 * sigma * math.sqrt(2) * erf_inv(0.9)
+        e = 2 * sigma * math.sqrt(2) * erf_inv_oracle(0.9)
         assert false_alarm_probability(1.0, e, sigma) == pytest.approx(0.05, abs=1e-12)
 
     def test_quadrature_agreement(self):

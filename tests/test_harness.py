@@ -7,6 +7,7 @@ import sys
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ class TestRunners:
                 # sigma is internal; re-derive via the critical-excitation identity
                 row["critical_excitation"]
                 * row["gain"]
-                / (2 * math.sqrt(2) * detect.erf_inv(1 - 2 * config.false_alarm)),
+                / (2 * abs(NormalDist().inv_cdf(config.false_alarm))),
             )
             assert 0.0 <= row["empirical_probability"] <= 1.0
 
