@@ -23,10 +23,17 @@ _STANDARD_NORMAL = NormalDist()
 
 
 def _upper_tail(gain: float, excitation: float, sigma: float) -> float:
-    """P(N(0, sigma^2) >= gain*e/2) = erfc(gain*e / (2*sqrt(2)*sigma)) / 2."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    return 0.5 * math.erfc(gain * excitation / (2.0 * SQRT2 * sigma))
+    """P(N(0, sigma^2) >= |gain*e|/2) = erfc(|gain*e| / (2*sqrt(2)*sigma)) / 2.
+
+    The decision rules threshold on |e|, so the input's sign does not count.
+    At sigma = 0 it is the limit as sigma -> 0: 0, or 1/2 when gain*e = 0.
+    """
+    if sigma < 0.0:
+        raise ValueError("sigma must be >= 0")
+    shift = abs(gain * excitation)
+    if sigma == 0.0:
+        return 0.0 if shift > 0.0 else 0.5
+    return 0.5 * math.erfc(shift / (2.0 * SQRT2 * sigma))
 
 
 def deviation_noise_bound(n: int, noise: NoiseModel, row_stochastic: bool = False) -> float:

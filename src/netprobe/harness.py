@@ -87,9 +87,11 @@ class ExperimentConfig:
             raise ValueError(f"weight rule must be one of {WEIGHT_RULES}")
         if not self.error_targets:
             raise ValueError("error targets must not be empty")
-        for p in (*self.error_targets, self.false_alarm):
+        for p in self.error_targets:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"probability parameter {p} outside (0, 1)")
+        if not 0.0 < self.false_alarm < 0.5:
+            raise ValueError(f"false_alarm must lie in (0, 0.5), got {self.false_alarm!r}")
         if self.alpha_scale is not None and not 0.0 < self.alpha_scale < 1.0:
             raise ValueError("alpha scale must lie in (0, 1)")
         if self.burn_in < 1:

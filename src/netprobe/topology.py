@@ -247,10 +247,17 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
-        n = int(fh.readline().strip())
+        header = fh.readline().strip()
+        if not header:
+            raise ValueError("expected the matrix size n on the first line, found none")
+        n = int(header)
         if n < 1:
             raise ValueError(f"matrix size must be >= 1, got {n}")
-        m = np.loadtxt(fh, ndmin=2)
+        rows = fh.readlines()
+    # loadtxt only warns on a body without data
+    if not any(line.partition("#")[0].strip() for line in rows):
+        raise ValueError(f"expected {n}x{n} matrix, got no rows")
+    m = np.loadtxt(rows, ndmin=2)
     if m.shape != (n, n):
         raise ValueError(f"expected {n}x{n} matrix, got {m.shape}")
     return m

@@ -293,6 +293,28 @@ class TestTailProbabilities:
             gain, e, sigma = rng.uniform(0.05, 1), rng.uniform(0, 30), rng.uniform(0.3, 3)
             assert false_alarm_probability(gain, e, sigma) + detection_probability(gain, e, sigma) == 1.0
 
+    def test_sign_of_input_does_not_count(self):
+        # the rules threshold on |e|, so every closed form takes one value at +-e
+        for e in (0.5, 4.0, 20.0):
+            assert misjudgement_probability(1.3, 0.4, -e) == misjudgement_probability(1.3, 0.4, e)
+            assert false_alarm_probability(0.4, -e, 1.3) == false_alarm_probability(0.4, e, 1.3)
+            assert detection_probability(0.4, -e, 1.3) == detection_probability(0.4, e, 1.3)
+            assert hop_inference_lower_bound(0.4, -e, 0.05, 1.3) == hop_inference_lower_bound(
+                0.4, e, 0.05, 1.3
+            )
+            assert multi_excitation_bound(-e, 0.4, 1.3, 4) == multi_excitation_bound(e, 0.4, 1.3, 4)
+
+    def test_noiseless_limit(self):
+        # sigma = 0 is the limit sigma -> 0: a nonzero input is always told
+        # apart, and a zero one keeps the 1/2 it has at every sigma > 0
+        assert false_alarm_probability(0.4, 3.0, 0.0) == 0.0
+        assert detection_probability(0.4, -3.0, 0.0) == 1.0
+        assert misjudgement_probability(0.0, 0.4, 3.0) == 0.0
+        assert false_alarm_probability(0.4, 0.0, 0.0) == false_alarm_probability(0.4, 0.0, 1.0) == 0.5
+        assert hop_inference_lower_bound(0.4, 0.0, 0.05, 0.0) == 0.5 * (2 - 0.05 - 0.5)
+        with pytest.raises(ValueError, match="sigma"):
+            false_alarm_probability(0.4, 3.0, -1.0)
+
     def test_threshold_tail_value(self):
         sigma = 1.7
         e = 2 * sigma * math.sqrt(2) * erf_inv_oracle(0.9)

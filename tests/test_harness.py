@@ -58,6 +58,10 @@ class TestConfig:
         for scale in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 ExperimentConfig(excitation_scale=scale)
+        # the placement bound needs a false-alarm level in (0, 1/2)
+        for level in (0.5, 0.6, 0.0, math.nan):
+            with pytest.raises(ValueError, match="false_alarm"):
+                ExperimentConfig(false_alarm=level)
 
     @pytest.mark.parametrize(
         "field", ["weight_floor", "excitation_magnitude", "init_low", "init_high",
@@ -221,6 +225,28 @@ class TestRunners:
                 sigma, SMALL.weight_floor, e
             )
             assert row["theory_accuracy"] == pytest.approx(1.0 - row["error_target"], abs=1e-10)
+
+    def test_onehop_theory_column_ignores_input_sign(self):
+        # the rule thresholds on |e|, so +-20 share one theory column
+        theory = [
+            [row["theory_accuracy"] for row in run_onehop_accuracy(
+                replace(SMALL, trial_count=2, excitation_magnitude=e)
+            ).as_dicts()]
+            for e in (20.0, -20.0)
+        ]
+        assert theory[0] == theory[1]
+        assert all(0.0 <= t <= 1.0 for t in theory[0])
+
+    @pytest.mark.parametrize("figure", ["fig1a", "fig1b"])
+    def test_noiseless_runs_finish(self, figure):
+        config = replace(SMALL, trial_count=5, sigma_theta=0.0, sigma_upsilon=0.0)
+        probabilities = ("theory_accuracy", "pair_accuracy", "set_accuracy",
+                         "theory_lower_bound", "empirical_probability")
+        for row in harness.run_experiment(figure, config).as_dicts():
+            assert all(math.isfinite(value) for value in row.values())
+            assert all(0.0 <= row[key] <= 1.0 for key in probabilities if key in row)
+            # a designed input of 1 is told apart with certainty
+            assert row.get("theory_accuracy", 1.0) == 1.0
 
     def test_onehop_single_trial_well_formed(self):
         table = run_onehop_accuracy(replace(SMALL, trial_count=1))
@@ -843,6 +869,11 @@ class TestCli:
         "config-word-for-int": ("experiment", "fig1a", "--config", "{d}/word.cfg"),
         "config-duplicate-key": ("experiment", "fig1a", "--config", "{d}/twice.cfg"),
         "missing-weights-file": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/none.txt"),
+        "infer-weights-header-only": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/header.txt"),
+        "simulate-weights-header-only": (
+            "simulate", "--steps", "5", "--weights", "{d}/header.txt", "--out", "{d}/t.csv",
+        ),
+        "infer-weights-empty-file": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/empty.txt"),
         "missing-config-file": ("experiment", "fig1a", "--config", "{d}/none.cfg"),
         "config-nan-weight-floor": ("experiment", "fig1b", "--config", "{d}/nanfloor.cfg"),
         "config-nan-magnitude": ("experiment", "fig1b", "--config", "{d}/nanmag.cfg"),
@@ -963,6 +994,8 @@ class TestCli:
         (tmp_path / "infinit.cfg").write_text("init_high = inf\ntrial_count = 3\n")
         (tmp_path / "twice.cfg").write_text("n = 12\nn = 14\ntrial_count = 3\n")
         (tmp_path / "unstable.txt").write_text("2\n0 2\n2 0\n")
+        (tmp_path / "header.txt").write_text("2\n\n")
+        (tmp_path / "empty.txt").write_text("")
         (tmp_path / "metrogamma.cfg").write_text(
             "weight_rule = metropolis\ngamma = 0.3\ntrial_count = 3\n"
         )

@@ -370,8 +370,12 @@ class TestSerialization:
             ("2\n0 x\n1 0\n", "could not convert string 'x'"),
             # rejected before NumPy reads, and warns about, the empty body
             ("0\n", "matrix size must be >= 1, got 0"),
+            ("2\n", "expected 2x2 matrix, got no rows"),
+            ("2\n\n  \n# no rows\n", "expected 2x2 matrix, got no rows"),
+            ("", "expected the matrix size n on the first line, found none"),
         ],
-        ids=["word-header", "short-row", "bad-entry", "zero-header"],
+        ids=["word-header", "short-row", "bad-entry", "zero-header", "header-only",
+             "header-and-blank-lines", "empty-file"],
     )
     def test_weights_file_errors_name_the_file(self, tmp_path, text, reason):
         path = tmp_path / "w.txt"
