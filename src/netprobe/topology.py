@@ -253,9 +253,8 @@ def load_matrix(path) -> np.ndarray:
         n = int(header)
         if n < 1:
             raise ValueError(f"matrix size must be >= 1, got {n}")
-        rows = fh.readlines()
-    # loadtxt only warns on a body without data
-    if not any(line.partition("#")[0].strip() for line in rows):
+        rows = [line for line in fh if line.partition("#")[0].strip()]
+    if not rows:  # loadtxt would only warn
         raise ValueError(f"expected {n}x{n} matrix, got no rows")
     m = np.loadtxt(rows, ndmin=2)
     if m.shape != (n, n):
