@@ -213,7 +213,7 @@ class TestCriticalExcitation:
         assert critical_excitation(1.0, 0.5, 1.0) == 0.0
 
     def test_frozen_design_point(self):
-        # 2*sqrt(2)*sqrt(3)*erf_inv(0.95)/0.4, with erf_inv from the oracle
+        # 2*sqrt(2)*sqrt(3)*erf^-1(0.95)/0.4, with erf^-1 from the bisection oracle
         expected = 2 * math.sqrt(2) * math.sqrt(3) * erf_inv_oracle(0.95) / 0.4
         assert critical_excitation(math.sqrt(3), 0.4, 0.05) == pytest.approx(expected, abs=1e-8)
         assert critical_excitation(math.sqrt(3), 0.4, 0.05) == pytest.approx(16.973786011142575, abs=1e-9)
