@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: generate, simulate, design-excitation, infer {onehop,multihop,
-multi}, estimate {ols,constrained}, experiment {fig1a,fig1b,fig1c}.  Tables
-are written as CSV or JSON depending on the --out extension; graph and weight
-matrices use the plain text matrix format; neighbor decisions are JSON.
+Subcommands: generate, simulate, design-excitation, infer, estimate
+{ols,constrained}, experiment {fig1a,fig1b,fig1c}.  Tables are written as
+CSV or JSON depending on the --out extension; graph and weight matrices use
+the plain text matrix format; neighbor decisions are JSON.
 """
 
 from __future__ import annotations
@@ -167,21 +167,14 @@ def _trial_setup(args, source: int):
 
 
 def _cmd_infer(args) -> None:
-    if args.mode != "multihop":
-        _reject_given(_given(args, "max_hop"), "ignored outside multihop mode")
-    if args.mode != "multi":
-        _reject_given(_given(args, "rounds"), "ignored outside multi mode")
     source = args.excite_node
     tm, floor, noise, e = _trial_setup(args, source)
-    # a given value parses as >= 1, so ``or`` only fills in an unset option
-    hops = (args.max_hop or 3) if args.mode == "multihop" else 1
-    rounds = (args.rounds or 4) if args.mode == "multi" else 1
     # the rounds are the trials of one seeded run, drawn in turn on its streams
     chunks = simulate_batch(
-        tm, (args.init_low, args.init_high), args.burn_in + hops, noise, args.seed, rounds,
-        args.burn_in,
+        tm, (args.init_low, args.init_high), args.burn_in + args.max_hop, noise, args.seed,
+        args.rounds, args.burn_in,
     )
-    windows = np.concatenate(list(chunks)) + e * dynamics._response(tm, source, hops)
+    windows = np.concatenate(list(chunks)) + e * dynamics._response(tm, source, args.max_hop)
     decision = infer.decide(windows, source, e, floor, tm.stability)
     text = json.dumps(decision.to_records(), indent=2)
     if args.out is None:
@@ -310,11 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("infer", parents=[trial, design], help="simulate and decide neighbor sets")
-    p.add_argument("mode", choices=("onehop", "multihop", "multi"))
     p.add_argument("--excite-node", type=int, required=True)
-    # unset options stay None, so that the modes that ignore them can reject them
-    p.add_argument("--max-hop", type=_positive_int, default=None, help="multihop depth (default 3)")
-    p.add_argument("--rounds", type=_positive_int, default=None, help="multi's rounds (default 4)")
+    p.add_argument("--max-hop", type=_positive_int, default=1, help="deepest hop decided (default 1)")
+    p.add_argument("--rounds", type=_positive_int, default=1, help="excitations averaged (default 1)")
     p.add_argument("--burn-in", type=_non_negative_int, default=50)
     p.add_argument("--out", default=None, help="decision JSON path (default stdout)")
     p.set_defaults(func=_cmd_infer)

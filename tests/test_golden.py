@@ -9,9 +9,9 @@ network at ``--seed 3``.  Run from ``tests/golden/``, they rewrite every file::
     netprobe experiment fig1c --out fig1c.json
     netprobe generate --n 20 --p 0.08 --seed 102 --weights-out w.txt
     netprobe simulate --weights w.txt --steps 12 --seed 3 --excite-node 1 --excite-time 6 --excite-magnitude 17 --out simulate.csv
-    netprobe infer onehop --weights w.txt --excite-node 1 --seed 3 --out infer_onehop.json
-    netprobe infer multihop --weights w.txt --excite-node 1 --max-hop 3 --seed 3 --out infer_multihop.json
-    netprobe infer multi --weights w.txt --excite-node 1 --rounds 8 --seed 3 --out infer_multi.json
+    netprobe infer --weights w.txt --excite-node 1 --seed 3 --out infer_onehop.json
+    netprobe infer --weights w.txt --excite-node 1 --max-hop 3 --seed 3 --out infer_multihop.json
+    netprobe infer --weights w.txt --excite-node 1 --rounds 8 --seed 3 --out infer_multi.json
     netprobe estimate ols --weights w.txt --pairs 25 --seed 3 > estimate_ols.json
     netprobe estimate constrained --weights w.txt --pairs 25 --seed 3 --excite-node 1 --constraints-out constraints.txt > estimate_constrained.json
     rm w.txt
@@ -34,9 +34,9 @@ REL_TOL = 1e-12
 
 EXPERIMENTS = ("fig1a", "fig1b", "fig1c")
 INFER = {
-    "infer_onehop.json": ("onehop",),
-    "infer_multihop.json": ("multihop", "--max-hop", "3"),
-    "infer_multi.json": ("multi", "--rounds", "8"),
+    "infer_onehop.json": (),
+    "infer_multihop.json": ("--max-hop", "3"),
+    "infer_multi.json": ("--rounds", "8"),
 }
 SIMULATE = ("--steps", "12", "--excite-node", "1", "--excite-time", "6", "--excite-magnitude", "17")
 ESTIMATE = {
@@ -97,8 +97,8 @@ def test_outputs_match_golden_files(tmp_path, capsys):
     assert cli.main(["generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", weights]) == 0
     trial = ("--weights", weights, "--seed", "3")
     assert cli.main(["simulate", *SIMULATE, *trial, "--out", str(tmp_path / "simulate.csv")]) == 0
-    for name, mode in INFER.items():
-        argv = ["infer", *mode, *trial, "--excite-node", "1", "--out", str(tmp_path / name)]
+    for name, options in INFER.items():
+        argv = ["infer", *options, *trial, "--excite-node", "1", "--out", str(tmp_path / name)]
         assert cli.main(argv) == 0
     capsys.readouterr()
     for name, mode in ESTIMATE.items():

@@ -576,9 +576,9 @@ def oracle_trials(argv):
     if args.command == "estimate":
         steps = args.pairs + (args.mode == "constrained")
         return stream_trials(tm, init, steps, noise, None, args.seed, 1, 0)
-    hops = (args.max_hop or 3) if args.mode == "multihop" else 1
-    rounds = (args.rounds or 4) if args.mode == "multi" else 1
-    return stream_trials(tm, init, args.burn_in + hops, noise, None, args.seed, rounds, args.burn_in)
+    return stream_trials(
+        tm, init, args.burn_in + args.max_hop, noise, None, args.seed, args.rounds, args.burn_in
+    )
 
 
 SHARED_DEFAULTS = {"seed": 0, "init_low": -100.0, "init_high": 100.0,
@@ -601,9 +601,9 @@ class TestCli:
                  "excite_magnitude": None},
             ),
             (
-                ["infer", "onehop", "--weights", "w.txt", "--excite-node", "2"],
-                # unset, so that the modes that ignore them can reject them; 3 and 4 apply
-                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "max_hop": None, "rounds": None,
+                ["infer", "--weights", "w.txt", "--excite-node", "2"],
+                # one round, decided one hop deep
+                {**SHARED_DEFAULTS, **DESIGN_DEFAULTS, "max_hop": 1, "rounds": 1,
                  "burn_in": 50, "out": None},
             ),
             (
@@ -650,10 +650,11 @@ class TestCli:
         self.run("generate", *network, "--weights-out", str(w))
         common = ("--weights", str(w), "--seed", "3", "--out", str(out))
         node = ("--excite-node", "1")
+        rounds = (("infer", *node, "--rounds", "8"), ("infer", *node, "--max-hop", "2", "--rounds", "3"))
         commands = (
-            ("infer", "onehop", *node), ("infer", "multihop", *node),
-            ("infer", "multi", *node, "--rounds", "1"), ("estimate", "ols"),
-            ("estimate", "constrained", *node), ("infer", "multi", *node, "--rounds", "8"),
+            ("infer", *node), ("infer", *node, "--max-hop", "3"),
+            ("infer", *node, "--rounds", "1"), ("estimate", "ols"),
+            ("estimate", "constrained", *node), *rounds,
         )
         for command in commands:
             argv = [*command, *common]
@@ -665,7 +666,7 @@ class TestCli:
                 self.run(*argv)
                 texts.append(capsys.readouterr().out + out.read_text())
                 monkeypatch.undo()
-            if command[-1] == "8":
+            if command in rounds:
                 self.assert_decisions_agree(*texts)
             else:
                 assert texts[0] == texts[1], command
@@ -674,7 +675,7 @@ class TestCli:
         # 8 rounds of 51 steps in chunks of 3, 3 and 2
         w, out = tmp_path / "w.txt", tmp_path / "out"
         self.run("generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", str(w))
-        argv = ["infer", "multi", "--rounds", "8", "--weights", str(w), "--excite-node", "1",
+        argv = ["infer", "--rounds", "8", "--weights", str(w), "--excite-node", "1",
                 "--seed", "3", "--out", str(out)]
         chunks = []
         draw = dynamics._draw
@@ -695,7 +696,7 @@ class TestCli:
         # sqrt(2 su^2 + st^2) = 1.732 understates node 1's one-step noise 1.879
         w = tmp_path / "w.txt"
         w.write_text("4\n0.5 0 0 0\n1.2 0.3 0 0\n0 0.9 0.05 0\n0 0 0.6 0.2\n")
-        for command in (("infer", "onehop", "--excite-node", "0"), ("estimate", "constrained")):
+        for command in (("infer", "--excite-node", "0"), ("estimate", "constrained")):
             args = cli.build_parser().parse_args([*command, "--weights", str(w)])
             tm, floor, noise, e = cli._trial_setup(args, 0)
             for i in range(tm.n):
@@ -703,7 +704,7 @@ class TestCli:
                 assert detect.misjudgement_probability(sigma, floor, e) <= 0.05 + 1e-12
         # where every squared row sum is <= 1 the design stays the tight bound's
         self.run("generate", "--n", "20", "--p", "0.08", "--seed", "102", "--weights-out", str(w))
-        args = cli.build_parser().parse_args(["infer", "onehop", "--weights", str(w), "--excite-node", "1"])
+        args = cli.build_parser().parse_args(["infer", "--weights", str(w), "--excite-node", "1"])
         tm, floor, noise, e = cli._trial_setup(args, 1)
         assert e == detect.critical_excitation(math.sqrt(3.0), floor, 0.05)
 
@@ -719,7 +720,7 @@ class TestCli:
 
         out = tmp_path / "dec.json"
         self.run(
-            "infer", "onehop", "--weights", str(w), "--excite-node", "0",
+            "infer", "--weights", str(w), "--excite-node", "0",
             "--seed", "3", "--out", str(out),
         )
         records = json.loads(out.read_text())
@@ -784,7 +785,7 @@ class TestCli:
         capsys.readouterr()
         floor = load_weights(w).weight_floor
         assert floor != 0.4
-        infer = ("infer", "onehop", "--weights", str(w), "--excite-node", "0", "--seed", "3")
+        infer = ("infer", "--weights", str(w), "--excite-node", "0", "--seed", "3")
         self.run(*infer)
         omitted = capsys.readouterr().out
         self.run(*infer, "--weight-floor", repr(floor))
@@ -801,7 +802,7 @@ class TestCli:
         w.write_text("3\n0 2 0\n0.5 0 0\n0 0.5 0.5\n")
         with pytest.raises(SystemExit) as info:
             cli.main([
-                "infer", "onehop", "--weights", str(w), "--excite-node", "2",
+                "infer", "--weights", str(w), "--excite-node", "2",
                 "--excite-magnitude", "1", "--sigma-theta", "0", "--sigma-upsilon", "0",
                 "--burn-in", "1",
             ])
@@ -811,14 +812,14 @@ class TestCli:
         w = tmp_path / "w.txt"
         w.write_text("2\nnan 0.5\n0.5 0.5\n")
         with pytest.raises(SystemExit) as info:
-            cli.main(["infer", "onehop", "--weights", str(w), "--excite-node", "0"])
+            cli.main(["infer", "--weights", str(w), "--excite-node", "0"])
         assert info.value.code == f"netprobe infer: {w}: matrix entries must be finite"
 
     def test_counts_below_one_rejected(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
         self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
         capsys.readouterr()
-        infer = ("infer", "multi", "--weights", str(w), "--excite-node", "0")
+        infer = ("infer", "--weights", str(w), "--excite-node", "0")
         for argv in (
             (*infer, "--rounds", "0"),
             (*infer, "--max-hop", "0"),
@@ -835,15 +836,15 @@ class TestCli:
         capsys.readouterr()
         noiseless = ("--weights", str(w), "--excite-node", "0",
                      "--sigma-theta", "0", "--sigma-upsilon", "0")
-        for mode in ("onehop", "multihop", "multi"):
-            self.run("infer", mode, *noiseless)
+        for depth_or_rounds in ((), ("--max-hop", "3"), ("--rounds", "4")):
+            self.run("infer", *noiseless, *depth_or_rounds)
             records = json.loads(capsys.readouterr().out)
             assert records[0]["source"] == 0
         self.run("estimate", "constrained", *noiseless)
         assert json.loads(capsys.readouterr().out)["mode"] == "constrained"
 
     BAD_INPUTS = {
-        "infer-node-out-of-range": ("infer", "onehop", "--excite-node", "99", "--weights", "{w}"),
+        "infer-node-out-of-range": ("infer", "--excite-node", "99", "--weights", "{w}"),
         "estimate-node-out-of-range": (
             "estimate", "constrained", "--excite-node", "99", "--weights", "{w}",
         ),
@@ -868,12 +869,12 @@ class TestCli:
         "config-unknown-key": ("experiment", "fig1a", "--config", "{d}/unknown.cfg"),
         "config-word-for-int": ("experiment", "fig1a", "--config", "{d}/word.cfg"),
         "config-duplicate-key": ("experiment", "fig1a", "--config", "{d}/twice.cfg"),
-        "missing-weights-file": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/none.txt"),
-        "infer-weights-header-only": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/header.txt"),
+        "missing-weights-file": ("infer", "--excite-node", "0", "--weights", "{d}/none.txt"),
+        "infer-weights-header-only": ("infer", "--excite-node", "0", "--weights", "{d}/header.txt"),
         "simulate-weights-header-only": (
             "simulate", "--steps", "5", "--weights", "{d}/header.txt", "--out", "{d}/t.csv",
         ),
-        "infer-weights-empty-file": ("infer", "onehop", "--excite-node", "0", "--weights", "{d}/empty.txt"),
+        "infer-weights-empty-file": ("infer", "--excite-node", "0", "--weights", "{d}/empty.txt"),
         "missing-config-file": ("experiment", "fig1a", "--config", "{d}/none.cfg"),
         "config-nan-weight-floor": ("experiment", "fig1b", "--config", "{d}/nanfloor.cfg"),
         "config-nan-magnitude": ("experiment", "fig1b", "--config", "{d}/nanmag.cfg"),
@@ -886,10 +887,10 @@ class TestCli:
             "--excite-magnitude", "nan", "--weights", "{w}", "--out", "{d}/t.csv",
         ),
         "infer-nan-magnitude": (
-            "infer", "onehop", "--excite-node", "0", "--excite-magnitude", "nan", "--weights", "{w}",
+            "infer", "--excite-node", "0", "--excite-magnitude", "nan", "--weights", "{w}",
         ),
         "infer-inf-magnitude": (
-            "infer", "onehop", "--excite-node", "0", "--excite-magnitude", "inf", "--weights", "{w}",
+            "infer", "--excite-node", "0", "--excite-magnitude", "inf", "--weights", "{w}",
         ),
         "estimate-nan-magnitude": (
             "estimate", "constrained", "--excite-magnitude", "nan", "--weights", "{w}",
@@ -901,17 +902,17 @@ class TestCli:
             "simulate", "--steps", "5", "--sigma-theta", "nan", "--weights", "{w}", "--out", "{d}/t.csv",
         ),
         "infer-floor-above-smallest-weight": (
-            "infer", "onehop", "--excite-node", "0", "--weight-floor", "5", "--weights", "{w}",
+            "infer", "--excite-node", "0", "--weight-floor", "5", "--weights", "{w}",
         ),
         "infer-nan-weight-floor": (
-            "infer", "onehop", "--excite-node", "0", "--weight-floor", "nan",
+            "infer", "--excite-node", "0", "--weight-floor", "nan",
             "--excite-magnitude", "5", "--weights", "{w}",
         ),
         "design-nan-sigma": (
             "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1", "--sigma", "nan",
         ),
         "infer-nan-init-low": (
-            "infer", "onehop", "--excite-node", "0", "--init-low", "nan", "--weights", "{w}",
+            "infer", "--excite-node", "0", "--init-low", "nan", "--weights", "{w}",
         ),
         "design-error-target-above-one": (
             "design-excitation", "--weight-floor", "0.5", "--error-target", "1.5",
@@ -963,14 +964,8 @@ class TestCli:
         "estimate-ols-constraints-out": (
             "estimate", "ols", "--constraints-out", "{d}/c.txt", "--weights", "{w}",
         ),
-        "infer-max-hop-outside-multihop": (
-            "infer", "multi", "--excite-node", "0", "--max-hop", "3", "--weights", "{w}",
-        ),
-        "infer-rounds-outside-multi": (
-            "infer", "multihop", "--excite-node", "0", "--rounds", "3", "--weights", "{w}",
-        ),
         "infer-error-target-one": (
-            "infer", "onehop", "--excite-node", "0", "--error-target", "1", "--weights", "{w}",
+            "infer", "--excite-node", "0", "--error-target", "1", "--weights", "{w}",
         ),
         "estimate-error-target-one": (
             "estimate", "constrained", "--error-target", "1", "--weights", "{w}",
@@ -1037,7 +1032,7 @@ class TestCli:
                 "netprobe design-excitation: --error-target must lie in (0, 1), got 1.5",
             ),
             (
-                ["infer", "multi", "--weights", str(w), "--excite-node", "0", "--error-target", "1"],
+                ["infer", "--weights", str(w), "--excite-node", "0", "--error-target", "1"],
                 "netprobe infer: --error-target must lie in (0, 1), got 1.0",
             ),
             (
@@ -1091,20 +1086,6 @@ class TestCli:
                  "--out", str(tmp_path / "t.csv")],
                 "netprobe simulate: --excite-magnitude must be finite and nonzero, got None",
             ),
-            (
-                ["infer", "onehop", "--weights", str(w), "--excite-node", "1", "--max-hop", "2",
-                 "--rounds", "2"],
-                "netprobe infer: --max-hop: ignored outside multihop mode",
-            ),
-            (
-                ["infer", "multi", "--weights", str(w), "--excite-node", "1", "--max-hop", "2",
-                 "--rounds", "2"],
-                "netprobe infer: --max-hop: ignored outside multihop mode",
-            ),
-            (
-                ["infer", "multihop", "--weights", str(w), "--excite-node", "1", "--rounds", "2"],
-                "netprobe infer: --rounds: ignored outside multi mode",
-            ),
         ):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv)
@@ -1126,20 +1107,19 @@ class TestCli:
         self.run("generate", "--weights-out", str(a))
         self.run("generate", "--rule", "laplacian", "--gamma", "1", "--weights-out", str(b))
         assert a.read_text() == b.read_text()
-        # infer parses --max-hop and --rounds as None when unset; they default to 3 and 4
+        # unset, infer's --max-hop and --rounds are 1: one round, one hop deep
         capsys.readouterr()
         infer = ("infer", "--weights", str(a), "--excite-node", "1", "--seed", "4")
-        for mode, option in (("multihop", ("--max-hop", "3")), ("multi", ("--rounds", "4"))):
-            outputs = []
-            for extra in ((), option):
-                self.run(*infer[:1], mode, *infer[1:], *extra)
-                outputs.append(capsys.readouterr().out)
-            assert outputs[0] == outputs[1], mode
+        outputs = []
+        for extra in ((), ("--max-hop", "1", "--rounds", "1")):
+            self.run(*infer, *extra)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     NEGATIVE_SEEDS = {
         "generate": ("generate", "--n", "6", "--seed", "-1"),
         "simulate": ("simulate", "--weights", "{w}", "--seed", "-1", "--out", "{d}/t.csv"),
-        "infer": ("infer", "onehop", "--weights", "{w}", "--excite-node", "0", "--seed", "-1"),
+        "infer": ("infer", "--weights", "{w}", "--excite-node", "0", "--seed", "-1"),
         "estimate": ("estimate", "ols", "--weights", "{w}", "--seed", "-1"),
         "experiment": ("experiment", "fig1a", "--trials", "2", "--seed", "-1"),
         "config-seed": ("experiment", "fig1a", "--config", "{d}/seed.cfg"),
@@ -1171,17 +1151,28 @@ class TestCli:
         self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
         capsys.readouterr()
         with pytest.raises(SystemExit) as info:
-            cli.main(["infer", "onehop", "--excite-node", "0", "--burn-in", "-1", "--weights", str(w)])
+            cli.main(["infer", "--excite-node", "0", "--burn-in", "-1", "--weights", str(w)])
         # the parser rejects it before the command runs
         assert info.value.code == 2
         assert "argument --burn-in: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_infer_takes_no_mode(self, tmp_path, capsys):
+        # depth and rounds are plain counts, so the parser refuses a mode word
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        capsys.readouterr()
+        for mode in ("onehop", "multihop", "multi"):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["infer", mode, "--weights", str(w), "--excite-node", "0"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {mode}" in capsys.readouterr().err
 
     ZERO_INPUTS = {
         "simulate": (
             "simulate", "--steps", "5", "--excite-node", "1", "--excite-magnitude", "0",
             "--weights", "{w}", "--out", "{d}/t.csv",
         ),
-        "infer": ("infer", "multi", "--excite-node", "0", "--excite-magnitude", "0", "--weights", "{w}"),
+        "infer": ("infer", "--excite-node", "0", "--excite-magnitude", "0", "--weights", "{w}"),
         "estimate-ols": ("estimate", "ols", "--excite-magnitude", "0", "--weights", "{w}"),
         "estimate-constrained": (
             "estimate", "constrained", "--excite-magnitude", "-0", "--weights", "{w}",
