@@ -41,9 +41,10 @@ class NoiseModel:
     sigma_upsilon: float = 1.0
 
     def __post_init__(self) -> None:
-        for sigma in (self.sigma_theta, self.sigma_upsilon):
-            if not 0.0 <= sigma < math.inf:
-                raise ValueError(f"noise standard deviations must be finite and >= 0, got {sigma!r}")
+        for name in ("sigma_theta", "sigma_upsilon"):
+            sigma = getattr(self, name)
+            if not (0.0 <= sigma and sigma * sigma < math.inf):
+                raise ValueError(f"{name} must be >= 0 with a finite square, got {sigma!r}")
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":
@@ -64,6 +65,8 @@ def _check_init(init: tuple[float, float]) -> None:
         raise ValueError(f"initial-state interval must be finite, got {tuple(init)!r}")
     if init[0] >= init[1]:
         raise ValueError(f"initial-state interval is empty, got {tuple(init)!r}")
+    if not math.isfinite(init[1] - init[0]):
+        raise ValueError(f"initial-state interval is too wide to draw from, got {tuple(init)!r}")
 
 
 def _check_integer(name: str, value, least: int) -> None:

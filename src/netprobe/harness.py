@@ -30,7 +30,7 @@ from netprobe.topology import (
     rule_weights,
     true_hop_sets,
 )
-from netprobe.dynamics import NoiseModel, _response, simulate_batch
+from netprobe.dynamics import NoiseModel, _check_init, _response, simulate_batch
 from netprobe.estimate import (
     LsProblem,
     constrained_estimate,
@@ -104,13 +104,13 @@ class ExperimentConfig:
             raise ValueError("excitation scale must be > 0")
         if not self.weight_floor > 0.0:
             raise ValueError(f"weight floor must be > 0, got {self.weight_floor!r}")
-        for name in ("weight_floor", "excitation_magnitude", "init_low", "init_high", "gamma"):
+        for name in ("weight_floor", "excitation_magnitude", "excitation_scale", "init_low", "init_high",
+                     "gamma"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        self.noise()  # NoiseModel rejects a negative or non-finite sigma
-        if self.init_low >= self.init_high:
-            raise ValueError("initial-state interval is empty")
+        self.noise()  # NoiseModel rejects a negative, NaN or too large sigma
+        _check_init((self.init_low, self.init_high))
         object.__setattr__(self, "error_targets", tuple(float(p) for p in self.error_targets))
 
     def noise(self) -> NoiseModel:
@@ -310,6 +310,8 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     e = config.excitation_magnitude
     if e is None:
         e = detect.applied_excitation(config.excitation_scale * max(critical))
+        if not math.isfinite(e):
+            raise ValueError(f"excitation_scale {config.excitation_scale!r} makes the excitation {e!r}")
 
     t = config.burn_in
     hits = np.zeros(hops.size, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,13 @@ class TestSimulateTrial:
     def test_rejects_empty_interval(self, tm, init):
         with pytest.raises(ValueError, match="initial-state interval is empty"):
             simulate_batch(tm, init, 4, NoiseModel(), 1, 1)
+
+    def test_rejects_interval_too_wide_to_draw_from(self, tm):
+        # finite bounds whose width high - low overflows
+        with pytest.raises(ValueError, match=re.escape("too wide to draw from, got (-1e+308, 1e+308)")):
+            simulate_batch(tm, (-1e308, 1e308), 4, NoiseModel(), 1, 1)
+        [y] = simulate_batch(tm, (-8e307, 8e307), 4, NoiseModel(), 1, 1)
+        assert np.isfinite(y).all()
 
 
 class TestSimulateBatch:
@@ -445,6 +453,11 @@ class TestTypesAndExport:
                 NoiseModel(bad, 1.0)
             with pytest.raises(ValueError, match="finite"):
                 NoiseModel(1.0, bad)
+        # the noise bounds square sigma, so its square must be finite too
+        assert NoiseModel(1e154, 1e154).sigma_theta == 1e154
+        for name, noise in (("sigma_theta", (1e200, 1.0)), ("sigma_upsilon", (1.0, 1.35e154))):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0 with a finite square, got"):
+                NoiseModel(*noise)
 
     def test_csv_export_rejects_unequal_shapes(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -64,7 +64,7 @@ class TestConfig:
                 ExperimentConfig(false_alarm=level)
 
     @pytest.mark.parametrize(
-        "field", ["weight_floor", "excitation_magnitude", "init_low", "init_high",
+        "field", ["weight_floor", "excitation_magnitude", "excitation_scale", "init_low", "init_high",
                   "gamma", "sigma_theta", "sigma_upsilon"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -272,6 +272,15 @@ class TestRunners:
     def test_multihop_excitation_override(self):
         table = run_multihop_accuracy(replace(SMALL, trial_count=5, excitation_magnitude=123.0))
         assert all(row["excitation"] == 123.0 for row in table.as_dicts())
+
+    def test_multihop_overflowing_scale_named_before_any_trial(self, monkeypatch):
+        # a finite scale times the critical magnitude can still overflow
+        def draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(dynamics, "_draw", draw)
+        with pytest.raises(ValueError, match=r"^excitation_scale 1e\+308 makes the excitation inf$"):
+            run_multihop_accuracy(replace(SMALL, excitation_scale=1e308))
 
     def test_ls_improvement_rows_and_ranks(self):
         table = run_ls_improvement(replace(SMALL, trial_count=8))
@@ -976,10 +985,38 @@ class TestCli:
         "estimate-ols-error-target": (
             "estimate", "ols", "--error-target", "0.2", "--weights", "{w}",
         ),
+        "simulate-init-too-wide": (
+            "simulate", "--init-low=-1e308", "--init-high=1e308", "--weights", "{w}",
+            "--out", "{d}/t.csv",
+        ),
+        "infer-init-too-wide": (
+            "infer", "--excite-node", "0", "--init-low=-1e308", "--init-high=1e308", "--weights", "{w}",
+        ),
+        "estimate-init-too-wide": (
+            "estimate", "ols", "--init-low=-1e308", "--init-high=1e308", "--weights", "{w}",
+        ),
+        "config-init-too-wide": ("experiment", "fig1a", "--config", "{d}/wideinit.cfg"),
+        "config-sigma-square-overflows": ("experiment", "fig1a", "--config", "{d}/hugesigma.cfg"),
+        "infer-sigma-square-overflows": (
+            "infer", "--excite-node", "0", "--sigma-theta", "1e200", "--weights", "{w}",
+        ),
+        "design-sigma-square-overflows": (
+            "design-excitation", "--weight-floor", "0.5", "--error-target", "0.1",
+            "--sigma-theta", "1e200",
+        ),
+        "config-inf-excitation-scale": ("experiment", "fig1b", "--config", "{d}/infscale.cfg"),
+        "config-excitation-scale-overflows": ("experiment", "fig1b", "--config", "{d}/hugescale.cfg"),
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_exits_with_message(self, tmp_path, argv):
+        argv = self.bad_input_argv(tmp_path, argv)
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert str(info.value.code).startswith(f"netprobe {argv[0]}: ")
+
+    def bad_input_argv(self, tmp_path, argv):
+        """``argv`` with its weights, config and matrix files written to ``tmp_path``."""
         w = tmp_path / "w.txt"
         self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
         (tmp_path / "unknown.cfg").write_text("banana = 3\n")
@@ -994,10 +1031,39 @@ class TestCli:
         (tmp_path / "metrogamma.cfg").write_text(
             "weight_rule = metropolis\ngamma = 0.3\ntrial_count = 3\n"
         )
-        argv = [a.format(w=w, d=tmp_path) for a in argv]
+        (tmp_path / "wideinit.cfg").write_text("init_low = -1e308\ninit_high = 1e308\ntrial_count = 3\n")
+        (tmp_path / "hugesigma.cfg").write_text("sigma_upsilon = 1e200\ntrial_count = 3\n")
+        (tmp_path / "infscale.cfg").write_text("excitation_scale = inf\ntrial_count = 3\n")
+        (tmp_path / "hugescale.cfg").write_text("excitation_scale = 1e308\ntrial_count = 3\n")
+        return [a.format(w=w, d=tmp_path) for a in argv]
+
+    WIDE = "initial-state interval is too wide to draw from, got (-1e+308, 1e+308)"
+    SQUARE = "must be >= 0 with a finite square, got 1e+200"
+    OVERFLOW_MESSAGES = {
+        "simulate-init-too-wide": f"simulate: {WIDE}",
+        "infer-init-too-wide": f"infer: {WIDE}",
+        "estimate-init-too-wide": f"estimate: {WIDE}",
+        "config-init-too-wide": f"experiment: {WIDE}",
+        "config-sigma-square-overflows": f"experiment: sigma_upsilon {SQUARE}",
+        "infer-sigma-square-overflows": f"infer: sigma_theta {SQUARE}",
+        "design-sigma-square-overflows": f"design-excitation: sigma_theta {SQUARE}",
+        "config-inf-excitation-scale": "experiment: excitation_scale must be finite, got inf",
+        "config-excitation-scale-overflows": "experiment: excitation_scale 1e+308 makes the excitation inf",
+    }
+
+    @pytest.mark.parametrize("case", OVERFLOW_MESSAGES)
+    def test_overflowing_input_named_before_any_trial(self, tmp_path, monkeypatch, case):
+        # finite values too large to draw from or to square, or a design they overflow
+        argv = self.bad_input_argv(tmp_path, self.BAD_INPUTS[case])
+
+        def draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(dynamics, "_draw", draw)
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
-        assert str(info.value.code).startswith(f"netprobe {argv[0]}: ")
+        assert info.value.code == f"netprobe {self.OVERFLOW_MESSAGES[case]}"
+        assert not (tmp_path / "t.csv").exists()
 
     SIMULATE_EXCITE_MESSAGES = {
         "simulate-zero-steps": "netprobe simulate: --steps must be an integer >= 1, got 0",
