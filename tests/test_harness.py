@@ -273,15 +273,6 @@ class TestRunners:
         table = run_multihop_accuracy(replace(SMALL, trial_count=5, excitation_magnitude=123.0))
         assert all(row["excitation"] == 123.0 for row in table.as_dicts())
 
-    def test_multihop_overflowing_scale_named_before_any_trial(self, monkeypatch):
-        # a finite scale times the critical magnitude can still overflow
-        def draw(*args):
-            raise AssertionError("a trial was drawn")
-
-        monkeypatch.setattr(dynamics, "_draw", draw)
-        with pytest.raises(ValueError, match=r"^excitation_scale 1e\+308 makes the excitation inf$"):
-            run_multihop_accuracy(replace(SMALL, excitation_scale=1e308))
-
     def test_ls_improvement_rows_and_ranks(self):
         table = run_ls_improvement(replace(SMALL, trial_count=8))
         dicts = table.as_dicts()
