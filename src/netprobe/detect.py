@@ -36,20 +36,29 @@ def _upper_tail(gain: float, excitation: float, sigma: float) -> float:
     return 0.5 * math.erfc(shift / (2.0 * SQRT2 * sigma))
 
 
+def _finite(std, noise: NoiseModel):
+    """``std``, or a ValueError naming the noise levels when any of it overflowed."""
+    if not np.isfinite(std).all():
+        raise ValueError(
+            f"sigma_theta {noise.sigma_theta!r} and sigma_upsilon {noise.sigma_upsilon!r} "
+            "make the deviation noise std overflow"
+        )
+    return std
+
+
 def deviation_noise_bound(n: int, noise: NoiseModel, row_stochastic: bool = False) -> float:
     """Worst-case one-step deviation noise std, computable without W.
 
     The general bound is sqrt((1+n) sigma_upsilon^2 + sigma_theta^2); when W
     is known to be row-stochastic the squared row norms are at most one and
-    the bound tightens to sqrt(2 sigma_upsilon^2 + sigma_theta^2).
+    the bound tightens to sqrt(2 sigma_upsilon^2 + sigma_theta^2).  Noise
+    levels that overflow it are rejected.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     sv2 = noise.sigma_upsilon ** 2
     st2 = noise.sigma_theta ** 2
-    if row_stochastic:
-        return math.sqrt(2.0 * sv2 + st2)
-    return math.sqrt((1.0 + n) * sv2 + st2)
+    return _finite(math.sqrt((2.0 if row_stochastic else 1.0 + n) * sv2 + st2), noise)
 
 
 def deviation_noise_std(tm: TopologyMatrix, steps: int, noise: NoiseModel) -> np.ndarray:
@@ -57,7 +66,8 @@ def deviation_noise_std(tm: TopologyMatrix, steps: int, noise: NoiseModel) -> np
 
     Row h-1 holds the h-step stds.  Node i's variance is (1 + sum_j G_ij(h)^2)
     sigma_upsilon^2 plus sigma_theta^2 * sum_{m=1..h} sum_j G_ij(m-1)^2, where
-    G(l) = W^l; one chain of powers starting at W serves every row.
+    G(l) = W^l; one chain of powers starting at W serves every row.  Noise
+    levels that overflow a std are rejected.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -66,8 +76,9 @@ def deviation_noise_std(tm: TopologyMatrix, steps: int, noise: NoiseModel) -> np
         powers.append(powers[-1] @ tm.matrix)
     # row l holds sum_j G_ij(l)^2 for l = 0..steps, with G(0) = I
     squares = np.vstack([np.ones(tm.n), *((p ** 2).sum(axis=1) for p in powers)])
-    var = (1.0 + squares[1:]) * noise.sigma_upsilon ** 2
-    return np.sqrt(var + np.cumsum(squares[:-1], axis=0) * noise.sigma_theta ** 2)
+    with np.errstate(over="ignore"):
+        var = (1.0 + squares[1:]) * noise.sigma_upsilon ** 2
+        return _finite(np.sqrt(var + np.cumsum(squares[:-1], axis=0) * noise.sigma_theta ** 2), noise)
 
 
 def onehop_noise_std(tm: TopologyMatrix, noise: NoiseModel) -> float:

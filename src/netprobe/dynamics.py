@@ -8,17 +8,15 @@ steps later (superposition), and the rows up to the injection step are
 untouched.  Both simulators therefore run unexcited, and their callers add
 e times ``_response`` to the rows they excite.  ``simulate`` runs one
 trajectory from a given x0.  ``simulate_batch`` runs a seeded run of trials
-in chunks and keeps the rows from a first step s on; a run of more than one
-chunk draws each chunk's noise on a worker thread while the calling thread
-steps the chunk before it.  Both step through ``_step``.  A run's seed
-spawns two streams, one per purpose (L'Ecuyer et al., *Math. Comput.
+in chunks and keeps the rows from a first step s on; the calling thread
+draws and steps each chunk in turn.  Both step through ``_step``.  A run's
+seed spawns two streams, one per purpose (L'Ecuyer et al., *Math. Comput.
 Simul.* 135, 2017): the first draws every trial's x0 ~ U(init), the second
 every trial's normals in trial order, (when s > 0) z ~ N(0, I), then theta
-for its kept steps, then upsilon for its kept rows.  One thread is the only
-user of both, so every trial gets the same draws however the run is
-chunked.  A trial's state at step s is sampled exactly as W^s x0 + L z, L
-the Cholesky factor of the process noise's covariance at s, so the steps
-before s are never simulated.
+for its kept steps, then upsilon for its kept rows, so every trial gets the
+same draws however the run is chunked.  A trial's state at step s is
+sampled exactly as W^s x0 + L z, L the Cholesky factor of the process
+noise's covariance at s, so the steps before s are never simulated.
 """
 
 from __future__ import annotations
@@ -51,12 +49,13 @@ class NoiseModel:
         return cls(0.0, 0.0)
 
 
-# Bytes of the normals alive at once (z, theta for the kept steps, upsilon for
-# the kept rows).  A run within the budget is one chunk, drawn on the calling
-# thread: 1,638 trials of 2 kept rows at n = 20, or one trial of 307 rows at
-# n = 300, which exceeds it.  A longer run's chunks take half the budget
-# each, one stepped while the next is drawn: 27 trials of 4 kept rows at
-# n = 300.
+# Bytes of a chunk's normals (z, theta for the kept steps, upsilon for the
+# kept rows), at least one trial a chunk: 1,638 trials of 2 kept rows at
+# n = 20, 54 trials of 4 kept rows at n = 300, or one trial of 307 rows at
+# n = 300, which exceeds it.  The budget bounds the normals only: a chunk's
+# x0 rows, windows and its callers' decision temporaries add about 17 KB per
+# trial at n = 300 with 4 kept rows, to 19 KB of normals (fig1b's
+# tracemalloc peak grows by 36 KB per trial).
 CHUNK_BYTES = 1 << 20
 
 
@@ -169,8 +168,8 @@ def _start_law(tm: TopologyMatrix, start: int, noise: NoiseModel) -> tuple[np.nd
 def _draw(streams, init, n: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The next ``len(out)`` trials' draws: (k, n) x0 rows from the first stream, normals into ``out``.
 
-    Every draw of ``simulate_batch``, on the calling thread or the worker,
-    goes through here, one row of z, theta and upsilon per trial.
+    Every draw of ``simulate_batch`` goes through here, one row of z, theta
+    and upsilon per trial.
     """
     uniforms, normals = streams
     x = uniforms.uniform(*init, (len(out), n))
@@ -179,48 +178,25 @@ def _draw(streams, init, n: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _windows(tm, noise, steps, law, x, draws) -> np.ndarray:
-    """A chunk's (k, steps + 1, n) observations from its draws; ``law`` is None at start 0.
-
-    The windows are a new array, so ``draws`` may be overwritten once this returns.
-    """
+    """A chunk's (k, steps + 1, n) observations from its draws, as a new array; ``law`` is None at start 0."""
     states = np.empty((len(x), steps + 1, tm.n))
     states += _step(tm, x, draws, noise, states, law)
     return states
 
 
 def _chunks(tm, init, noise, streams, trials, steps, law) -> Iterator[np.ndarray]:
-    """``simulate_batch``'s chunks, in trial order.
+    """``simulate_batch``'s chunks, in trial order, each drawn and stepped on the calling thread.
 
-    A run whose normals fit in CHUNK_BYTES is one chunk, drawn inline.  A
-    longer run's chunks take half the budget each: one worker thread, the
-    streams' only user, draws chunk k + 1 into one of two reused buffers
-    while the caller steps chunk k from the other, and a closed iterator
-    stops its worker.
+    A chunk's normals go into a new array that nothing holds once its windows
+    are stepped, so a caller's work on a chunk runs without them: a reused
+    buffer would stay alive through it, 1.4 MB more peak RSS under fig1c's
+    least squares at n = 300.
     """
     normals = (2 * steps + 1 + (law is not None)) * tm.n  # one trial's z, theta and upsilon
     size = max(1, CHUNK_BYTES // (8 * normals))
-    if trials <= size:
-        yield _windows(tm, noise, steps, law, *_draw(streams, init, tm.n, np.empty((trials, normals))))
-        return
-    # imported here: concurrent.futures loads logging, about 0.6 MB of
-    # resident memory that a run of one chunk does not need
-    from concurrent.futures import ThreadPoolExecutor
-
-    size = max(1, size // 2)
-    buffers = np.empty((2, size, normals))
-    outs = [buffers[k % 2, :min(size, trials - first)] for k, first in enumerate(range(0, trials, size))]
-    with ThreadPoolExecutor(1) as worker:
-        drawn = worker.submit(_draw, streams, init, tm.n, outs[0])
-        try:
-            for out in outs[1:]:
-                x, draws = drawn.result()
-                drawn = worker.submit(_draw, streams, init, tm.n, out)
-                yield _windows(tm, noise, steps, law, x, draws)
-            yield _windows(tm, noise, steps, law, *drawn.result())
-        finally:
-            # a closed run's next draw is not needed; leaving the block
-            # waits for one already running
-            drawn.cancel()
+    for first in range(0, trials, size):
+        shape = (min(size, trials - first), normals)
+        yield _windows(tm, noise, steps, law, *_draw(streams, init, tm.n, np.empty(shape)))
 
 
 def simulate_batch(
@@ -235,22 +211,19 @@ def simulate_batch(
     """Unexcited rows y_start..y_horizon of a seeded run of ``trials`` trials, as (chunk, rows, n).
 
     The arguments are checked and the start-state law is built when called;
-    the returned iterator then draws the trials in order.  A run whose
-    normals fit in CHUNK_BYTES is one chunk, drawn on the calling thread; a
-    longer run's chunks hold half the budget each, and a worker thread draws
-    each chunk while the calling thread steps the one before it.
+    the returned iterator then draws and steps the trials in order, as many
+    a chunk as their normals fit in CHUNK_BYTES, on the calling thread.
     ``SeedSequence(seed)`` spawns two streams: trial k's x0 is the k-th
     ``uniform(*init, n)`` row of the first, and its normals are the next run
     of the second, z (when ``start`` > 0), then theta and upsilon as
     ``simulate`` draws them.  A chunk of k trials is one (k, n) and one
-    (k, normals) draw, and one thread makes every draw of a run, so the
-    chunk size never changes which draws a trial gets.  A caller adds an
-    input e at node j and step t >= ``start`` as e times ``_response(tm, j,
-    horizon - t)`` on the rows from t on.  The trials of a chunk step
-    together through ``_step``, one (k, n) @ (n, n) product per step, which
-    may round the last bits differently from the matrix-vector product of
-    ``simulate``.  A non-integer ``horizon``, ``seed``, ``trials`` or
-    ``start`` is rejected.
+    (k, normals) draw, so the chunk size never changes which draws a trial
+    gets.  A caller adds an input e at node j and step t >= ``start`` as e
+    times ``_response(tm, j, horizon - t)`` on the rows from t on.  The
+    trials of a chunk step together through ``_step``, one (k, n) @ (n, n)
+    product per step, which may round the last bits differently from the
+    matrix-vector product of ``simulate``.  A non-integer ``horizon``,
+    ``seed``, ``trials`` or ``start`` is rejected.
     """
     _check_init(init)
     _check_integer("horizon", horizon, 1)

@@ -263,13 +263,12 @@ class TestSimulateBatch:
         # 13 trials in chunks of 5, 5 and 3, one trial a chunk, and one chunk
         # (the default budget): a trial's draws do not depend on its chunk, so
         # only the products' last bits may move.  A trial keeps 3 rows from
-        # step 10, so its normals are z, two theta rows and three upsilon rows;
-        # a run of several chunks holds two chunks' normals at once.
+        # step 10, so its normals are z, two theta rows and three upsilon rows.
         args = (tm_wide, (-100.0, 100.0), 12, NoiseModel(), 21, 13, 10)
         whole = list(simulate_batch(*args))
         assert [len(chunk) for chunk in whole] == [13]
         for per_chunk, sizes in ((5, [5, 5, 3]), (1, [1] * 13)):
-            monkeypatch.setattr(dynamics, "CHUNK_BYTES", 2 * per_chunk * 8 * 6 * tm_wide.n)
+            monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * 6 * tm_wide.n)
             chunks = list(simulate_batch(*args))
             assert [len(chunk) for chunk in chunks] == sizes
             parts = np.concatenate(chunks)
@@ -285,17 +284,15 @@ class TestSimulateBatch:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_chunk_size_from_byte_budget(self, tm):
-        # the normals alive at once (z, theta for the kept steps, upsilon for
-        # the kept rows) stay within CHUNK_BYTES, at least one trial a chunk:
-        # one chunk when the run fits, else two chunks of half the budget each
+        # a chunk's normals (z, theta for the kept steps, upsilon for the kept
+        # rows) stay within CHUNK_BYTES, at least one trial a chunk
         budget = dynamics.CHUNK_BYTES
         assert budget == 1 << 20
-        # fig1b at n = 300 keeps 4 rows from step 50: 8 normal vectors a trial, 27 a chunk
+        # fig1b at n = 300 keeps 4 rows from step 50: 8 normal vectors a trial, 54 a chunk
         tm300 = laplacian_weights(generate_random_digraph(300, 0.005, 3), 1.0)
         chunks = simulate_batch(tm300, (-1.0, 1.0), 53, NoiseModel(), 2, 120, 50)
-        assert [chunk.shape for chunk in chunks] == [(27, 4, 300)] * 4 + [(12, 4, 300)]
-        assert 2 * 27 * 8 * 8 * 300 <= budget < 2 * 28 * 8 * 8 * 300
-        # ... and 54 in the one chunk of a run that fits
+        assert [chunk.shape for chunk in chunks] == [(54, 4, 300)] * 2 + [(12, 4, 300)]
+        # ... and in the one chunk of a run that fits
         chunks = simulate_batch(tm300, (-1.0, 1.0), 53, NoiseModel(), 2, 54, 50)
         assert [chunk.shape for chunk in chunks] == [(54, 4, 300)]
         assert 54 * 8 * 8 * 300 <= budget < 55 * 8 * 8 * 300

@@ -3,8 +3,8 @@
 import json
 import math
 import re
-import sys
 import threading
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -415,15 +415,14 @@ class TestRunners:
 
     def test_tables_do_not_depend_on_chunk_size(self, monkeypatch):
         # 13 trials: one chunk by default.  fig1a/b/c trials carry 4, 8 and 53
-        # normal vectors of n = 20, and a run of several chunks holds two
-        # chunks' normals at once, so the budgets below give one trial a
+        # normal vectors of n = 20, so the budgets below give one trial a
         # chunk; chunks of 6, 3 and 1; and chunks of 13, 13 and 3.
         config = replace(SMALL, trial_count=13, excitation_scale=0.5)
         runners = (run_onehop_accuracy, run_multihop_accuracy, run_ls_improvement)
         whole = [runner(config) for runner in runners]
         _, tm = config.build_network()
-        for budget, fig1b_sizes in ((2, [1] * 13), (2 * 3 * 8 * 8 * 20, [3, 3, 3, 3, 1]),
-                                    (2 * 3 * 8 * 53 * 20, [13])):
+        for budget, fig1b_sizes in ((1, [1] * 13), (3 * 8 * 8 * 20, [3, 3, 3, 3, 1]),
+                                    (3 * 8 * 53 * 20, [13])):
             monkeypatch.setattr(dynamics, "CHUNK_BYTES", budget)
             assert [len(chunk) for chunk in harness._trials(config, tm, 53, 50)] == fig1b_sizes
             chunked = [runner(config) for runner in runners]
@@ -450,18 +449,16 @@ class TestRunners:
 class TestTrialPipeline:
     """``harness._trials`` yields the run's unexcited chunks in trial order.
 
-    A run of one chunk is drawn on the calling thread; a longer run's chunks
-    are drawn one ahead on a worker thread that ends with the run.
+    The calling thread draws and steps every chunk, one after the other.
     """
 
     CONFIG = replace(SMALL, trial_count=20)
     HORIZON, START = 53, 50
 
     def trials(self, monkeypatch, per_chunk):
-        # a trial's normals: z, three theta rows and four upsilon rows; a run
-        # of several chunks holds two chunks' normals at once
+        # a trial's normals: z, three theta rows and four upsilon rows
         _, tm = self.CONFIG.build_network()
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 2 * per_chunk * 8 * 8 * self.CONFIG.n)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", per_chunk * 8 * 8 * self.CONFIG.n)
         return tm, harness._trials(self.CONFIG, tm, self.HORIZON, self.START)
 
     @pytest.mark.parametrize(
@@ -500,22 +497,27 @@ class TestTrialPipeline:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("stop", ["exhausted", "closed"])
-    def test_worker_ends_with_the_run(self, monkeypatch, stop):
-        before = set(threading.enumerate())
-        _, chunks = self.trials(monkeypatch, 3)
-        next(chunks)
-        [worker] = set(threading.enumerate()) - before
-        if stop == "exhausted":
-            assert len(list(chunks)) == 6
-        else:
-            chunks.close()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
+    def test_run_starts_no_thread(self, monkeypatch, stop):
+        # a run of 1 chunk and a run of 7 keep the thread count at every
+        # chunk, and a run closed after its first chunk draws no more
+        before = threading.active_count()
+        calls = []
+        draw = dynamics._draw
+        monkeypatch.setattr(dynamics, "_draw", lambda *args: calls.append(1) or draw(*args))
+        for per_chunk, count in ((20, 1), (3, 7)):
+            calls.clear()
+            _, chunks = self.trials(monkeypatch, per_chunk)
+            for _ in chunks:
+                assert threading.active_count() == before
+                if stop == "closed":
+                    chunks.close()
+            assert threading.active_count() == before
+            assert len(calls) == (1 if stop == "closed" else count)
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # every draw of a run of several chunks is the worker's, and the
-        # third raises there; the caller gets that same exception object when
-        # it asks for the third chunk, after two chunks
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        # the third draw of a run of 7 chunks raises; the caller gets that
+        # same exception object when it asks for the third chunk, after two
+        # chunks, and every draw ran on the calling thread
         error = RuntimeError("draw failed")
         draw, calls = dynamics._draw, []
 
@@ -533,17 +535,23 @@ class TestTrialPipeline:
                 got.append(chunk)
         assert info.value is error
         assert len(got) == 2
-        assert threading.main_thread() not in calls
+        assert calls == [threading.main_thread()] * 3
 
-    def test_bits_under_a_short_switch_interval(self, monkeypatch):
-        # the worker and the caller swap threads every microsecond: a run of 7
-        # chunks keeps its bits, and agrees with the run of one chunk
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = [np.concatenate(list(self.trials(monkeypatch, 3)[1])) for _ in range(2)]
-        finally:
-            sys.setswitchinterval(interval)
+    def test_chunk_is_handed_out_without_its_normals(self, monkeypatch):
+        # a chunk's normals are freed before the caller gets the chunk, so
+        # the caller's work on it (fig1c's least squares) runs without them
+        outs = []
+        draw = dynamics._draw
+        monkeypatch.setattr(dynamics, "_draw", lambda *args: outs.append(weakref.ref(args[3])) or draw(*args))
+        for per_chunk in (20, 3):
+            _, chunks = self.trials(monkeypatch, per_chunk)
+            for _ in chunks:
+                assert outs[-1]() is None
+        assert len(outs) == 8
+
+    def test_chunked_runs_repeat_their_bits(self, monkeypatch):
+        # a run of 7 chunks keeps its bits, and agrees with the run of one chunk
+        runs = [np.concatenate(list(self.trials(monkeypatch, 3)[1])) for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
         [whole] = self.trials(monkeypatch, 20)[1]
         assert np.abs(runs[0] - whole).max() <= 1e-12 * np.abs(whole).max()
@@ -553,7 +561,7 @@ class TestTrialPipeline:
         # chunk, not one per chunk and target
         config = replace(SMALL, trial_count=20)
         # a trial's normals: z, one theta row and two upsilon rows
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 2 * 3 * 8 * 4 * config.n)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 4 * config.n)
         calls = []
         draw = dynamics._draw
         monkeypatch.setattr(dynamics, "_draw", lambda *args: calls.append(len(args[3])) or draw(*args))
@@ -680,8 +688,8 @@ class TestCli:
         chunks = []
         draw = dynamics._draw
         monkeypatch.setattr(dynamics, "_draw", lambda *args: chunks.append(len(args[3])) or draw(*args))
-        # a round's normals: z, one theta row and two upsilon rows, two chunks' at once
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 2 * 3 * 8 * 4 * 20)
+        # a round's normals: z, one theta row and two upsilon rows
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * 4 * 20)
         self.run(*argv)
         chunked = out.read_text()
         assert chunks == [3, 3, 2]
@@ -997,6 +1005,18 @@ class TestCli:
         ),
         "config-inf-excitation-scale": ("experiment", "fig1b", "--config", "{d}/infscale.cfg"),
         "config-excitation-scale-overflows": ("experiment", "fig1b", "--config", "{d}/hugescale.cfg"),
+        "infer-noise-std-overflows": (
+            "infer", "--excite-node", "0", "--sigma-upsilon", "1.3e154", "--weights", "{w}",
+        ),
+        "design-noise-std-overflows": (
+            "design-excitation", "--weight-floor", "0.4", "--error-target", "0.05",
+            "--sigma-upsilon", "1.3e154",
+        ),
+        "design-noise-stds-overflow": (
+            "design-excitation", "--weight-floor", "0.4", "--error-target", "0.05",
+            "--sigma-theta", "1.3e154", "--sigma-upsilon", "1.3e154",
+        ),
+        "config-noise-std-overflows": ("experiment", "fig1a", "--config", "{d}/hugestd.cfg"),
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -1026,10 +1046,12 @@ class TestCli:
         (tmp_path / "hugesigma.cfg").write_text("sigma_upsilon = 1e200\ntrial_count = 3\n")
         (tmp_path / "infscale.cfg").write_text("excitation_scale = inf\ntrial_count = 3\n")
         (tmp_path / "hugescale.cfg").write_text("excitation_scale = 1e308\ntrial_count = 3\n")
+        (tmp_path / "hugestd.cfg").write_text("sigma_upsilon = 1.3e154\ntrial_count = 3\n")
         return [a.format(w=w, d=tmp_path) for a in argv]
 
     WIDE = "initial-state interval is too wide to draw from, got (-1e+308, 1e+308)"
     SQUARE = "must be >= 0 with a finite square, got 1e+200"
+    STD = "sigma_upsilon 1.3e+154 make the deviation noise std overflow"
     OVERFLOW_MESSAGES = {
         "simulate-init-too-wide": f"simulate: {WIDE}",
         "infer-init-too-wide": f"infer: {WIDE}",
@@ -1040,6 +1062,10 @@ class TestCli:
         "design-sigma-square-overflows": f"design-excitation: sigma_theta {SQUARE}",
         "config-inf-excitation-scale": "experiment: excitation_scale must be finite, got inf",
         "config-excitation-scale-overflows": "experiment: excitation_scale 1e+308 makes the excitation inf",
+        "infer-noise-std-overflows": f"infer: sigma_theta 1.0 and {STD}",
+        "design-noise-std-overflows": f"design-excitation: sigma_theta 1.0 and {STD}",
+        "design-noise-stds-overflow": f"design-excitation: sigma_theta 1.3e+154 and {STD}",
+        "config-noise-std-overflows": f"experiment: sigma_theta 1.0 and {STD}",
     }
 
     @pytest.mark.parametrize("case", OVERFLOW_MESSAGES)
