@@ -30,7 +30,7 @@ from netprobe.detect import (
     deviation_noise_bound,
     deviation_noise_std,
     critical_excitation,
-    applied_excitation,
+    design,
     misjudgement_probability,
     false_alarm_probability,
     detection_probability,

@@ -160,10 +160,9 @@ def _trial_setup(args, source: int):
     noise = NoiseModel(args.sigma_theta, args.sigma_upsilon)
     if not 0 <= source < tm.n:
         raise ValueError(f"excited node {source} outside 0..{tm.n - 1}")
-    if args.excite_magnitude is not None:
-        return tm, floor, noise, _excite_magnitude(args.excite_magnitude)
-    e = detect.critical_excitation(detect.onehop_noise_std(tm, noise), floor, budget)
-    return tm, floor, noise, detect.applied_excitation(e)
+    given = None if args.excite_magnitude is None else _excite_magnitude(args.excite_magnitude)
+    _, e = detect.design([detect.onehop_noise_std(tm, noise)], [floor], budget, given=given)
+    return tm, floor, noise, e
 
 
 def _cmd_infer(args) -> None:

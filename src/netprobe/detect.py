@@ -98,7 +98,8 @@ def critical_excitation(sigma: float, weight: float, error_budget: float) -> flo
     Returns 2*sigma*|Phi^-1(budget/2)| / weight with Phi^-1 the standard
     normal quantile, so a budget too small to change 1 - budget keeps its
     value.  With the h-step noise std and an h-step gain in place of
-    (sigma, weight) the same formula designs the within-h-hop test.
+    (sigma, weight) the same formula designs the within-h-hop test.  A
+    weight so small that the magnitude overflows is refused.
     """
     if not 0.0 < weight < math.inf:
         raise ValueError(f"weight must be finite and > 0, got {weight!r}")
@@ -106,16 +107,26 @@ def critical_excitation(sigma: float, weight: float, error_budget: float) -> flo
         raise ValueError(f"noise std must be finite and >= 0, got {sigma!r}")
     if not 0.0 < error_budget <= 1.0:
         raise ValueError("error budget must lie in (0, 1]")
-    return 2.0 * sigma * abs(_STANDARD_NORMAL.inv_cdf(error_budget / 2.0)) / weight
+    e = 2.0 * sigma * abs(_STANDARD_NORMAL.inv_cdf(error_budget / 2.0)) / weight
+    if not math.isfinite(e):
+        raise ValueError(f"weight {weight!r} makes the critical excitation overflow")
+    return e
 
 
-def applied_excitation(designed: float) -> float:
-    """The magnitude to inject for a designed one: itself, or 1 when it is zero.
+def design(sigma, gain, budget: float, scale: float = 1.0, given: float | None = None):
+    """(critical, e): each (noise std, gain) pair's critical magnitude, and the one to inject.
 
-    A noiseless design yields a zero critical input; any positive magnitude
-    then discriminates perfectly, so one stands in for it.
+    ``e`` is ``given`` when set, else ``scale`` times the largest critical
+    magnitude, or 1 when that is zero (a noiseless design, which any positive
+    input meets).  A designed ``e`` that overflows is refused.
     """
-    return designed if designed > 0.0 else 1.0
+    critical = [critical_excitation(s, g, budget) for s, g in zip(sigma, gain)]
+    if given is not None:
+        return critical, given
+    e = scale * max(critical)
+    if not math.isfinite(e):
+        raise ValueError(f"excitation_scale {scale!r} makes the excitation {e!r}")
+    return critical, e if e > 0.0 else 1.0
 
 
 def misjudgement_probability(sigma: float, weight: float, excitation: float) -> float:

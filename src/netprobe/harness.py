@@ -227,15 +227,6 @@ def _trials(config: ExperimentConfig, tm: TopologyMatrix, horizon: int, start: i
     return simulate_batch(tm, init, horizon, config.noise(), config.seed, config.trial_count, start)
 
 
-def _onehop_excitation(config: ExperimentConfig, sigma_bar: float, target: float) -> float:
-    """The configured magnitude, else the one-hop design for the error target."""
-    if config.excitation_magnitude is not None:
-        return config.excitation_magnitude
-    return detect.applied_excitation(
-        detect.critical_excitation(sigma_bar, config.weight_floor, target)
-    )
-
-
 def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     """Designed one-hop tests vs their theoretical accuracy floor.
 
@@ -251,7 +242,10 @@ def run_onehop_accuracy(config: ExperimentConfig) -> ResultTable:
     truth = true_hop_sets(graph, source, 1) == 1
     others = np.arange(n) != source
     sigma_bar = detect.onehop_noise_std(tm, config.noise())
-    excitations = [_onehop_excitation(config, sigma_bar, target) for target in config.error_targets]
+    excitations = [
+        detect.design([sigma_bar], [config.weight_floor], target, given=config.excitation_magnitude)[1]
+        for target in config.error_targets
+    ]
     response = _response(tm, source, 1)
     counts = np.zeros((len(excitations), 2), dtype=np.int64)  # correct pairs, correct sets
     for y in _trials(config, tm, t + 1, t):
@@ -303,15 +297,9 @@ def run_multihop_accuracy(config: ExperimentConfig) -> ResultTable:
     table = detect.deviation_noise_std(tm, hops.size, config.noise())
     # each target's largest std over horizons 1..h
     sigma = np.maximum.accumulate(table)[hops - 1, targets].tolist()
-    critical = [
-        detect.critical_excitation(s, g, 2.0 * config.false_alarm)
-        for s, g in zip(sigma, gains)
-    ]
-    e = config.excitation_magnitude
-    if e is None:
-        e = detect.applied_excitation(config.excitation_scale * max(critical))
-        if not math.isfinite(e):
-            raise ValueError(f"excitation_scale {config.excitation_scale!r} makes the excitation {e!r}")
+    critical, e = detect.design(
+        sigma, gains, 2.0 * config.false_alarm, config.excitation_scale, config.excitation_magnitude
+    )
 
     t = config.burn_in
     hits = np.zeros(hops.size, dtype=np.int64)
@@ -351,8 +339,9 @@ def run_ls_improvement(config: ExperimentConfig) -> ResultTable:
     runs once per row.
     """
     _, tm, source = _network(config)
-    e = _onehop_excitation(
-        config, detect.onehop_noise_std(tm, config.noise()), min(config.error_targets)
+    sigma_bar = detect.onehop_noise_std(tm, config.noise())
+    _, e = detect.design(
+        [sigma_bar], [config.weight_floor], min(config.error_targets), given=config.excitation_magnitude
     )
     horizon = config.n + 5
 

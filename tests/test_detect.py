@@ -7,8 +7,8 @@ import pytest
 
 from netprobe import detect
 from netprobe.detect import (
-    applied_excitation,
     critical_excitation,
+    design,
     detection_probability,
     deviation_noise_bound,
     deviation_noise_std,
@@ -234,12 +234,6 @@ class TestCriticalExcitation:
         vals = [critical_excitation(s, 0.5, 0.1) for s in sigmas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_applied_magnitude_replaces_zero_design(self):
-        assert applied_excitation(critical_excitation(0.0, 0.5, 0.05)) == 1.0
-        assert applied_excitation(critical_excitation(1.0, 0.5, 0.05)) == critical_excitation(
-            1.0, 0.5, 0.05
-        )
-
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             critical_excitation(1.0, 0.0, 0.1)
@@ -250,6 +244,41 @@ class TestCriticalExcitation:
                 critical_excitation(1.0, bad, 0.1)
             with pytest.raises(ValueError, match="finite"):
                 critical_excitation(bad, 0.5, 0.1)
+
+    def test_rejects_weight_that_overflows_it(self):
+        # at unit noise and a 5% budget, 2 * 1.96 / w overflows below w of about 4e-308
+        assert math.isfinite(critical_excitation(1.0, 1e-307, 0.05))
+        with pytest.raises(ValueError, match=r"^weight 1e-320 makes the critical excitation overflow$"):
+            critical_excitation(1.0, 1e-320, 0.05)
+
+
+class TestDesign:
+    SIGMA, GAIN = [1.0, 2.5, 0.7], [0.5, 0.2, 0.4]
+
+    def test_critical_entries_are_critical_excitation(self):
+        for budget in (1e-300, 0.05, 0.1, 0.9):
+            critical, _ = design(self.SIGMA, self.GAIN, budget)
+            assert critical == [critical_excitation(s, g, budget) for s, g in zip(self.SIGMA, self.GAIN)]
+
+    def test_injects_the_critical_magnitude_or_one_when_zero(self):
+        assert design([1.0], [0.5], 0.05)[1] == critical_excitation(1.0, 0.5, 0.05)
+        assert design([0.0], [0.5], 0.05) == ([0.0], 1.0)
+        assert design([0.0, 0.0], [0.5, 0.1], 0.05, scale=5.0) == ([0.0, 0.0], 1.0)
+
+    def test_scale_multiplies_the_largest(self):
+        critical, e = design(self.SIGMA, self.GAIN, 0.1, scale=5.0)
+        assert critical.index(max(critical)) == 1
+        assert e == 5.0 * critical[1]
+
+    def test_given_is_returned_as_is(self):
+        critical = design(self.SIGMA, self.GAIN, 0.1)[0]
+        for given in (-3.5, 1e-9, 1e308):
+            assert design(self.SIGMA, self.GAIN, 0.1, scale=1e308, given=given) == (critical, given)
+        assert design([0.0], [0.5], 0.05, given=0.25) == ([0.0], 0.25)
+
+    def test_refuses_a_scale_that_overflows(self):
+        with pytest.raises(ValueError, match=r"^excitation_scale 1e\+308 makes the excitation inf$"):
+            design(self.SIGMA, self.GAIN, 0.1, scale=1e308)
 
 
 class TestMisjudgement:

@@ -716,6 +716,46 @@ class TestCli:
         tm, floor, noise, e = cli._trial_setup(args, 1)
         assert e == detect.critical_excitation(math.sqrt(3.0), floor, 0.05)
 
+    def test_every_site_injects_the_magnitude_design_returns(self, tmp_path, monkeypatch):
+        # with unexcited draws of zero, the rows each decider sees hold the input alone
+        sentinel = 7.25
+        design = detect.design
+        monkeypatch.setattr(detect, "design", lambda *args, **kw: (design(*args, **kw)[0], sentinel))
+
+        def zeros(tm, init, horizon, noise, seed, trials, start=0):
+            return iter([np.zeros((trials, horizon - start + 1, tm.n))])
+
+        class Decided(Exception):
+            pass
+
+        def stop(before, after, source, e, *rest):
+            raise Decided(after - before, source, e)
+
+        def windowed(windows, source, e, *rest):
+            stop(windows[:, 0], windows[:, 1], source, e)
+
+        for module in (harness, cli):
+            monkeypatch.setattr(module, "simulate_batch", zeros)
+        for module in (harness, infer):
+            monkeypatch.setattr(module, "infer_one_hop", stop)
+        monkeypatch.setattr(harness, "first_hops", windowed)
+        monkeypatch.setattr(infer, "decide", windowed)
+        w = tmp_path / "w.txt"
+        self.run("generate", "--n", "6", "--p", "0.4", "--seed", "1", "--weights-out", str(w))
+        network, loaded = SMALL.build_network()[1].matrix, load_weights(str(w)).matrix
+        for matrix, run in (
+            (network, lambda: run_onehop_accuracy(SMALL)),
+            (network, lambda: run_multihop_accuracy(SMALL)),
+            (network, lambda: run_ls_improvement(SMALL)),
+            (loaded, lambda: cli.main(["infer", "--weights", str(w), "--excite-node", "1"])),
+            (loaded, lambda: cli.main(["estimate", "constrained", "--weights", str(w)])),
+        ):
+            with pytest.raises(Decided) as info:
+                run()
+            deviation, source, e = info.value.args
+            assert e == sentinel
+            assert (deviation == sentinel * matrix[:, source]).all()
+
     def test_generate_and_infer_flow(self, tmp_path, capsys):
         w = tmp_path / "w.txt"
         adj = tmp_path / "adj.txt"
@@ -1017,6 +1057,25 @@ class TestCli:
             "--sigma-theta", "1.3e154", "--sigma-upsilon", "1.3e154",
         ),
         "config-noise-std-overflows": ("experiment", "fig1a", "--config", "{d}/hugestd.cfg"),
+        "design-weight-floor-overflows": (
+            "design-excitation", "--weight-floor", "1e-320", "--error-target", "0.05",
+        ),
+        "infer-weight-floor-overflows": (
+            "infer", "--excite-node", "0", "--weight-floor", "1e-320", "--weights", "{w}",
+        ),
+        "estimate-weight-floor-overflows": (
+            "estimate", "constrained", "--weight-floor", "1e-320", "--weights", "{w}",
+        ),
+        "config-weight-floor-overflows-fig1a": ("experiment", "fig1a", "--config", "{d}/tinyfloor.cfg"),
+        "config-weight-floor-overflows-fig1c": ("experiment", "fig1c", "--config", "{d}/tinyfloor.cfg"),
+        "infer-noise-std-overflows-given-magnitude": (
+            "infer", "--excite-node", "0", "--excite-magnitude", "5", "--sigma-upsilon", "1.3e154",
+            "--weights", "{w}",
+        ),
+        "estimate-noise-std-overflows-given-magnitude": (
+            "estimate", "constrained", "--excite-magnitude", "5", "--sigma-upsilon", "1.3e154",
+            "--weights", "{w}",
+        ),
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -1047,11 +1106,13 @@ class TestCli:
         (tmp_path / "infscale.cfg").write_text("excitation_scale = inf\ntrial_count = 3\n")
         (tmp_path / "hugescale.cfg").write_text("excitation_scale = 1e308\ntrial_count = 3\n")
         (tmp_path / "hugestd.cfg").write_text("sigma_upsilon = 1.3e154\ntrial_count = 3\n")
+        (tmp_path / "tinyfloor.cfg").write_text("weight_floor = 1e-320\ntrial_count = 3\n")
         return [a.format(w=w, d=tmp_path) for a in argv]
 
     WIDE = "initial-state interval is too wide to draw from, got (-1e+308, 1e+308)"
     SQUARE = "must be >= 0 with a finite square, got 1e+200"
     STD = "sigma_upsilon 1.3e+154 make the deviation noise std overflow"
+    FLOOR = "weight 1e-320 makes the critical excitation overflow"
     OVERFLOW_MESSAGES = {
         "simulate-init-too-wide": f"simulate: {WIDE}",
         "infer-init-too-wide": f"infer: {WIDE}",
@@ -1066,6 +1127,13 @@ class TestCli:
         "design-noise-std-overflows": f"design-excitation: sigma_theta 1.0 and {STD}",
         "design-noise-stds-overflow": f"design-excitation: sigma_theta 1.3e+154 and {STD}",
         "config-noise-std-overflows": f"experiment: sigma_theta 1.0 and {STD}",
+        "design-weight-floor-overflows": f"design-excitation: {FLOOR}",
+        "infer-weight-floor-overflows": f"infer: {FLOOR}",
+        "estimate-weight-floor-overflows": f"estimate: {FLOOR}",
+        "config-weight-floor-overflows-fig1a": f"experiment: {FLOOR}",
+        "config-weight-floor-overflows-fig1c": f"experiment: {FLOOR}",
+        "infer-noise-std-overflows-given-magnitude": f"infer: sigma_theta 1.0 and {STD}",
+        "estimate-noise-std-overflows-given-magnitude": f"estimate: sigma_theta 1.0 and {STD}",
     }
 
     @pytest.mark.parametrize("case", OVERFLOW_MESSAGES)

@@ -8,7 +8,7 @@ EXPORTED = [
     "scale_to_asymptotic", "classify_stability", "true_hop_sets",
     "NoiseModel", "simulate", "simulate_batch",
     "deviation_noise_bound", "deviation_noise_std", "critical_excitation",
-    "applied_excitation", "misjudgement_probability", "false_alarm_probability",
+    "design", "misjudgement_probability", "false_alarm_probability",
     "detection_probability", "hop_inference_lower_bound", "multi_excitation_bound",
     "NeighborDecision", "infer_one_hop", "decide", "first_hops",
     "EntryConstraint", "LsProblem", "LsSolution", "ols_estimate",
